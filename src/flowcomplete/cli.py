@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cloud_io, coupling, field, metrics, sampler, scenes
+from . import cloud_io, coupling, field, geometry, metrics, sampler, scenes
 from .config import RunConfig, _parse_value, build_config, read_config_file
 
 # rng stream label for training, distinct from data-generation seeds
@@ -87,6 +87,9 @@ def cmd_train(cfg: RunConfig, data_dir: str, out_path: str) -> int:
     entries, cases = _load_dataset(Path(data_dir))
     if not cases:
         raise RuntimeError(f"no cases listed in {data_dir}/manifest.tsv")
+    # One index per scene serves the coupling and the chamfer term of every
+    # sample drawn from that case.
+    cases = [(geometry.NeighborIndex(scene), scan) for scene, scan in cases]
     Path(out_path).parent.mkdir(parents=True, exist_ok=True)
 
     state = field.init_model(cfg.field_config())

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import as_cloud, nearest_neighbor_map, tile_cloud
+from .geometry import (NeighborIndex, as_cloud, nearest_neighbor_map,
+                       neighbor_index, tile_cloud)
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,8 @@ class FlowSample:
     x_t is the interpolated cloud, v_target the per-point velocity the
     field should regress. x0/x1 are the path endpoints, kept so the
     chamfer term of the objective can be evaluated without recomputing
-    the coupling. condition is the scan cloud or None when dropped.
+    the coupling; x1_index is the neighbor index over x1, which that term
+    queries again. condition is the scan cloud or None when dropped.
     """
     t: float
     x_t: np.ndarray
@@ -45,6 +47,7 @@ class FlowSample:
     condition: np.ndarray | None
     x0: np.ndarray
     x1: np.ndarray
+    x1_index: NeighborIndex
 
 
 @dataclass(frozen=True)
@@ -100,18 +103,21 @@ def straight_flow(x0, x1, t: float):
 def nearest_neighbor_flow(x0, x1, t: float, condition=None) -> FlowSample:
     """Straight flow from each x0 point toward its nearest neighbor in x1.
 
-    The correspondence is recomputed from the inputs on every call (x0 is
-    re-jittered per training iteration, so caching would go stale). The
-    velocity target is independent of t.
+    x1 is a cloud or a NeighborIndex over one. The correspondence is
+    recomputed on every call, because x0 is re-jittered per training
+    iteration; only the index over the fixed x1 can be built once and
+    passed in. The velocity target is independent of t.
     """
     t = _check_time(t)
     src = as_cloud(x0)
-    tgt = as_cloud(x1)
+    index = neighbor_index(x1)
     if len(src) == 0:
         raise ValueError("empty initial cloud")
-    matched = tgt[nearest_neighbor_map(src, tgt)]
+    tgt = np.asarray(index)
+    matched = tgt[nearest_neighbor_map(src, index)]
     x_t, v = straight_flow(src, matched, t)
-    return FlowSample(t=t, x_t=x_t, v_target=v, condition=condition, x0=src, x1=tgt)
+    return FlowSample(t=t, x_t=x_t, v_target=v, condition=condition, x0=src,
+                      x1=tgt, x1_index=index)
 
 
 def sample_time(rng: np.random.Generator) -> float:

@@ -30,6 +30,8 @@ TIME_FREQ_MAX = 100.0
 
 CHECKPOINT_MAGIC = b"FLOWCKPT"
 CHECKPOINT_VERSION = 1
+# The stored arrays, in file order; each holds parameter_count values.
+_CHECKPOINT_ARRAYS = ("weights", "ema_weights", "adam_m", "adam_v")
 
 _ACTIVATIONS = ("tanh", "relu")
 _COND_MODES = ("nearest-offset", "none")
@@ -162,12 +164,14 @@ def condition_features(x, condition) -> np.ndarray:
 
 
 def condition_feature_matrix(points: np.ndarray, condition) -> np.ndarray:
-    """Per-point condition features (n, 5); see condition_features."""
+    """Per-point condition features (n, 5); see condition_features.
+
+    condition is None, a scan cloud, or a NeighborIndex over one.
+    """
     n = len(points)
     if condition is None:
         return np.zeros((n, 5))
-    scan = as_cloud(condition)
-    nearest = scan[nearest_neighbor_map(points, scan)]
+    nearest = as_cloud(condition)[nearest_neighbor_map(points, condition)]
     offset = nearest - points
     dist = np.linalg.norm(offset, axis=1, keepdims=True)
     return np.concatenate([offset, dist, np.ones((n, 1))], axis=1)
@@ -319,12 +323,8 @@ def save_checkpoint(path, state: ModelState, opt: OptimizerState) -> None:
     Layout: magic, version, length-prefixed JSON header, then the raw
     little-endian float64 arrays named in the header, in order.
     """
-    arrays = [
-        ("weights", state.weights),
-        ("ema_weights", state.ema_weights),
-        ("adam_m", opt.m),
-        ("adam_v", opt.v),
-    ]
+    arrays = list(zip(_CHECKPOINT_ARRAYS,
+                      (state.weights, state.ema_weights, opt.m, opt.v)))
     header = {
         "version": CHECKPOINT_VERSION,
         "config": _config_to_dict(state.config),
@@ -350,36 +350,66 @@ def load_checkpoint(path):
     """Read a checkpoint; returns (ModelState, OptimizerState).
 
     Weight and moment arrays round-trip bit-exactly.
+
+    Raises:
+        ValueError: naming the file and the reason, on a bad magic or
+            version, a truncated or malformed header, arrays whose names or
+            sizes disagree with the configured network, truncated arrays,
+            or bytes after the last array.
     """
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"not a checkpoint file: bad magic {magic!r}")
-        version, header_len = struct.unpack("<IQ", fh.read(12))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        header = json.loads(fh.read(header_len).decode())
-        data = {}
-        for name, size in header["arrays"]:
-            raw = fh.read(size * 8)
-            if len(raw) != size * 8:
-                raise ValueError(f"truncated checkpoint: array {name!r}")
-            data[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    cfg_dict = dict(header["config"])
-    cfg_dict["hidden_widths"] = tuple(cfg_dict["hidden_widths"])
-    config = FieldConfig(**cfg_dict)
+        raw = fh.read()
+
+    def fail(reason: str) -> ValueError:
+        return ValueError(f"{path}: {reason}")
+
+    offset = len(CHECKPOINT_MAGIC)
+    if raw[:offset] != CHECKPOINT_MAGIC:
+        raise fail(f"not a checkpoint file: bad magic {raw[:offset]!r}")
+    if len(raw) < offset + 12:
+        raise fail("truncated checkpoint: version and header length")
+    version, header_len = struct.unpack_from("<IQ", raw, offset)
+    if version != CHECKPOINT_VERSION:
+        raise fail(f"unsupported checkpoint version {version}")
+    offset += 12
+    if len(raw) < offset + header_len:
+        raise fail("truncated checkpoint: header")
+    try:
+        header = json.loads(raw[offset:offset + header_len].decode())
+        cfg_dict = dict(header["config"])
+        cfg_dict["hidden_widths"] = tuple(cfg_dict["hidden_widths"])
+        config = FieldConfig(**cfg_dict)
+        arrays = [(name, int(size)) for name, size in header["arrays"]]
+        step_count = int(header["step_count"])
+        hyper = {key: float(header["optimizer"][key])
+                 for key in ("learning_rate", "beta1", "beta2", "eps")}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise fail(f"malformed checkpoint header: {exc!r}") from exc
+    offset += header_len
+
+    names = tuple(name for name, _ in arrays)
+    if names != _CHECKPOINT_ARRAYS:
+        raise fail(f"checkpoint arrays {list(names)}, expected "
+                   f"{list(_CHECKPOINT_ARRAYS)}")
+    expected = parameter_count(config)
+    data = {}
+    for name, size in arrays:
+        if size != expected:
+            raise fail(f"array {name!r} holds {size} values but the "
+                       f"configured network has {expected} parameters")
+        if len(raw) < offset + 8 * size:
+            raise fail(f"truncated checkpoint: array {name!r}")
+        data[name] = np.frombuffer(raw, dtype="<f8", count=size,
+                                   offset=offset).astype(np.float64)
+        offset += 8 * size
+    if len(raw) != offset:
+        raise fail(f"{len(raw) - offset} trailing bytes after the last array")
+
     state = ModelState(
         config=config,
         weights=data["weights"],
         ema_weights=data["ema_weights"],
-        step_count=int(header["step_count"]),
+        step_count=step_count,
     )
-    opt = OptimizerState(
-        learning_rate=float(header["optimizer"]["learning_rate"]),
-        beta1=float(header["optimizer"]["beta1"]),
-        beta2=float(header["optimizer"]["beta2"]),
-        eps=float(header["optimizer"]["eps"]),
-        m=data["adam_m"],
-        v=data["adam_v"],
-    )
+    opt = OptimizerState(**hyper, m=data["adam_m"], v=data["adam_v"])
     return state, opt

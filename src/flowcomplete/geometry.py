@@ -51,9 +51,86 @@ def _brute_nearest(source: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 def _unique_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Unique rows plus, for each, the lowest index where it occurs.
-    uniq, first = np.unique(points, axis=0, return_index=True)
-    return uniq, first.astype(np.int64)
+    # Unique rows in lexicographic order plus, for each, the lowest index
+    # where it occurs. The sort is stable, so the first row of each run of
+    # equal rows is the earliest; -0.0 and 0.0 compare equal.
+    order = np.lexsort(points.T[::-1])
+    ordered = points[order]
+    first = np.empty(len(points), dtype=bool)
+    first[:1] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    return ordered[first], order[first].astype(np.int64)
+
+
+class NeighborIndex:
+    """Nearest-neighbor index over a fixed target cloud, built once.
+
+    Holds a private copy of the target rows, and for targets of at least
+    BRUTE_FORCE_LIMIT rows the deduplicated rows, their lowest original
+    indices and a k-d tree over them. Queries follow the rules of
+    :func:`nearest_neighbor_map`. Later writes to the caller's array do not
+    reach the index. `np.asarray(index)` and `len(index)` give the original
+    rows in their original order.
+
+    Raises:
+        ValueError: on an invalid or empty target.
+    """
+
+    def __init__(self, target):
+        rows = np.array(as_cloud(target))
+        if len(rows) == 0:
+            raise ValueError("empty target cloud")
+        rows.flags.writeable = False
+        self._rows = rows
+        # Lowest original index of each tree row; None when the tree is
+        # built over the rows themselves, which have no duplicates.
+        self._lowest = None
+        self._tree = None
+        if len(rows) < BRUTE_FORCE_LIMIT:
+            return
+        uniq, lowest = _unique_rows(rows)
+        if len(uniq) == len(rows):
+            self._tree = cKDTree(rows)
+        else:
+            self._lowest = lowest
+            self._tree = cKDTree(uniq)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __array__(self, dtype=None, copy=None):
+        rows = self._rows if dtype is None else self._rows.astype(dtype, copy=False)
+        if copy:
+            return rows.copy()
+        if copy is False and rows is not self._rows:
+            raise ValueError("a copy is needed to convert the index rows")
+        return rows
+
+    def query(self, source) -> np.ndarray:
+        """Index of the nearest target row for each source row; see
+        :func:`nearest_neighbor_map`."""
+        src = as_cloud(source)
+        if len(src) == 0:
+            return np.empty(0, dtype=np.int64)
+        if self._tree is None:
+            return _brute_nearest(src, self._rows)
+        # A one-row tree reports its missing second neighbor at infinite
+        # distance, so a target of one repeated point needs no special case.
+        dist, idx = self._tree.query(src, k=2)
+        nearest = idx[:, 0]
+        result = (nearest.astype(np.int64) if self._lowest is None
+                  else self._lowest[nearest])
+        tied = dist[:, 0] == dist[:, 1]
+        if np.any(tied):
+            # Rare exact ties between distinct rows: re-resolve exhaustively
+            # so the lowest-original-index rule holds.
+            result[tied] = _brute_nearest(src[tied], self._rows)
+        return result
+
+
+def neighbor_index(target) -> NeighborIndex:
+    """`target` itself if it is a NeighborIndex, else a new index over it."""
+    return target if isinstance(target, NeighborIndex) else NeighborIndex(target)
 
 
 def nearest_neighbor_map(source, target) -> np.ndarray:
@@ -66,32 +143,13 @@ def nearest_neighbor_map(source, target) -> np.ndarray:
 
     Args:
         source: (n, 3) cloud; may be empty.
-        target: (m, 3) cloud; must be non-empty.
+        target: (m, 3) cloud, or a :class:`NeighborIndex` over one, which
+            skips rebuilding the tree; must be non-empty.
 
     Returns:
         int64 array of length n with values in [0, m).
     """
-    src = as_cloud(source)
-    tgt = as_cloud(target)
-    if len(tgt) == 0:
-        raise ValueError("empty target cloud")
-    if len(src) == 0:
-        return np.empty(0, dtype=np.int64)
-    if len(tgt) < BRUTE_FORCE_LIMIT:
-        return _brute_nearest(src, tgt)
-
-    uniq, lowest = _unique_rows(tgt)
-    if len(uniq) == 1:
-        return np.full(len(src), lowest[0], dtype=np.int64)
-    tree = cKDTree(uniq)
-    dist, idx = tree.query(src, k=2)
-    result = lowest[idx[:, 0]]
-    tied = dist[:, 0] == dist[:, 1]
-    if np.any(tied):
-        # Rare exact ties between distinct rows: re-resolve exhaustively so
-        # the lowest-original-index rule holds.
-        result[tied] = _brute_nearest(src[tied], tgt)
-    return result
+    return neighbor_index(target).query(source)
 
 
 def _nearest_sq_dists(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import FlowSample
-from .geometry import as_cloud, nearest_neighbor_map
+from .geometry import as_cloud, nearest_neighbor_map, neighbor_index
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,9 @@ def chamfer_loss_grad(
 
     The min over neighbors is handled by the standard subgradient at the
     argmin pair; exact ties resolve to the lowest index, consistent with
-    the geometry module.
+    the geometry module. x1 may be a NeighborIndex, which the moved→x1
+    direction reuses; the x1→moved direction builds a tree over the moved
+    cloud on every call.
     """
     if reduction not in ("mean", "sum"):
         raise ValueError(f"unknown reduction {reduction!r}")
@@ -88,7 +90,7 @@ def chamfer_loss_grad(
         raise ValueError("empty cloud in chamfer")
 
     moved = src + u
-    fwd = nearest_neighbor_map(moved, tgt)
+    fwd = nearest_neighbor_map(moved, neighbor_index(x1))
     bwd = nearest_neighbor_map(tgt, moved)
 
     diff_fwd = moved - tgt[fwd]
@@ -135,11 +137,11 @@ def total_loss_grad(
             remaining = 1.0 - sample.t
             u = np.asarray(u_pred, dtype=np.float64)
             cd_val, cd_grad = chamfer_loss_grad(sample.x_t, remaining * u,
-                                                sample.x1, reduction)
+                                                sample.x1_index, reduction)
             cd_grad = remaining * cd_grad
         else:
-            cd_val, cd_grad = chamfer_loss_grad(sample.x0, u_pred, sample.x1,
-                                                reduction)
+            cd_val, cd_grad = chamfer_loss_grad(sample.x0, u_pred,
+                                                sample.x1_index, reduction)
     else:
         cd_val, cd_grad = 0.0, 0.0
     total = weights.flow * flow_val + weights.chamfer * cd_val

@@ -12,7 +12,7 @@ import numpy as np
 
 from .coupling import NoiseConfig, noisy_initial_cloud
 from .field import ModelState, forward
-from .geometry import as_cloud
+from .geometry import NeighborIndex, as_cloud
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,11 @@ def euler_integrate(state: ModelState, x0, scan, config: SamplerConfig,
     """
     x = as_cloud(x0).copy()
     if field_fn is None:
+        # One index over the scan serves the condition features of every step.
+        condition = None if scan is None else NeighborIndex(scan)
+
         def field_fn(t, current):
-            return guided_field(state, t, current, scan,
+            return guided_field(state, t, current, condition,
                                 config.guidance_weight, use_ema=config.use_ema)
     h = 1.0 / config.steps
     initial = x.copy()

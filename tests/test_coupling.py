@@ -133,6 +133,28 @@ class TestNearestNeighborFlow:
         assert np.array_equal(s.x1, x1)
         assert np.array_equal(s.condition, scan)
 
+    def test_index_input_matches_array_input(self):
+        # Target sizes around the brute-force limit, with a duplicate row.
+        rng = np.random.default_rng(8)
+        for n1 in (5, 31, 32, 33, 90):
+            x0 = random_cloud(rng, 40)
+            x1 = random_cloud(rng, n1)
+            x1[-1] = x1[0]
+            scan = random_cloud(rng, 6)
+            t = float(rng.uniform())
+            index = geometry.NeighborIndex(x1)
+            a = coupling.nearest_neighbor_flow(x0, x1, t, condition=scan)
+            b = coupling.nearest_neighbor_flow(x0, index, t, condition=scan)
+            assert b.x1_index is index
+            assert a.t == b.t
+            assert a.condition is b.condition
+            for name in ("x_t", "v_target", "x0", "x1"):
+                got, want = getattr(b, name), getattr(a, name)
+                assert type(got) is np.ndarray
+                assert (got.shape, got.dtype) == (want.shape, want.dtype)
+                assert got.tobytes() == want.tobytes(), name
+            assert np.asarray(a.x1_index).tobytes() == x1.tobytes()
+
 
 class TestSampleTime:
     def test_moments_and_range(self):

@@ -1,7 +1,10 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
-from flowcomplete import coupling, field, objective
+from flowcomplete import coupling, field, geometry, objective
 from oracles import assert_grad_matches_fd, chamfer_assignments, nn_map_exhaustive
 
 SMALL = field.FieldConfig(hidden_widths=(8,), time_embed_dim=4, seed=3)
@@ -86,6 +89,16 @@ class TestConditionFeatures:
             assert np.allclose(f[:3], q - x, atol=0)
             assert f[3] == pytest.approx(np.linalg.norm(q - x), rel=1e-12)
             assert f[4] == 1.0
+
+    def test_scan_index_matches_scan_array(self):
+        rng = np.random.default_rng(4)
+        for n in (6, 31, 32, 33, 100):
+            scan = random_cloud(rng, n)
+            scan[-1] = scan[0]
+            pts = random_cloud(rng, 50)
+            want = field.condition_feature_matrix(pts, scan)
+            got = field.condition_feature_matrix(pts, geometry.NeighborIndex(scan))
+            assert got.tobytes() == want.tobytes()
 
 
 class TestForward:
@@ -324,3 +337,45 @@ class TestCheckpoint:
         path.write_bytes(raw[:-16])
         with pytest.raises(ValueError, match="truncated"):
             field.load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        state = field.init_model(SMALL)
+        opt = field.init_optimizer(state)
+        path = tmp_path / "model.ckpt"
+        field.save_checkpoint(path, state, opt)
+        path.write_bytes(path.read_bytes() + b"\x00" * 8)
+        with pytest.raises(ValueError, match="trailing bytes") as err:
+            field.load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    def test_cut_inside_length_prefix(self, tmp_path):
+        state = field.init_model(SMALL)
+        opt = field.init_optimizer(state)
+        path = tmp_path / "model.ckpt"
+        field.save_checkpoint(path, state, opt)
+        path.write_bytes(path.read_bytes()[:15])
+        with pytest.raises(ValueError, match="truncated") as err:
+            field.load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    def test_header_widths_disagree_with_arrays(self, tmp_path):
+        # A (64, 64) network's arrays under a header that says (8,): the
+        # arrays hold 5443 values where the header implies 163.
+        cfg = field.FieldConfig(hidden_widths=(64, 64))
+        state = field.init_model(cfg)
+        opt = field.init_optimizer(state)
+        path = tmp_path / "model.ckpt"
+        field.save_checkpoint(path, state, opt)
+        raw = path.read_bytes()
+        start = len(field.CHECKPOINT_MAGIC) + 12
+        (header_len,) = struct.unpack_from("<Q", raw, start - 8)
+        header = json.loads(raw[start:start + header_len])
+        header["config"]["hidden_widths"] = [8]
+        blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        path.write_bytes(raw[:start - 8] + struct.pack("<Q", len(blob)) + blob
+                         + raw[start + header_len:])
+        narrow = field.FieldConfig(hidden_widths=(8,))
+        assert (field.parameter_count(cfg), field.parameter_count(narrow)) == (5443, 163)
+        with pytest.raises(ValueError, match="5443 values .* 163 parameters") as err:
+            field.load_checkpoint(path)
+        assert str(path) in str(err.value)

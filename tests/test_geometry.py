@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from flowcomplete import geometry
 from oracles import (
@@ -296,3 +297,107 @@ def test_chamfer_symmetry_property(seed):
     assert geometry.chamfer_distance(a, b) == pytest.approx(
         geometry.chamfer_distance(b, a), rel=1e-12
     )
+
+
+# Coordinates on a coarse lattice, with both signed zeros, so that drawn
+# clouds hold duplicate rows and exact distance ties.
+LATTICE = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+# Target sizes around BRUTE_FORCE_LIMIT (32), plus a spread of others.
+TARGET_SIZES = st.one_of(st.sampled_from([31, 32, 33]), st.integers(1, 80))
+
+
+def lattice_cloud(sizes):
+    return sizes.flatmap(lambda n: arrays(np.float64, (n, 3), elements=LATTICE))
+
+
+def random_or_lattice_cloud(sizes):
+    uniform = st.tuples(sizes, st.integers(0, 2 ** 32 - 1)).map(
+        lambda ns: np.random.default_rng(ns[1]).uniform(-1, 1, size=(ns[0], 3)))
+    return st.one_of(lattice_cloud(sizes), uniform)
+
+
+def one_point_cloud():
+    # A target whose rows are all one point (signed zeros included).
+    return st.tuples(arrays(np.float64, 3, elements=LATTICE),
+                     TARGET_SIZES).map(lambda rn: np.tile(rn[0], (rn[1], 1)))
+
+
+TARGETS = st.one_of(random_or_lattice_cloud(TARGET_SIZES), one_point_cloud())
+SOURCES = lattice_cloud(st.integers(0, 40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(TARGETS, SOURCES)
+def test_neighbor_index_matches_oracle_property(tgt, src):
+    got = geometry.NeighborIndex(tgt).query(src)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, nn_map_exhaustive(src, tgt))
+
+
+@settings(max_examples=50, deadline=None)
+@given(TARGETS, st.lists(SOURCES, min_size=1, max_size=5))
+def test_neighbor_index_reuse_matches_fresh_maps_property(tgt, sources):
+    index = geometry.NeighborIndex(tgt)
+    for src in sources:
+        assert np.array_equal(index.query(src),
+                              geometry.nearest_neighbor_map(src, tgt))
+        assert np.array_equal(geometry.nearest_neighbor_map(src, index),
+                              geometry.nearest_neighbor_map(src, tgt))
+
+
+@settings(max_examples=50, deadline=None)
+@given(TARGETS, SOURCES)
+def test_neighbor_index_ignores_later_writes_property(tgt, src):
+    original = tgt.copy()
+    index = geometry.NeighborIndex(tgt)
+    tgt[:] = tgt[::-1] + 3.0
+    assert np.array_equal(index.query(src), nn_map_exhaustive(src, original))
+    assert np.asarray(index).tobytes() == original.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(random_or_lattice_cloud(st.integers(1, 300)), one_point_cloud(),
+                 # 8 copies of each row, interleaved
+                 random_or_lattice_cloud(st.integers(1, 40)).map(
+                     lambda c: np.tile(c, (8, 1)))))
+def test_unique_rows_matches_numpy_unique_property(cloud):
+    rows, lowest = geometry._unique_rows(cloud)
+    want_rows, want_lowest = np.unique(cloud, axis=0, return_index=True)
+    assert rows.tobytes() == want_rows.tobytes()
+    assert lowest.dtype == np.int64
+    assert np.array_equal(lowest, want_lowest)
+
+
+class TestNeighborIndex:
+    def test_array_view_and_length_are_the_original_rows(self):
+        # perfbench/spans.py reads the target of every NN map this way.
+        rng = np.random.default_rng(53)
+        for n in (1, 31, 32, 33, 200):
+            cloud = random_cloud(rng, n)
+            cloud[n // 2] = cloud[0]  # a duplicate row
+            index = geometry.NeighborIndex(cloud)
+            assert len(index) == n
+            assert np.asarray(index).tobytes() == cloud.tobytes()
+            as_f64 = np.asarray(index, dtype=np.float64).reshape(-1, 3)
+            assert as_f64.tobytes() == cloud.tobytes()
+            assert np.array_equal(np.asarray(index, dtype=np.float32),
+                                  cloud.astype(np.float32))
+            assert np.array(index, copy=True).flags.writeable
+
+    def test_rows_are_read_only(self):
+        index = geometry.NeighborIndex(np.zeros((40, 3)))
+        with pytest.raises(ValueError):
+            np.asarray(index)[0, 0] = 1.0
+
+    def test_empty_target_error(self):
+        with pytest.raises(ValueError, match="empty target cloud"):
+            geometry.NeighborIndex(np.empty((0, 3)))
+
+    def test_invalid_target_error(self):
+        with pytest.raises(ValueError, match="finite"):
+            geometry.NeighborIndex([[0.0, np.inf, 0.0]])
+
+    def test_empty_source(self):
+        out = geometry.NeighborIndex(np.zeros((40, 3))).query(np.empty((0, 3)))
+        assert out.shape == (0,)
+        assert out.dtype == np.int64

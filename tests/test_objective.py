@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flowcomplete import coupling, objective
+from flowcomplete import coupling, geometry, objective
 from oracles import (
     assert_grad_matches_fd,
     chamfer_assignments,
@@ -217,3 +217,43 @@ class TestChamferFromCurrent:
                     s.x_t, (1.0 - s.t) * flat.reshape(n, 3), s.x1
                 ),
             )
+
+
+
+class TestNeighborIndexInput:
+    """An index over x1 gives the same bits as the array it was built on."""
+
+    SIZES = (9, 31, 32, 33, 80)
+
+    def test_chamfer_loss_grad(self):
+        rng = np.random.default_rng(31)
+        for n1 in self.SIZES:
+            x0 = random_cloud(rng, 24)
+            u = 0.3 * random_cloud(rng, 24)
+            x1 = random_cloud(rng, n1)
+            x1[-1] = x1[0]
+            index = geometry.NeighborIndex(x1)
+            for reduction in ("mean", "sum"):
+                val_a, grad_a = objective.chamfer_loss_grad(x0, u, x1, reduction)
+                val_b, grad_b = objective.chamfer_loss_grad(x0, u, index, reduction)
+                assert val_a == val_b
+                assert grad_a.tobytes() == grad_b.tobytes()
+
+    def test_total_loss_grad(self):
+        rng = np.random.default_rng(32)
+        weights = objective.LossWeights(flow=1.0, chamfer=0.5)
+        for n1 in self.SIZES:
+            x0 = random_cloud(rng, 24)
+            x1 = random_cloud(rng, n1)
+            t = float(rng.uniform())
+            u = random_cloud(rng, 24)
+            from_array = coupling.nearest_neighbor_flow(x0, x1, t)
+            from_index = coupling.nearest_neighbor_flow(
+                x0, geometry.NeighborIndex(x1), t)
+            for current in (False, True):
+                rep_a, grad_a = objective.total_loss_grad(
+                    from_array, u, weights, chamfer_from_current=current)
+                rep_b, grad_b = objective.total_loss_grad(
+                    from_index, u, weights, chamfer_from_current=current)
+                assert rep_a == rep_b
+                assert grad_a.tobytes() == grad_b.tobytes()

@@ -163,3 +163,18 @@ class TestCompleteScene:
             sampler.SamplerConfig(steps=2),
         )
         assert out.shape == (210, 3)
+
+
+    def test_matches_guided_steps_on_the_scan_array(self):
+        # The completion's build-once scan index must not change any bit.
+        rng = np.random.default_rng(15)
+        scan = random_cloud(rng, 40)
+        noise = coupling.NoiseConfig(scale=0.1, seed=6)
+        state = random_model(16)
+        cfg = sampler.SamplerConfig(steps=3, guidance_weight=2.5)
+        out = sampler.complete_scene(state, scan, 4, noise, cfg)
+        x = coupling.noisy_initial_cloud(scan, 4, noise)
+        for k in range(cfg.steps):
+            x = x + (1.0 / cfg.steps) * sampler.guided_field(
+                state, k / cfg.steps, x, scan, cfg.guidance_weight, use_ema=True)
+        assert out.tobytes() == x.tobytes()
