@@ -64,7 +64,7 @@ def _write_xyz(cloud: np.ndarray, path) -> None:
 
 def _read_xyz(path) -> np.ndarray:
     points = []
-    with open(path) as fh:
+    with open(path, encoding="ascii", errors="replace") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -80,7 +80,7 @@ def _read_xyz(path) -> np.ndarray:
                 raise ValueError(
                     f"{path}: line {lineno}: bad coordinate in {line!r}"
                 ) from None
-    return as_cloud(points)
+    return _checked_cloud(points, path)
 
 
 def _write_ply(cloud: np.ndarray, path, binary: bool) -> None:
@@ -123,11 +123,22 @@ def _read_ply(path) -> np.ndarray:
         if not words or words[0] == "comment":
             continue
         if words[0] == "format":
+            if len(words) < 2:
+                raise ValueError(f"{path}: PLY format line has no value")
             fmt = words[1]
         elif words[0] == "element":
+            if len(words) < 3:
+                raise ValueError(f"{path}: PLY element line needs a name and a count")
             in_vertex = words[1] == "vertex"
             if in_vertex:
-                vertex_count = int(words[2])
+                try:
+                    vertex_count = int(words[2])
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: bad PLY vertex count {words[2]!r}"
+                    ) from None
+                if vertex_count < 0:
+                    raise ValueError(f"{path}: negative PLY vertex count {vertex_count}")
         elif words[0] == "property" and in_vertex:
             properties.append(words[-1])
     if fmt not in ("ascii", "binary_little_endian"):
@@ -147,9 +158,9 @@ def _read_ply(path) -> np.ndarray:
                 f"{path}: truncated PLY body: {len(body)} bytes, expected {want}"
             )
         flat = np.frombuffer(body[:want], dtype="<f4").astype(np.float64)
-        return flat.reshape(vertex_count, 3)
+        return _checked_cloud(flat.reshape(vertex_count, 3), path)
 
-    rows = body.decode("ascii").splitlines()
+    rows = body.decode("ascii", errors="replace").splitlines()
     if len(rows) < vertex_count:
         raise ValueError(
             f"{path}: truncated PLY body: {len(rows)} rows, expected {vertex_count}"
@@ -161,8 +172,20 @@ def _read_ply(path) -> np.ndarray:
             raise ValueError(
                 f"{path}: line {lineno}: expected 3 coordinates, got {len(parts)}"
             )
-        points.append([float(p) for p in parts])
-    return as_cloud(points)
+        try:
+            points.append([float(p) for p in parts])
+        except ValueError:
+            raise ValueError(
+                f"{path}: line {lineno}: bad coordinate in {line!r}"
+            ) from None
+    return _checked_cloud(points, path)
+
+
+def _checked_cloud(points, path) -> np.ndarray:
+    try:
+        return as_cloud(points)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -212,12 +212,28 @@ def farthest_point_sample(cloud, count: int, seed=None) -> np.ndarray:
     rng = np.random.default_rng(seed)
     chosen = np.empty(count, dtype=np.int64)
     chosen[0] = int(rng.integers(len(pts)))
-    # Squared distances share the argmax with true distances.
-    d2 = ((pts - pts[chosen[0]]) ** 2).sum(axis=1)
+    # Squared distances share the argmax with true distances. Summing
+    # dx*dx + dy*dy + dz*dz left to right in preallocated buffers gives
+    # the same bits as ((pts - p) ** 2).sum(axis=1).
+    cols = np.ascontiguousarray(pts.T)
+    d2 = np.empty(len(pts))
+    acc = np.empty(len(pts))
+    diff = np.empty(len(pts))
+
+    def squared_distances(index, out):
+        np.subtract(cols[0], pts[index, 0], out=out)
+        np.multiply(out, out, out=out)
+        for axis in (1, 2):
+            np.subtract(cols[axis], pts[index, axis], out=diff)
+            np.multiply(diff, diff, out=diff)
+            np.add(out, diff, out=out)
+
+    squared_distances(chosen[0], d2)
     for i in range(1, count):
         nxt = int(np.argmax(d2))
         chosen[i] = nxt
-        np.minimum(d2, ((pts - pts[nxt]) ** 2).sum(axis=1), out=d2)
+        squared_distances(nxt, acc)
+        np.minimum(d2, acc, out=d2)
     return pts[chosen]
 
 

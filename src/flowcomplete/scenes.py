@@ -5,6 +5,14 @@ arbitrary yaw. Ground truth clouds are area-uniform surface samples; the
 scan is an analytic ray cast over an azimuth/elevation grid from a sensor
 origin, so occlusion shadows and range limits are exact rather than
 sampled. Everything is seeded and replayable.
+
+Every surface kind (ground, Box, Cylinder, Wall) has
+`ray_hits(origin, directions)`: the distance along each unit row of the
+(n, 3) `directions` from `origin` to the surface, or inf where that ray
+misses it. All rays are cast against one surface in a single numpy pass.
+The arithmetic follows the same per-ray expressions in the same order,
+with each early exit turned into a mask, so a scan is bit-identical to
+casting one ray at a time (tests/oracles.py keeps that loop).
 """
 from __future__ import annotations
 
@@ -55,27 +63,34 @@ class Box:
             local[mask, axis] = sign * half[axis]
         return np.asarray(self.center) + local @ _yaw_matrix(self.yaw).T
 
-    def ray_hit(self, origin: np.ndarray, direction: np.ndarray) -> float:
+    def ray_hits(self, origin: np.ndarray, directions: np.ndarray) -> np.ndarray:
+        """First-hit distance of each ray in `directions` (inf on a miss).
+
+        Rays enter the local frame as `directions @ rot`, one BLAS matrix
+        product whose bits match rotating each ray with `rot.T @ d`.
+        """
         # slab method in the box's local frame
         rot = _yaw_matrix(self.yaw)
         o = rot.T @ (origin - np.asarray(self.center))
-        d = rot.T @ direction
+        d = directions @ rot
         half = np.array(self.size) / 2.0
-        t_near, t_far = -math.inf, math.inf
+        t_near = np.full(len(d), -math.inf)
+        t_far = np.full(len(d), math.inf)
+        miss = np.zeros(len(d), dtype=bool)
         for axis in range(3):
-            if abs(d[axis]) < _EPS:
-                if abs(o[axis]) > half[axis]:
-                    return math.inf
-                continue
-            lo = (-half[axis] - o[axis]) / d[axis]
-            hi = (half[axis] - o[axis]) / d[axis]
-            if lo > hi:
-                lo, hi = hi, lo
-            t_near = max(t_near, lo)
-            t_far = min(t_far, hi)
-        if t_near > t_far or t_far < _EPS:
-            return math.inf
-        return t_near if t_near > _EPS else math.inf
+            da = d[:, axis]
+            parallel = np.abs(da) < _EPS
+            if abs(o[axis]) > half[axis]:
+                miss |= parallel
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lo = (-half[axis] - o[axis]) / da
+                hi = (half[axis] - o[axis]) / da
+            swap = lo > hi
+            lo, hi = np.where(swap, hi, lo), np.where(swap, lo, hi)
+            t_near = np.where(~parallel & (lo > t_near), lo, t_near)
+            t_far = np.where(~parallel & (hi < t_far), hi, t_far)
+        hit = ~miss & ~(t_near > t_far) & ~(t_far < _EPS) & (t_near > _EPS)
+        return np.where(hit, t_near, math.inf)
 
 
 @dataclass(frozen=True)
@@ -114,32 +129,36 @@ class Cylinder:
             out[mask, 2] = z
         return out
 
-    def ray_hit(self, origin: np.ndarray, direction: np.ndarray) -> float:
+    def ray_hits(self, origin: np.ndarray, directions: np.ndarray) -> np.ndarray:
+        """First-hit distance of each ray in `directions` (inf on a miss)."""
         cx, cy, cz = self.center
         z_lo, z_hi = cz, cz + self.height
-        best = math.inf
+        r2 = self.radius ** 2
         ox, oy = origin[0] - cx, origin[1] - cy
-        dx, dy = direction[0], direction[1]
-        a = dx * dx + dy * dy
-        if a > _EPS:
+        dx, dy, dz = directions[:, 0], directions[:, 1], directions[:, 2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # lateral surface: both roots, nearer first
+            a = dx * dx + dy * dy
             b = 2.0 * (ox * dx + oy * dy)
-            c = ox * ox + oy * oy - self.radius ** 2
+            c = ox * ox + oy * oy - r2
             disc = b * b - 4.0 * a * c
-            if disc >= 0.0:
-                root = math.sqrt(disc)
-                for t in ((-b - root) / (2 * a), (-b + root) / (2 * a)):
-                    if t > _EPS:
-                        z = origin[2] + t * direction[2]
-                        if z_lo - _EPS <= z <= z_hi + _EPS:
-                            best = min(best, t)
-        if abs(direction[2]) > _EPS:
+            root = np.sqrt(disc)
+            lateral = (a > _EPS) & (disc >= 0.0)
+            best = np.full(len(directions), math.inf)
+            for t in ((-b - root) / (2 * a), (-b + root) / (2 * a)):
+                z = origin[2] + t * dz
+                take = (lateral & (t > _EPS) & (z_lo - _EPS <= z)
+                        & (z <= z_hi + _EPS) & (t < best))
+                best = np.where(take, t, best)
+            # caps, bottom before top: each only replaces a nearer hit
+            steep = np.abs(dz) > _EPS
             for z_cap in (z_lo, z_hi):
-                t = (z_cap - origin[2]) / direction[2]
-                if _EPS < t < best:
-                    px = origin[0] + t * direction[0] - cx
-                    py = origin[1] + t * direction[1] - cy
-                    if px * px + py * py <= self.radius ** 2:
-                        best = t
+                t = (z_cap - origin[2]) / dz
+                px = origin[0] + t * dx - cx
+                py = origin[1] + t * dy - cy
+                take = (steep & (_EPS < t) & (t < best)
+                        & (px * px + py * py <= r2))
+                best = np.where(take, t, best)
         return best
 
 
@@ -164,20 +183,22 @@ class Wall:
         local[:, 2] = rng.uniform(0.0, self.height, size=count)
         return np.asarray(self.center) + local @ _yaw_matrix(self.yaw).T
 
-    def ray_hit(self, origin: np.ndarray, direction: np.ndarray) -> float:
+    def ray_hits(self, origin: np.ndarray, directions: np.ndarray) -> np.ndarray:
+        """First-hit distance of each ray in `directions` (inf on a miss).
+
+        Rays enter the local frame as `directions @ rot`, one BLAS matrix
+        product whose bits match rotating each ray with `rot.T @ d`.
+        """
         rot = _yaw_matrix(self.yaw)
         o = rot.T @ (origin - np.asarray(self.center))
-        d = rot.T @ direction
-        if abs(d[0]) < _EPS:
-            return math.inf
-        t = -o[0] / d[0]
-        if t <= _EPS:
-            return math.inf
-        y = o[1] + t * d[1]
-        z = o[2] + t * d[2]
-        if abs(y) <= self.width / 2.0 and 0.0 <= z <= self.height:
-            return t
-        return math.inf
+        d = directions @ rot
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = -o[0] / d[:, 0]
+            y = o[1] + t * d[:, 1]
+            z = o[2] + t * d[:, 2]
+        hit = ((np.abs(d[:, 0]) >= _EPS) & (t > _EPS) & (np.abs(y) <= self.width / 2.0)
+               & (0.0 <= z) & (z <= self.height))
+        return np.where(hit, t, math.inf)
 
 
 @dataclass(frozen=True)
@@ -244,17 +265,16 @@ class _Ground:
         out[:, :2] = rng.uniform(-self.half_extent, self.half_extent, size=(count, 2))
         return out
 
-    def ray_hit(self, origin: np.ndarray, direction: np.ndarray) -> float:
-        if abs(direction[2]) < _EPS:
-            return math.inf
-        t = -origin[2] / direction[2]
-        if t <= _EPS:
-            return math.inf
-        x = origin[0] + t * direction[0]
-        y = origin[1] + t * direction[1]
-        if abs(x) <= self.half_extent and abs(y) <= self.half_extent:
-            return t
-        return math.inf
+    def ray_hits(self, origin: np.ndarray, directions: np.ndarray) -> np.ndarray:
+        """First-hit distance of each ray in `directions` (inf on a miss)."""
+        dz = directions[:, 2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = -origin[2] / dz
+            x = origin[0] + t * directions[:, 0]
+            y = origin[1] + t * directions[:, 1]
+        hit = ((np.abs(dz) >= _EPS) & (t > _EPS) & (np.abs(x) <= self.half_extent)
+               & (np.abs(y) <= self.half_extent))
+        return np.where(hit, t, math.inf)
 
 
 def _all_surfaces(spec: SceneSpec):
@@ -282,22 +302,29 @@ def simulate_scan(spec: SceneSpec, scan: ScanSpec) -> np.ndarray:
     Rays march from scan.origin over an azimuth x elevation grid; each
     keeps the nearest primitive intersection within max_range. Points in
     the shadow of a nearer surface are therefore absent by construction.
-    Dropout then removes each return independently.
+    Returns come in grid order, elevation-major. Dropout then removes each
+    return independently, and a budget keeps a farthest-point subsample.
     """
-    surfaces = _all_surfaces(spec)
     origin = np.asarray(scan.origin, dtype=np.float64)
     azimuths = np.arange(scan.azimuth_count) * (2.0 * math.pi / scan.azimuth_count)
     elevations = np.linspace(scan.elevation_range[0], scan.elevation_range[1],
                              scan.elevation_count)
-    hits = []
-    for el in elevations:
-        cos_el, sin_el = math.cos(el), math.sin(el)
-        for az in azimuths:
-            direction = np.array([cos_el * math.cos(az), cos_el * math.sin(az), sin_el])
-            best = min(s.ray_hit(origin, direction) for s in surfaces)
-            if best <= scan.max_range:
-                hits.append(origin + best * direction)
-    cloud = as_cloud(np.array(hits) if hits else np.empty((0, 3)))
+    # math.cos/math.sin per angle, so the directions do not depend on
+    # numpy's vectorized trig; rows run elevation-major, azimuth-minor.
+    cos_az = np.array([math.cos(az) for az in azimuths])
+    sin_az = np.array([math.sin(az) for az in azimuths])
+    cos_el = np.array([math.cos(el) for el in elevations])
+    sin_el = np.array([math.sin(el) for el in elevations])
+    directions = np.empty((scan.elevation_count, scan.azimuth_count, 3))
+    directions[:, :, 0] = cos_el[:, None] * cos_az
+    directions[:, :, 1] = cos_el[:, None] * sin_az
+    directions[:, :, 2] = sin_el[:, None]
+    directions = directions.reshape(-1, 3)
+    best = np.full(len(directions), math.inf)
+    for surface in _all_surfaces(spec):
+        np.minimum(best, surface.ray_hits(origin, directions), out=best)
+    keep = best <= scan.max_range
+    cloud = as_cloud(origin + best[keep, None] * directions[keep])
     rng = np.random.default_rng(scan.seed)
     if scan.dropout > 0.0 and len(cloud):
         cloud = cloud[rng.uniform(size=len(cloud)) >= scan.dropout]

@@ -144,3 +144,141 @@ def assert_grad_matches_fd(scalar_fn, grad, flat, assign_fn=None, step=1e-4,
         )
         kinks += 1
     assert kinks <= max_kink_fraction * flat.size
+
+
+def farthest_point_loop(cloud, count, seed=None):
+    """Farthest point sampling, one full-cloud distance pass per pick."""
+    pts = np.asarray(cloud, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    chosen = np.empty(count, dtype=np.int64)
+    chosen[0] = int(rng.integers(len(pts)))
+    d2 = ((pts - pts[chosen[0]]) ** 2).sum(axis=1)
+    for i in range(1, count):
+        nxt = int(np.argmax(d2))
+        chosen[i] = nxt
+        np.minimum(d2, ((pts - pts[nxt]) ** 2).sum(axis=1), out=d2)
+    return pts[chosen]
+
+
+_RAY_EPS = 1e-9
+
+
+def _yaw(yaw):
+    c, s = math.cos(yaw), math.sin(yaw)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _ground_hit(half_extent, origin, direction):
+    if abs(direction[2]) < _RAY_EPS:
+        return math.inf
+    t = -origin[2] / direction[2]
+    if t <= _RAY_EPS:
+        return math.inf
+    x = origin[0] + t * direction[0]
+    y = origin[1] + t * direction[1]
+    if abs(x) <= half_extent and abs(y) <= half_extent:
+        return t
+    return math.inf
+
+
+def _box_hit(box, origin, direction):
+    rot = _yaw(box.yaw)
+    o = rot.T @ (origin - np.asarray(box.center))
+    d = rot.T @ direction
+    half = np.array(box.size) / 2.0
+    t_near, t_far = -math.inf, math.inf
+    for axis in range(3):
+        if abs(d[axis]) < _RAY_EPS:
+            if abs(o[axis]) > half[axis]:
+                return math.inf
+            continue
+        lo = (-half[axis] - o[axis]) / d[axis]
+        hi = (half[axis] - o[axis]) / d[axis]
+        if lo > hi:
+            lo, hi = hi, lo
+        t_near = max(t_near, lo)
+        t_far = min(t_far, hi)
+    if t_near > t_far or t_far < _RAY_EPS:
+        return math.inf
+    return t_near if t_near > _RAY_EPS else math.inf
+
+
+def _cylinder_hit(cyl, origin, direction):
+    cx, cy, cz = cyl.center
+    z_lo, z_hi = cz, cz + cyl.height
+    best = math.inf
+    ox, oy = origin[0] - cx, origin[1] - cy
+    dx, dy = direction[0], direction[1]
+    a = dx * dx + dy * dy
+    if a > _RAY_EPS:
+        b = 2.0 * (ox * dx + oy * dy)
+        c = ox * ox + oy * oy - cyl.radius ** 2
+        disc = b * b - 4.0 * a * c
+        if disc >= 0.0:
+            root = math.sqrt(disc)
+            for t in ((-b - root) / (2 * a), (-b + root) / (2 * a)):
+                if t > _RAY_EPS:
+                    z = origin[2] + t * direction[2]
+                    if z_lo - _RAY_EPS <= z <= z_hi + _RAY_EPS:
+                        best = min(best, t)
+    if abs(direction[2]) > _RAY_EPS:
+        for z_cap in (z_lo, z_hi):
+            t = (z_cap - origin[2]) / direction[2]
+            if _RAY_EPS < t < best:
+                px = origin[0] + t * direction[0] - cx
+                py = origin[1] + t * direction[1] - cy
+                if px * px + py * py <= cyl.radius ** 2:
+                    best = t
+    return best
+
+
+def _wall_hit(wall, origin, direction):
+    rot = _yaw(wall.yaw)
+    o = rot.T @ (origin - np.asarray(wall.center))
+    d = rot.T @ direction
+    if abs(d[0]) < _RAY_EPS:
+        return math.inf
+    t = -o[0] / d[0]
+    if t <= _RAY_EPS:
+        return math.inf
+    y = o[1] + t * d[1]
+    z = o[2] + t * d[2]
+    if abs(y) <= wall.width / 2.0 and 0.0 <= z <= wall.height:
+        return t
+    return math.inf
+
+
+_PRIMITIVE_HITS = {"Box": _box_hit, "Cylinder": _cylinder_hit, "Wall": _wall_hit}
+
+
+def first_hit_per_ray(spec, scan):
+    """Scan synthesis one ray and one surface at a time.
+
+    Casts every ray of the azimuth x elevation grid against the ground and
+    each primitive of `spec`, keeps the nearest hit within max_range, then
+    applies the scan's dropout and farthest-point budget, drawing from the
+    same seeded generator in the same order as the package does.
+    """
+    origin = np.asarray(scan.origin, dtype=np.float64)
+    azimuths = np.arange(scan.azimuth_count) * (2.0 * math.pi / scan.azimuth_count)
+    elevations = np.linspace(scan.elevation_range[0], scan.elevation_range[1],
+                             scan.elevation_count)
+    hits = []
+    for el in elevations:
+        cos_el, sin_el = math.cos(el), math.sin(el)
+        for az in azimuths:
+            direction = np.array([cos_el * math.cos(az), cos_el * math.sin(az), sin_el])
+            best = _ground_hit(spec.ground_half_extent, origin, direction)
+            for prim in spec.primitives:
+                hit = _PRIMITIVE_HITS[type(prim).__name__](prim, origin, direction)
+                best = min(best, hit)
+            if best <= scan.max_range:
+                hits.append(origin + best * direction)
+    cloud = np.array(hits) if hits else np.empty((0, 3))
+    rng = np.random.default_rng(scan.seed)
+    if scan.dropout > 0.0 and len(cloud):
+        cloud = cloud[rng.uniform(size=len(cloud)) >= scan.dropout]
+    if scan.budget is not None and len(cloud) > scan.budget:
+        cloud = farthest_point_loop(cloud, scan.budget,
+                                    seed=int(rng.integers(2 ** 32)))
+    return cloud

@@ -106,20 +106,21 @@ def _train_toy(cases, weights, model_seed=0):
     state = field.init_model(field.FieldConfig(seed=model_seed))
     opt = field.init_optimizer(state, learning_rate=LEARNING_RATE)
     rng = np.random.default_rng([model_seed, 0x7E41])
+    scene_indices = [geometry.NeighborIndex(case.scene) for case in cases]
     steps = 0
     for _ in range(TRAIN_EPOCHS):
         order = rng.permutation(len(cases))
         for start in range(0, len(order), BATCH_SIZE):
             samples = []
             for idx in order[start:start + BATCH_SIZE]:
-                case = cases[int(idx)]
+                case, scene_index = cases[int(idx)], scene_indices[int(idx)]
                 noise = coupling.NoiseConfig(NOISE_SCALE,
                                              int(rng.integers(2 ** 32)))
                 x0 = coupling.noisy_initial_cloud(case.scan, COPIES, noise)
                 t = coupling.sample_time(rng)
                 draw = coupling.draw_condition(case.scan, P_NULL, rng)
                 samples.append(coupling.nearest_neighbor_flow(
-                    x0, case.scene, t, condition=draw.outcome))
+                    x0, scene_index, t, condition=draw.outcome))
             state, opt, _ = field.train_batch(state, opt, samples, weights)
             state = field.ema_update(state, decay=EMA_DECAY)
             steps += 1

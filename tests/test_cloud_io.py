@@ -44,6 +44,20 @@ class TestXyz:
         with pytest.raises(ValueError, match="line 1"):
             cloud_io.read_cloud(path)
 
+    def test_non_ascii_byte(self, tmp_path):
+        path = tmp_path / "bad.xyz"
+        path.write_bytes(b"0 0 0\n\xff 1 1\n")
+        with pytest.raises(ValueError) as err:
+            cloud_io.read_cloud(path)
+        assert str(err.value) == f"{path}: line 2: bad coordinate in '\ufffd 1 1'"
+
+    def test_non_finite_coordinate(self, tmp_path):
+        path = tmp_path / "nan.xyz"
+        path.write_text("0 0 0\ninf 1 1\n")
+        with pytest.raises(ValueError) as err:
+            cloud_io.read_cloud(path)
+        assert str(err.value) == f"{path}: point cloud contains non-finite coordinates"
+
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = tmp_path / "cloud.xyz"
         path.write_text("# header\n\n1 1 1\n")
@@ -105,6 +119,46 @@ class TestPlyBinary:
         with pytest.raises(ValueError, match="missing header"):
             cloud_io.read_cloud(path)
 
+    @pytest.mark.parametrize("header, reason", [
+        ("element vertex -1", "negative PLY vertex count -1"),
+        ("element vertex abc", "bad PLY vertex count 'abc'"),
+        ("element vertex", "PLY element line needs a name and a count"),
+    ])
+    def test_bad_vertex_count(self, tmp_path, header, reason):
+        # 24 body bytes: enough for the old reader to load one point from a
+        # count of -1 (it kept all but the last 12 bytes)
+        path = tmp_path / "bad.ply"
+        path.write_bytes(
+            f"ply\nformat binary_little_endian 1.0\n{header}\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "end_header\n".encode("ascii") + bytes(24)
+        )
+        with pytest.raises(ValueError) as err:
+            cloud_io.read_cloud(path)
+        assert str(err.value) == f"{path}: {reason}"
+
+    def test_format_without_value(self, tmp_path):
+        path = tmp_path / "bad.ply"
+        path.write_text("ply\nformat\nelement vertex 0\nend_header\n")
+        with pytest.raises(ValueError) as err:
+            cloud_io.read_cloud(path)
+        assert str(err.value) == f"{path}: PLY format line has no value"
+
+    @pytest.mark.parametrize("fmt", ["binary_little_endian", "ascii"])
+    def test_non_finite_body(self, tmp_path, fmt):
+        path = tmp_path / "nan.ply"
+        cloud = np.array([[0.0, 1.0, 2.0], [np.nan, 0.0, 0.0]], dtype="<f4")
+        body = (cloud.tobytes() if fmt != "ascii"
+                else b"0 1 2\nnan 0 0\n")
+        path.write_bytes(
+            f"ply\nformat {fmt} 1.0\nelement vertex 2\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "end_header\n".encode("ascii") + body
+        )
+        with pytest.raises(ValueError) as err:
+            cloud_io.read_cloud(path)
+        assert str(err.value) == f"{path}: point cloud contains non-finite coordinates"
+
 
 class TestPlyAscii:
     def test_round_trip(self, tmp_path):
@@ -125,6 +179,17 @@ class TestPlyAscii:
         ascii_back = cloud_io.read_cloud(pa)
         binary_back = cloud_io.read_cloud(pb)
         assert np.allclose(ascii_back, binary_back, rtol=1e-6, atol=1e-9)
+
+    @pytest.mark.parametrize("row, shown", [(b"0 x 0", "0 x 0"),
+                                            (b"0 \xff 0", "0 \ufffd 0")])
+    def test_bad_coordinate(self, tmp_path, row, shown):
+        path = tmp_path / "bad.ply"
+        path.write_bytes(b"ply\nformat ascii 1.0\nelement vertex 1\n"
+                         b"property float x\nproperty float y\nproperty float z\n"
+                         b"end_header\n" + row + b"\n")
+        with pytest.raises(ValueError) as err:
+            cloud_io.read_cloud(path)
+        assert str(err.value) == f"{path}: line 8: bad coordinate in {shown!r}"
 
 
 class TestFormatGuessing:

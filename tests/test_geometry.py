@@ -9,6 +9,7 @@ from oracles import (
     bev_counts_recount,
     chamfer_mean_exhaustive,
     chamfer_sum_exhaustive,
+    farthest_point_loop,
     min_pairwise_distance,
     nn_map_exhaustive,
     voxel_cells_recount,
@@ -160,6 +161,16 @@ class TestFarthestPointSample:
         )
         out = geometry.farthest_point_sample(cloud, 2, seed=seed)
         assert out.tolist() == [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]
+
+    @pytest.mark.parametrize("n", [1, 7, 600, 2500])
+    def test_matches_per_pick_loop(self, n):
+        rng = np.random.default_rng(n)
+        cloud = random_cloud(rng, n, scale=4.0)
+        cloud[rng.integers(n, size=n // 4)] = cloud[rng.integers(n, size=n // 4)]
+        count = min(n, 256)
+        for seed in range(3):
+            fast = geometry.farthest_point_sample(cloud, count, seed=seed)
+            assert fast.tobytes() == farthest_point_loop(cloud, count, seed).tobytes()
 
     def test_oversample_error(self):
         with pytest.raises(ValueError, match="sample size exceeds cloud"):

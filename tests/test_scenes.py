@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from flowcomplete import scenes
+from oracles import first_hit_per_ray
 
 
 def surface_residual(point, spec):
@@ -183,6 +184,67 @@ class TestSimulateScan:
         a = scenes.simulate_scan(spec, cfg)
         b = scenes.simulate_scan(spec, cfg)
         assert np.array_equal(a, b)
+
+
+def assert_same_bytes(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+_SLAB_BOXES = (
+    # a sensor at z = 0.6 lies inside every box's z slab (on the boundary
+    # of the third), so level rays run parallel to a slab they start in;
+    # at yaw 0 the azimuth-0 rays have d_y == 0 exactly
+    scenes.Box(center=(2.0, 0.0, 0.5), size=(1.0, 1.0, 1.2), yaw=0.0),
+    scenes.Box(center=(-1.5, 1.5, 0.4), size=(0.8, 0.6, 1.0), yaw=math.pi / 2),
+    scenes.Box(center=(0.0, -2.5, 0.3), size=(0.6, 0.6, 0.6), yaw=0.0),
+)
+_FACING_WALL = scenes.Wall(center=(3.5, 0.0, 0.0), width=3.0, height=1.0,
+                           yaw=math.pi)
+_CYLINDER = scenes.Cylinder(center=(-2.0, -1.0, 0.0), radius=0.3, height=0.9)
+_LEVEL_RAYS = dict(azimuth_count=72, elevation_count=5,
+                   elevation_range=(-0.2, 0.2))
+
+
+@pytest.mark.filterwarnings("error")
+class TestScanMatchesPerRayOracle:
+    """simulate_scan reproduces the one-ray-at-a-time cast bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_scenes(self, seed):
+        spec = scenes.random_scene_spec(seed=300 + seed)
+        scan = scenes.ScanSpec(azimuth_count=120, elevation_count=9,
+                               dropout=0.1 * (seed % 3),
+                               budget=(None, 200)[seed % 2], seed=seed)
+        assert_same_bytes(scenes.simulate_scan(spec, scan),
+                          first_hit_per_ray(spec, scan))
+
+    @pytest.mark.parametrize("scan", [
+        scenes.ScanSpec(**_LEVEL_RAYS),
+        scenes.ScanSpec(**_LEVEL_RAYS, budget=64, seed=3),
+        scenes.ScanSpec(**_LEVEL_RAYS, max_range=2.2),
+        scenes.ScanSpec(origin=(0.0, 0.0, 0.6), azimuth_count=4,
+                        elevation_count=3, elevation_range=(-0.3, 0.3)),
+        # sensor inside the first box
+        scenes.ScanSpec(origin=(2.0, 0.0, 0.3), azimuth_count=36,
+                        elevation_count=7, elevation_range=(-0.6, 0.6)),
+    ])
+    def test_edge_cases(self, scan):
+        spec = scenes.SceneSpec(
+            ground_half_extent=4.0,
+            primitives=(*_SLAB_BOXES, _FACING_WALL, _CYLINDER), seed=1)
+        elevations = np.linspace(*scan.elevation_range, scan.elevation_count)
+        assert 0.0 in elevations  # level rays: d_z == 0 exactly
+        assert_same_bytes(scenes.simulate_scan(spec, scan),
+                          first_hit_per_ray(spec, scan))
+
+    def test_max_range_clips_rays(self):
+        spec = scenes.SceneSpec(primitives=(_FACING_WALL,))
+        near = scenes.ScanSpec(**_LEVEL_RAYS, max_range=3.6)
+        far = scenes.ScanSpec(**_LEVEL_RAYS)
+        clipped = scenes.simulate_scan(spec, near)
+        assert 0 < len(clipped) < len(scenes.simulate_scan(spec, far))
+        assert_same_bytes(clipped, first_hit_per_ray(spec, near))
 
 
 class TestBuildCase:
