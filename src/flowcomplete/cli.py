@@ -11,13 +11,8 @@ import dataclasses
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import cloud_io, coupling, field, geometry, metrics, sampler, scenes
+from . import cloud_io, coupling, field, metrics, sampler, scenes, train
 from .config import RunConfig, _parse_value, build_config, read_config_file
-
-# rng stream label for training, distinct from data-generation seeds
-_TRAIN_STREAM = 0x7E41
 
 
 class UsageError(Exception):
@@ -74,64 +69,33 @@ def cmd_make_data(cfg: RunConfig, out_dir: str) -> int:
 
 
 def _load_dataset(data_dir: Path):
+    """The (scene, scan) clouds of every case in the dataset's manifest."""
     entries = cloud_io.read_manifest(data_dir / "manifest.tsv")
-    cases = []
-    for e in entries:
-        scene = cloud_io.read_cloud(data_dir / e.scene_path)
-        scan = cloud_io.read_cloud(data_dir / e.scan_path)
-        cases.append((scene, scan))
-    return entries, cases
+    if not entries:
+        raise RuntimeError(f"no cases listed in {data_dir}/manifest.tsv")
+    return [(cloud_io.read_cloud(data_dir / e.scene_path),
+             cloud_io.read_cloud(data_dir / e.scan_path)) for e in entries]
 
 
 def cmd_train(cfg: RunConfig, data_dir: str, out_path: str) -> int:
-    entries, cases = _load_dataset(Path(data_dir))
-    if not cases:
-        raise RuntimeError(f"no cases listed in {data_dir}/manifest.tsv")
-    # One index per scene serves the coupling and the chamfer term of every
-    # sample drawn from that case.
-    cases = [(geometry.NeighborIndex(scene), scan) for scene, scan in cases]
     Path(out_path).parent.mkdir(parents=True, exist_ok=True)
 
-    state = field.init_model(cfg.field_config())
-    opt = field.init_optimizer(state, learning_rate=cfg.learning_rate)
-    weights = cfg.loss_weights()
-    rng = np.random.default_rng([cfg.seed, _TRAIN_STREAM])
+    def log(step, epoch, report):
+        print(f"step={step} epoch={epoch} flow={report.flow:.6f} "
+              f"chamfer={report.chamfer:.6f} total={report.total:.6f}")
 
-    step = 0
-    capped = False
     try:
-        for epoch in range(cfg.epochs):
-            if capped:
-                break
-            order = rng.permutation(len(cases))
-            for start in range(0, len(order), cfg.batch_size):
-                batch = order[start:start + cfg.batch_size]
-                samples = []
-                for case_index in batch:
-                    scene, scan = cases[case_index]
-                    noise = cfg.noise_config(seed=int(rng.integers(2 ** 63)))
-                    x0 = coupling.noisy_initial_cloud(scan, cfg.copies, noise)
-                    t = coupling.sample_time(rng)
-                    draw = coupling.draw_condition(scan, cfg.p_null, rng)
-                    samples.append(coupling.nearest_neighbor_flow(
-                        x0, scene, t, condition=draw.outcome))
-                state, opt, report = field.train_batch(state, opt, samples, weights)
-                state = field.ema_update(state, cfg.ema_decay)
-                step += 1
-                print(f"step={step} epoch={epoch} flow={report.flow:.6f} "
-                      f"chamfer={report.chamfer:.6f} total={report.total:.6f}")
-                if cfg.max_steps and step >= cfg.max_steps:
-                    capped = True
-                    break
-    except FloatingPointError as exc:
+        # Only fit holds the loaded clouds, so they are freed once it has
+        # indexed the scenes.
+        state, opt, steps = train.fit(_load_dataset(Path(data_dir)), cfg,
+                                      on_step=log)
+    except train.Diverged as exc:
         # keep the last finite state so the run is not a total loss
-        field.save_checkpoint(out_path, state, opt)
+        field.save_checkpoint(out_path, exc.state, exc.opt)
         raise RuntimeError(
-            f"training aborted at step {step + 1} ({exc}); "
-            f"last good checkpoint written to {out_path}"
-        ) from exc
+            f"{exc}; last good checkpoint written to {out_path}") from exc
     field.save_checkpoint(out_path, state, opt)
-    print(f"trained {step} steps; checkpoint written to {out_path}")
+    print(f"trained {steps} steps; checkpoint written to {out_path}")
     return 0
 
 
@@ -139,21 +103,17 @@ def cmd_complete(cfg: RunConfig, checkpoint_path: str, scan_path: str,
                  out_path: str) -> int:
     state, _ = field.load_checkpoint(checkpoint_path)
     scan = cloud_io.read_cloud(scan_path)
-    noise = cfg.noise_config(seed=cfg.seed)
-    sampler_cfg = cfg.sampler_config()
+    x0 = coupling.noisy_initial_cloud(scan, cfg.copies,
+                                      cfg.noise_config(seed=cfg.seed))
+    traj = sampler.euler_integrate(state, x0, scan, cfg.sampler_config())
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    if sampler_cfg.record_trajectory:
-        x0 = coupling.noisy_initial_cloud(scan, cfg.copies, noise)
-        traj = sampler.euler_integrate(state, x0, scan, sampler_cfg)
+    if cfg.record_trajectory:
         for t, cloud in zip(traj.times, traj.states):
             step_path = out.with_name(f"{out.stem}-t{t:.2f}{out.suffix}")
             cloud_io.write_cloud(cloud, step_path, "ply-binary")
-        final = traj.final
-    else:
-        final = sampler.complete_scene(state, scan, cfg.copies, noise, sampler_cfg)
-    cloud_io.write_cloud(final, out, "ply-binary")
-    print(f"wrote {len(final)} points to {out}")
+    cloud_io.write_cloud(traj.final, out, "ply-binary")
+    print(f"wrote {len(traj.final)} points to {out}")
     return 0
 
 
@@ -171,15 +131,7 @@ def cmd_eval(cfg: RunConfig, pred_paths, gt_paths, report_path=None) -> int:
         rows.append((Path(pred_path).stem, metrics.evaluate(pred, gt, metric_cfg)))
     sys.stdout.write(metrics.format_table(rows))
     if report_path:
-        mean = metrics.EvalReport(
-            cd_m=float(np.mean([r.cd_m for _, r in rows])),
-            jsd=float(np.mean([r.jsd for _, r in rows])),
-            voxel_iou={
-                res: float(np.mean([r.voxel_iou[res] for _, r in rows]))
-                for res in rows[0][1].voxel_iou
-            },
-            wall_time_s=float(np.sum([r.wall_time_s for _, r in rows])),
-        )
+        mean = metrics.mean_report([report for _, report in rows])
         Path(report_path).parent.mkdir(parents=True, exist_ok=True)
         Path(report_path).write_text(metrics.format_report(mean))
     return 0

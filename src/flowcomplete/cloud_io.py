@@ -9,6 +9,7 @@ index of dataset cases.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import PurePath
 
 import numpy as np
 
@@ -204,22 +205,42 @@ def write_manifest(entries, path) -> None:
 
 
 def read_manifest(path):
+    """Parse a manifest written by write_manifest.
+
+    Raises:
+        ValueError: naming the file and the line, on a body that is not
+            UTF-8, a wrong field count, a bad seed, or a cloud path that
+            could leave the dataset directory (absolute, or with a `..`
+            part).
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {lineno}: not valid UTF-8") from None
     entries = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise ValueError(
+                f"{path}: line {lineno}: expected 4 tab-separated fields"
+            )
+        for kind, rel in (("scene", parts[1]), ("scan", parts[2])):
+            # the loader joins these onto the dataset directory
+            if PurePath(rel).is_absolute() or ".." in PurePath(rel).parts:
                 raise ValueError(
-                    f"{path}: line {lineno}: expected 4 tab-separated fields"
+                    f"{path}: line {lineno}: {kind} path {rel!r} must be "
+                    "relative, without '..' parts"
                 )
-            try:
-                seed = int(parts[3])
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: bad seed {parts[3]!r}"
-                ) from None
-            entries.append(ManifestEntry(parts[0], parts[1], parts[2], seed))
+        try:
+            seed = int(parts[3])
+        except ValueError:
+            raise ValueError(
+                f"{path}: line {lineno}: bad seed {parts[3]!r}"
+            ) from None
+        entries.append(ManifestEntry(parts[0], parts[1], parts[2], seed))
     return entries

@@ -56,7 +56,6 @@ class ConditionDraw:
 
     outcome is the scan itself when kept, or None for the null token.
     """
-    keep_probability: float
     outcome: np.ndarray | None
 
     @property
@@ -130,7 +129,4 @@ def draw_condition(scan, p_null: float, rng: np.random.Generator) -> ConditionDr
     if not 0.0 <= p_null <= 1.0:
         raise ValueError("p_null must be in [0, 1]")
     keep = float(rng.uniform()) >= p_null
-    return ConditionDraw(
-        keep_probability=1.0 - p_null,
-        outcome=as_cloud(scan) if keep else None,
-    )
+    return ConditionDraw(outcome=as_cloud(scan) if keep else None)

@@ -153,19 +153,11 @@ def time_embedding(t: float, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(angles), np.cos(angles)])
 
 
-def condition_features(x, condition) -> np.ndarray:
-    """Features for a single query point: (offset to NN in scan, range, flag).
+def condition_feature_matrix(points: np.ndarray, condition) -> np.ndarray:
+    """Per-point condition features (n, 5): offset to NN in scan, range, flag.
 
     With a scan present: the vector to the point's nearest scan neighbor,
     its length, and flag 1. Null condition: all zeros with flag 0.
-    """
-    return condition_feature_matrix(np.asarray(x, dtype=np.float64).reshape(1, 3),
-                                    condition)[0]
-
-
-def condition_feature_matrix(points: np.ndarray, condition) -> np.ndarray:
-    """Per-point condition features (n, 5); see condition_features.
-
     condition is None, a scan cloud, or a NeighborIndex over one.
     """
     n = len(points)
@@ -246,12 +238,11 @@ def _backward(flat: np.ndarray, config: FieldConfig, caches, d_out: np.ndarray) 
     return grad
 
 
-def loss_and_grad(state: ModelState, sample: FlowSample, weights: LossWeights,
-                  reduction: str = "mean"):
+def loss_and_grad(state: ModelState, sample: FlowSample, weights: LossWeights):
     """Blended loss on one sample plus its gradient wrt all parameters."""
     feats = _input_features(state.config, sample.t, sample.x_t, sample.condition)
     u_pred, caches = _forward_cached(state.weights, state.config, feats)
-    report, d_u = total_loss_grad(sample, u_pred, weights, reduction)
+    report, d_u = total_loss_grad(sample, u_pred, weights)
     grad = _backward(state.weights, state.config, caches, d_u)
     return report, grad
 
@@ -274,23 +265,15 @@ def apply_gradient(state: ModelState, opt: OptimizerState, grad: np.ndarray):
     return new_state, new_opt
 
 
-def train_step(state: ModelState, opt: OptimizerState, sample: FlowSample,
-               weights: LossWeights, reduction: str = "mean"):
-    """loss_and_grad followed by apply_gradient; returns states + report."""
-    report, grad = loss_and_grad(state, sample, weights, reduction)
-    new_state, new_opt = apply_gradient(state, opt, grad)
-    return new_state, new_opt, report
-
-
 def train_batch(state: ModelState, opt: OptimizerState, samples,
-                weights: LossWeights, reduction: str = "mean"):
+                weights: LossWeights):
     """Averaged loss and gradient over a list of samples, one Adam step."""
     if not samples:
         raise ValueError("empty batch")
     total_grad = np.zeros_like(state.weights)
     reports = []
     for sample in samples:
-        report, grad = loss_and_grad(state, sample, weights, reduction)
+        report, grad = loss_and_grad(state, sample, weights)
         total_grad += grad
         reports.append(report)
     total_grad /= len(samples)

@@ -134,6 +134,25 @@ def parse_report(text: str) -> EvalReport:
     )
 
 
+def mean_report(reports) -> EvalReport:
+    """Per-metric mean over reports; the wall time is their sum.
+
+    Each IoU resolution is averaged over the reports that have it.
+    """
+    reports = list(reports)
+    resolutions = {res for rep in reports for res in rep.voxel_iou}
+    return EvalReport(
+        cd_m=float(np.mean([rep.cd_m for rep in reports])),
+        jsd=float(np.mean([rep.jsd for rep in reports])),
+        voxel_iou={
+            res: float(np.mean([rep.voxel_iou[res] for rep in reports
+                                if res in rep.voxel_iou]))
+            for res in resolutions
+        },
+        wall_time_s=float(np.sum([rep.wall_time_s for rep in reports])),
+    )
+
+
 def format_table(rows) -> str:
     """Aligned summary of labeled reports plus their column means.
 
@@ -143,9 +162,8 @@ def format_table(rows) -> str:
     rows = list(rows)
     if not rows:
         raise ValueError("no reports to tabulate")
-    resolutions = sorted(
-        {res for _, rep in rows for res in rep.voxel_iou}, reverse=True
-    )
+    mean = mean_report(rep for _, rep in rows)
+    resolutions = sorted(mean.voxel_iou, reverse=True)
     header = ["case", "cd[m]", "jsd"] + [f"iou@{res:g}m" for res in resolutions]
 
     def cells(label, rep):
@@ -157,15 +175,6 @@ def format_table(rows) -> str:
         return out
 
     body = [cells(label, rep) for label, rep in rows]
-    mean = EvalReport(
-        cd_m=float(np.mean([rep.cd_m for _, rep in rows])),
-        jsd=float(np.mean([rep.jsd for _, rep in rows])),
-        voxel_iou={
-            res: float(np.mean([rep.voxel_iou[res] for _, rep in rows
-                                if res in rep.voxel_iou]))
-            for res in resolutions
-        },
-    )
     body.append(cells("mean", mean))
     widths = [max(len(row[i]) for row in [header] + body) for i in range(len(header))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()

@@ -36,14 +36,11 @@ class LossReport:
     total: float
 
 
-def flow_matching_loss(u_pred, v_target) -> float:
-    """Mean squared norm of the per-point velocity residual."""
-    value, _ = flow_matching_loss_grad(u_pred, v_target)
-    return value
-
-
 def flow_matching_loss_grad(u_pred, v_target) -> tuple[float, np.ndarray]:
-    """Velocity regression loss and its gradient with respect to u_pred."""
+    """Velocity regression loss and its gradient with respect to u_pred.
+
+    The loss is the mean squared norm of the per-point residual.
+    """
     u = np.asarray(u_pred, dtype=np.float64)
     v = np.asarray(v_target, dtype=np.float64)
     if u.shape != v.shape:
@@ -55,23 +52,16 @@ def flow_matching_loss_grad(u_pred, v_target) -> tuple[float, np.ndarray]:
     return value, 2.0 * diff / len(u)
 
 
-def chamfer_loss(x0, u_pred, x1, reduction: str = "mean") -> float:
-    """Chamfer distance between the displaced initial cloud and the target.
+def chamfer_loss_grad(
+    x0, u_pred, x1, reduction: str = "mean"
+) -> tuple[float, np.ndarray]:
+    """Chamfer matching loss and its gradient with respect to u_pred.
 
     The predicted displacement is applied to the initial cloud x0 — the
     full remaining travel, regardless of the time the field was sampled
     at. `reduction` selects "sum" (the raw symmetric squared sum) or
     "mean" (that sum divided by |x0| + |x1|, the default, which keeps the
     magnitude comparable across cloud sizes).
-    """
-    value, _ = chamfer_loss_grad(x0, u_pred, x1, reduction)
-    return value
-
-
-def chamfer_loss_grad(
-    x0, u_pred, x1, reduction: str = "mean"
-) -> tuple[float, np.ndarray]:
-    """Chamfer matching loss and its gradient with respect to u_pred.
 
     The min over neighbors is handled by the standard subgradient at the
     argmin pair; exact ties resolve to the lowest index, consistent with
@@ -109,39 +99,16 @@ def chamfer_loss_grad(
     return value, grad
 
 
-def total_loss(
-    sample: FlowSample, u_pred, weights: LossWeights, reduction: str = "mean",
-    chamfer_from_current: bool = False,
-) -> LossReport:
-    """Weighted blend of the velocity and chamfer terms."""
-    report, _ = total_loss_grad(sample, u_pred, weights, reduction,
-                                chamfer_from_current)
-    return report
-
-
-def total_loss_grad(
-    sample: FlowSample, u_pred, weights: LossWeights, reduction: str = "mean",
-    chamfer_from_current: bool = False,
-) -> tuple[LossReport, np.ndarray]:
+def total_loss_grad(sample: FlowSample, u_pred,
+                    weights: LossWeights) -> tuple[LossReport, np.ndarray]:
     """Blended loss plus its gradient with respect to u_pred.
 
     The chamfer term (and its geometry work) is skipped entirely when its
-    weight is zero. By default that term applies the full predicted
-    displacement to the initial cloud; with `chamfer_from_current` it
-    instead moves the interpolated cloud by the remaining fraction,
-    CD(x_t + (1 - t)·u, x1) — an experimental variant, off by default.
+    weight is zero.
     """
     flow_val, flow_grad = flow_matching_loss_grad(u_pred, sample.v_target)
     if weights.chamfer != 0.0:
-        if chamfer_from_current:
-            remaining = 1.0 - sample.t
-            u = np.asarray(u_pred, dtype=np.float64)
-            cd_val, cd_grad = chamfer_loss_grad(sample.x_t, remaining * u,
-                                                sample.x1_index, reduction)
-            cd_grad = remaining * cd_grad
-        else:
-            cd_val, cd_grad = chamfer_loss_grad(sample.x0, u_pred,
-                                                sample.x1_index, reduction)
+        cd_val, cd_grad = chamfer_loss_grad(sample.x0, u_pred, sample.x1_index)
     else:
         cd_val, cd_grad = 0.0, 0.0
     total = weights.flow * flow_val + weights.chamfer * cd_val

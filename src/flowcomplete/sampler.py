@@ -1,8 +1,9 @@
 """Inference: integrate the learned field from t=0 to t=1.
 
 Fixed-step Euler integration of the guided velocity field, starting from
-the tiled-and-jittered scan. Guidance blends the conditioned and
-unconditioned predictions; the EMA weights are used by default.
+the tiled-and-jittered scan (`coupling.noisy_initial_cloud`). Guidance
+blends the conditioned and unconditioned predictions; the EMA weights are
+used by default.
 """
 from __future__ import annotations
 
@@ -10,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import NoiseConfig, noisy_initial_cloud
 from .field import ModelState, forward
 from .geometry import NeighborIndex, as_cloud
 
@@ -98,13 +98,3 @@ def euler_integrate(state: ModelState, x0, scan, config: SamplerConfig,
         times.append(1.0)
         recorded.append(x)
     return Trajectory(times=tuple(times), states=tuple(recorded))
-
-
-def complete_scene(state: ModelState, scan, copies: int, noise: NoiseConfig,
-                   config: SamplerConfig) -> np.ndarray:
-    """Build the initial cloud from the scan and integrate it to t=1.
-
-    Output has copies * len(scan) points.
-    """
-    x0 = noisy_initial_cloud(scan, copies, noise)
-    return euler_integrate(state, x0, scan, config).final

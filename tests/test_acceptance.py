@@ -11,6 +11,7 @@ the pipeline, and the statistical contracts of sampling and metrics.
 The toy completion runs here train real models; the whole module takes a
 few minutes of CPU time.
 """
+import dataclasses
 import math
 import sys
 import time
@@ -19,7 +20,8 @@ import numpy as np
 import pytest
 
 from flowcomplete import (cli, cloud_io, coupling, field, geometry, metrics,
-                          objective, sampler, scenes)
+                          objective, sampler, scenes, train)
+from flowcomplete.config import RunConfig
 from oracles import (assert_grad_matches_fd, bev_counts_recount,
                      chamfer_assignments, chamfer_sum_exhaustive,
                      nn_map_exhaustive, voxel_cells_recount)
@@ -45,6 +47,10 @@ BATCH_SIZE = 4
 LEARNING_RATE = 2e-3
 EMA_DECAY = 0.995
 P_NULL = 0.1
+TRAIN_CONFIG = RunConfig(copies=COPIES, noise_scale=NOISE_SCALE,
+                         epochs=TRAIN_EPOCHS, batch_size=BATCH_SIZE,
+                         learning_rate=LEARNING_RATE, ema_decay=EMA_DECAY,
+                         p_null=P_NULL).validate()
 SAMPLE_CONFIG = sampler.SamplerConfig(steps=10, guidance_weight=3.0,
                                       use_ema=True)
 IOU_RESOLUTION = 0.5
@@ -101,29 +107,11 @@ def _toy_case(seed):
     return scenes.build_case(f"case-{seed}", _toy_scene_spec(seed), scan)
 
 
-def _train_toy(cases, weights, model_seed=0):
-    """Same loop as the CLI trainer, inlined so the recipe is explicit."""
-    state = field.init_model(field.FieldConfig(seed=model_seed))
-    opt = field.init_optimizer(state, learning_rate=LEARNING_RATE)
-    rng = np.random.default_rng([model_seed, 0x7E41])
-    scene_indices = [geometry.NeighborIndex(case.scene) for case in cases]
-    steps = 0
-    for _ in range(TRAIN_EPOCHS):
-        order = rng.permutation(len(cases))
-        for start in range(0, len(order), BATCH_SIZE):
-            samples = []
-            for idx in order[start:start + BATCH_SIZE]:
-                case, scene_index = cases[int(idx)], scene_indices[int(idx)]
-                noise = coupling.NoiseConfig(NOISE_SCALE,
-                                             int(rng.integers(2 ** 32)))
-                x0 = coupling.noisy_initial_cloud(case.scan, COPIES, noise)
-                t = coupling.sample_time(rng)
-                draw = coupling.draw_condition(case.scan, P_NULL, rng)
-                samples.append(coupling.nearest_neighbor_flow(
-                    x0, scene_index, t, condition=draw.outcome))
-            state, opt, _ = field.train_batch(state, opt, samples, weights)
-            state = field.ema_update(state, decay=EMA_DECAY)
-            steps += 1
+def _train_toy(cases, chamfer_weight):
+    """Train through train.fit, the loop the CLI trainer runs."""
+    cfg = dataclasses.replace(TRAIN_CONFIG, chamfer_weight=chamfer_weight)
+    state, _, steps = train.fit([(case.scene, case.scan) for case in cases],
+                                cfg)
     return state, steps
 
 
@@ -167,8 +155,7 @@ def toy_world():
 def combined_model(toy_world):
     """The (flow=1, chamfer=0.1) arm; shared with the ablation check."""
     start = time.perf_counter()
-    state, steps = _train_toy(toy_world["train_cases"],
-                              objective.LossWeights(flow=1.0, chamfer=0.1))
+    state, steps = _train_toy(toy_world["train_cases"], chamfer_weight=0.1)
     return {"state": state, "steps": steps,
             "seconds": time.perf_counter() - start}
 
@@ -354,8 +341,7 @@ def test_toy_completion(toy_world, combined_model):
 # ---------------------------------------------------------------------------
 
 def test_chamfer_term_ablation(toy_world, combined_model):
-    flow_only, _ = _train_toy(toy_world["train_cases"],
-                              objective.LossWeights(flow=1.0, chamfer=0.0))
+    flow_only, _ = _train_toy(toy_world["train_cases"], chamfer_weight=0.0)
     cd_combined, _ = _complete_and_score(combined_model["state"], toy_world)
     cd_flow_only, _ = _complete_and_score(flow_only, toy_world)
     _verdict(7, "chamfer-term ablation", cd_combined <= cd_flow_only,

@@ -93,6 +93,25 @@ class TestTrain:
         assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_divergence_keeps_last_finite_checkpoint(self, dataset, tmp_path,
+                                                     monkeypatch, capsys):
+        # Adam moves every weight by about the learning rate, so the first
+        # step leaves weights near 1e200 and the second step's gradient
+        # overflows.
+        ckpt = tmp_path / "model.ckpt"
+        code, out, err = run_cli(
+            ["train", *FAST, "--epochs", "3", "--learning-rate", "1e200",
+             "--data", str(dataset), "--out", str(ckpt)],
+            monkeypatch, capsys,
+        )
+        assert code == 2
+        assert "training aborted at step 2" in err
+        assert len([l for l in out.splitlines() if l.startswith("step=")]) == 1
+        state, opt = field.load_checkpoint(ckpt)
+        assert state.step_count == 1
+        for array in (state.weights, state.ema_weights, opt.m, opt.v):
+            assert np.all(np.isfinite(array))
+
     def test_missing_dataset_is_runtime_error(self, tmp_path, monkeypatch, capsys):
         code, _, err = run_cli(
             ["train", "--data", str(tmp_path / "nope"),

@@ -223,3 +223,37 @@ class TestManifest:
         path.write_text("case-0\ta.ply\tb.ply\ttwelve\n")
         with pytest.raises(ValueError, match="bad seed"):
             cloud_io.read_manifest(path)
+
+    # A manifest may only name clouds inside the dataset directory, since
+    # the loader joins each path onto that directory and reads the file.
+    @pytest.mark.parametrize("scene, scan", [
+        ("/etc/scene.ply", "scans/000.ply"),
+        ("scenes/000.ply", "/tmp/scan.ply"),
+    ])
+    def test_absolute_path_rejected(self, tmp_path, scene, scan):
+        path = tmp_path / "manifest.tsv"
+        path.write_text(f"case-0\tscenes/a.ply\tscans/a.ply\t1\n"
+                        f"case-1\t{scene}\t{scan}\t2\n")
+        with pytest.raises(ValueError, match="line 2") as err:
+            cloud_io.read_manifest(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("scene, scan", [
+        ("../outside.ply", "scans/000.ply"),
+        ("scenes/000.ply", "scans/../../outside.ply"),
+        ("scenes/..", "scans/000.ply"),
+    ])
+    def test_parent_part_rejected(self, tmp_path, scene, scan):
+        path = tmp_path / "manifest.tsv"
+        path.write_text(f"case-0\t{scene}\t{scan}\t1\n")
+        with pytest.raises(ValueError, match=r"line 1: .*'\.\.'") as err:
+            cloud_io.read_manifest(path)
+        assert str(path) in str(err.value)
+
+    def test_non_utf8_body_rejected(self, tmp_path):
+        path = tmp_path / "manifest.tsv"
+        path.write_bytes(b"case-0\ta.ply\tb.ply\t1\n"
+                         b"case-1\tscenes/\xff.ply\tb.ply\t2\n")
+        with pytest.raises(ValueError, match="line 2: not valid UTF-8") as err:
+            cloud_io.read_manifest(path)
+        assert str(path) in str(err.value)

@@ -71,12 +71,12 @@ class TestTimeEmbedding:
 
 class TestConditionFeatures:
     def test_null_condition(self):
-        f = field.condition_features([1.0, 2.0, 3.0], None)
+        f = field.condition_feature_matrix(np.array([[1.0, 2.0, 3.0]]), None)[0]
         assert np.array_equal(f, np.zeros(5))
 
     def test_point_on_scan(self):
         scan = np.array([[1.0, 2.0, 3.0], [5.0, 5.0, 5.0]])
-        f = field.condition_features([1.0, 2.0, 3.0], scan)
+        f = field.condition_feature_matrix(np.array([[1.0, 2.0, 3.0]]), scan)[0]
         assert np.array_equal(f, [0.0, 0.0, 0.0, 0.0, 1.0])
 
     def test_offset_matches_oracle(self):
@@ -84,7 +84,7 @@ class TestConditionFeatures:
         scan = random_cloud(rng, 20)
         for _ in range(10):
             x = rng.uniform(-1, 1, size=3)
-            f = field.condition_features(x, scan)
+            f = field.condition_feature_matrix(x[None], scan)[0]
             q = scan[nn_map_exhaustive(x[None], scan)[0]]
             assert np.allclose(f[:3], q - x, atol=0)
             assert f[3] == pytest.approx(np.linalg.norm(q - x), rel=1e-12)
@@ -242,7 +242,7 @@ class TestOptimizer:
             sample = coupling.nearest_neighbor_flow(
                 x0, x1, float(rng.uniform()), condition=scan
             )
-            state, opt, report = field.train_step(state, opt, sample, weights)
+            state, opt, report = field.train_batch(state, opt, [sample], weights)
             losses.append(report.total)
         assert np.isfinite(state.weights).all()
         first = np.mean(losses[:20])
@@ -298,7 +298,8 @@ class TestCheckpoint:
         state = field.init_model(cfg)
         opt = field.init_optimizer(state, learning_rate=3e-4)
         sample = make_sample(rng)
-        state, opt, _ = field.train_step(state, opt, sample, objective.LossWeights())
+        state, opt, _ = field.train_batch(state, opt, [sample],
+                                         objective.LossWeights())
         state = field.ema_update(state, 0.99)
 
         path = tmp_path / "model.ckpt"
@@ -379,3 +380,58 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="5443 values .* 163 parameters") as err:
             field.load_checkpoint(path)
         assert str(path) in str(err.value)
+
+
+class TestCheckpointFuzz:
+    """Every truncation and every single-bit flip of a small checkpoint."""
+
+    # 21 parameters keep the exhaustive loops short
+    CONFIG = field.FieldConfig(hidden_widths=(2,), time_embed_dim=2,
+                               cond_feature_mode="none", seed=4,
+                               zero_init_output=False)
+
+    @pytest.fixture(scope="class")
+    def raw(self, tmp_path_factory):
+        state = field.init_model(self.CONFIG)
+        opt = field.init_optimizer(state, learning_rate=3e-4)
+        grad = np.random.default_rng(5).normal(size=state.weights.shape)
+        state, opt = field.apply_gradient(state, opt, grad)
+        state = field.ema_update(state, 0.9)
+        path = tmp_path_factory.mktemp("fuzz") / "small.ckpt"
+        field.save_checkpoint(path, state, opt)
+        return path.read_bytes()
+
+    def test_every_truncation_raises_value_error(self, raw, tmp_path):
+        path = tmp_path / "cut.ckpt"
+        for size in range(len(raw)):
+            path.write_bytes(raw[:size])
+            with pytest.raises(ValueError):
+                field.load_checkpoint(path)
+
+    def test_every_bit_flip_raises_value_error_or_round_trips(self, raw,
+                                                              tmp_path):
+        path = tmp_path / "flipped.ckpt"
+        resaved = tmp_path / "resaved.ckpt"
+        loaded_count = 0
+        for bit in range(8 * len(raw)):
+            flipped = bytearray(raw)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(flipped)
+            try:
+                state, opt = field.load_checkpoint(path)
+            except ValueError:
+                continue
+            loaded_count += 1
+            field.save_checkpoint(resaved, state, opt)
+            again, again_opt = field.load_checkpoint(resaved)
+            assert again.config == state.config
+            assert again.step_count == state.step_count
+            hyper = ("learning_rate", "beta1", "beta2", "eps")
+            assert ([getattr(again_opt, k) for k in hyper]
+                    == [getattr(opt, k) for k in hyper])
+            for a, b in ((state.weights, again.weights),
+                         (state.ema_weights, again.ema_weights),
+                         (opt.m, again_opt.m), (opt.v, again_opt.v)):
+                assert a.tobytes() == b.tobytes()
+        # every flip inside the four arrays loads
+        assert loaded_count >= 8 * 8 * 4 * field.parameter_count(self.CONFIG)

@@ -38,23 +38,23 @@ class TestFlowMatchingLoss:
     def test_perfect_prediction(self):
         rng = np.random.default_rng(0)
         v = random_cloud(rng, 20)
-        assert objective.flow_matching_loss(v, v) == 0.0
+        assert objective.flow_matching_loss_grad(v, v)[0] == 0.0
 
     def test_unit_residual(self):
         u = np.array([[1.0, 0.0, 0.0]])
         v = np.zeros((1, 3))
-        assert objective.flow_matching_loss(u, v) == 1.0
+        assert objective.flow_matching_loss_grad(u, v)[0] == 1.0
 
     def test_matches_elementwise_recompute(self):
         rng = np.random.default_rng(1)
         u = random_cloud(rng, 33)
         v = random_cloud(rng, 33)
         want = float(np.mean(np.sum((u - v) ** 2, axis=1)))
-        assert objective.flow_matching_loss(u, v) == pytest.approx(want, rel=1e-12)
+        assert objective.flow_matching_loss_grad(u, v)[0] == pytest.approx(want, rel=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            objective.flow_matching_loss(np.zeros((2, 3)), np.zeros((3, 3)))
+            objective.flow_matching_loss_grad(np.zeros((2, 3)), np.zeros((3, 3)))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(2)
@@ -62,7 +62,7 @@ class TestFlowMatchingLoss:
         v = random_cloud(rng, 8)
         _, grad = objective.flow_matching_loss_grad(u, v)
         num = numerical_gradient(
-            lambda flat: objective.flow_matching_loss(flat.reshape(8, 3), v),
+            lambda flat: objective.flow_matching_loss_grad(flat.reshape(8, 3), v)[0],
             u.ravel(),
         )
         assert np.allclose(grad.ravel(), num, rtol=1e-6, atol=1e-9)
@@ -73,9 +73,9 @@ class TestChamferLoss:
         x0 = np.zeros((1, 3))
         u = np.zeros((1, 3))
         x1 = np.array([[1.0, 0.0, 0.0]])
-        assert objective.chamfer_loss(x0, u, x1, reduction="sum") == 2.0
+        assert objective.chamfer_loss_grad(x0, u, x1, reduction="sum")[0] == 2.0
         # mean reduction divides by |x0| + |x1|
-        assert objective.chamfer_loss(x0, u, x1) == 1.0
+        assert objective.chamfer_loss_grad(x0, u, x1)[0] == 1.0
 
     def test_perfect_transport_bijection(self):
         rng = np.random.default_rng(3)
@@ -84,14 +84,14 @@ class TestChamferLoss:
         # Displace each x0 point onto a distinct x1 point: loss is exactly 0.
         perm = rng.permutation(15)
         u = x1[perm] - x0
-        assert objective.chamfer_loss(x0, u, x1) == 0.0
+        assert objective.chamfer_loss_grad(x0, u, x1)[0] == 0.0
 
     def test_matches_raw_chamfer(self):
         rng = np.random.default_rng(4)
         x0 = random_cloud(rng, 20)
         u = 0.1 * random_cloud(rng, 20)
         x1 = random_cloud(rng, 26)
-        got = objective.chamfer_loss(x0, u, x1, reduction="sum")
+        got = objective.chamfer_loss_grad(x0, u, x1, reduction="sum")[0]
         assert got == pytest.approx(chamfer_sum_exhaustive(x0 + u, x1), rel=1e-9)
 
     def test_invariant_under_target_permutation(self):
@@ -99,14 +99,14 @@ class TestChamferLoss:
         x0 = random_cloud(rng, 10)
         u = 0.05 * random_cloud(rng, 10)
         x1 = random_cloud(rng, 14)
-        a = objective.chamfer_loss(x0, u, x1)
-        b = objective.chamfer_loss(x0, u, x1[rng.permutation(14)])
+        a = objective.chamfer_loss_grad(x0, u, x1)[0]
+        b = objective.chamfer_loss_grad(x0, u, x1[rng.permutation(14)])[0]
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_unknown_reduction(self):
         with pytest.raises(ValueError, match="reduction"):
-            objective.chamfer_loss(np.zeros((1, 3)), np.zeros((1, 3)),
-                                   np.ones((1, 3)), reduction="max")
+            objective.chamfer_loss_grad(np.zeros((1, 3)), np.zeros((1, 3)),
+                                        np.ones((1, 3)), reduction="max")
 
     @pytest.mark.parametrize("reduction", ["mean", "sum"])
     def test_gradient_matches_finite_differences(self, reduction):
@@ -118,9 +118,9 @@ class TestChamferLoss:
             x1 = random_cloud(rng, int(rng.integers(3, 12)))
             _, grad = objective.chamfer_loss_grad(x0, u, x1, reduction)
             assert_grad_matches_fd(
-                lambda flat: objective.chamfer_loss(
+                lambda flat: objective.chamfer_loss_grad(
                     x0, flat.reshape(n, 3), x1, reduction
-                ),
+                )[0],
                 grad.ravel(),
                 u.ravel(),
                 lambda flat: chamfer_assignments(x0, flat.reshape(n, 3), x1),
@@ -132,7 +132,7 @@ class TestTotalLoss:
         rng = np.random.default_rng(7)
         s = make_sample(rng)
         u = random_cloud(rng, len(s.x0))
-        report = objective.total_loss(s, u, objective.LossWeights(1.0, 0.0))
+        report = objective.total_loss_grad(s, u, objective.LossWeights(1.0, 0.0))[0]
         assert report.total == report.flow
         assert report.chamfer == 0.0
 
@@ -140,7 +140,7 @@ class TestTotalLoss:
         rng = np.random.default_rng(8)
         s = make_sample(rng)
         u = random_cloud(rng, len(s.x0))
-        report = objective.total_loss(s, u, objective.LossWeights(0.0, 1.0))
+        report = objective.total_loss_grad(s, u, objective.LossWeights(0.0, 1.0))[0]
         assert report.total == report.chamfer
 
     def test_weighted_combination_identity(self):
@@ -148,7 +148,7 @@ class TestTotalLoss:
         s = make_sample(rng)
         u = random_cloud(rng, len(s.x0))
         w = objective.LossWeights(1.0, 0.1)
-        report = objective.total_loss(s, u, w)
+        report = objective.total_loss_grad(s, u, w)[0]
         want = w.flow * report.flow + w.chamfer * report.chamfer
         assert report.total == pytest.approx(want, rel=1e-12)
 
@@ -162,7 +162,7 @@ class TestTotalLoss:
             _, grad = objective.total_loss_grad(s, u, w)
 
             def scalar(flat):
-                return objective.total_loss(s, flat.reshape(n, 3), w).total
+                return objective.total_loss_grad(s, flat.reshape(n, 3), w)[0].total
 
             assert_grad_matches_fd(
                 scalar,
@@ -170,54 +170,6 @@ class TestTotalLoss:
                 u.ravel(),
                 lambda flat: chamfer_assignments(s.x0, flat.reshape(n, 3), s.x1),
             )
-
-
-class TestChamferFromCurrent:
-    """Experimental variant: chamfer measured from x_t with (1 - t)·u."""
-
-    def test_matches_direct_computation(self):
-        rng = np.random.default_rng(11)
-        s = make_sample(rng)
-        u = 0.3 * random_cloud(rng, len(s.x0))
-        report = objective.total_loss(s, u, objective.LossWeights(0.0, 1.0),
-                                      chamfer_from_current=True)
-        want = objective.chamfer_loss(s.x_t, (1.0 - s.t) * u, s.x1)
-        assert report.chamfer == pytest.approx(want, rel=1e-12)
-
-    def test_agrees_with_default_at_t_zero(self):
-        rng = np.random.default_rng(12)
-        x0 = random_cloud(rng, 11)
-        x1 = random_cloud(rng, 8)
-        s = coupling.nearest_neighbor_flow(x0, x1, 0.0)
-        u = 0.2 * random_cloud(rng, 11)
-        w = objective.LossWeights(1.0, 0.1)
-        a, ga = objective.total_loss_grad(s, u, w)
-        b, gb = objective.total_loss_grad(s, u, w, chamfer_from_current=True)
-        assert a.total == pytest.approx(b.total, rel=1e-12)
-        assert np.allclose(ga, gb, rtol=1e-12, atol=1e-15)
-
-    def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(13)
-        w = objective.LossWeights(1.0, 0.1)
-        for trial in range(5):
-            s = make_sample(rng, n0=int(rng.integers(4, 10)), n1=int(rng.integers(4, 10)))
-            n = len(s.x0)
-            u = 0.3 * random_cloud(rng, n)
-            _, grad = objective.total_loss_grad(s, u, w, chamfer_from_current=True)
-
-            def scalar(flat):
-                return objective.total_loss(s, flat.reshape(n, 3), w,
-                                            chamfer_from_current=True).total
-
-            assert_grad_matches_fd(
-                scalar,
-                grad.ravel(),
-                u.ravel(),
-                lambda flat: chamfer_assignments(
-                    s.x_t, (1.0 - s.t) * flat.reshape(n, 3), s.x1
-                ),
-            )
-
 
 
 class TestNeighborIndexInput:
@@ -250,10 +202,7 @@ class TestNeighborIndexInput:
             from_array = coupling.nearest_neighbor_flow(x0, x1, t)
             from_index = coupling.nearest_neighbor_flow(
                 x0, geometry.NeighborIndex(x1), t)
-            for current in (False, True):
-                rep_a, grad_a = objective.total_loss_grad(
-                    from_array, u, weights, chamfer_from_current=current)
-                rep_b, grad_b = objective.total_loss_grad(
-                    from_index, u, weights, chamfer_from_current=current)
-                assert rep_a == rep_b
-                assert grad_a.tobytes() == grad_b.tobytes()
+            rep_a, grad_a = objective.total_loss_grad(from_array, u, weights)
+            rep_b, grad_b = objective.total_loss_grad(from_index, u, weights)
+            assert rep_a == rep_b
+            assert grad_a.tobytes() == grad_b.tobytes()

@@ -145,12 +145,16 @@ class TestEulerIntegrate:
 
 
 class TestCompleteScene:
+    """A completion: the jittered scan integrated to t=1, as `complete` runs it."""
+
     def test_zero_field_returns_noisy_initial(self):
         rng = np.random.default_rng(13)
         scan = random_cloud(rng, 16)
         noise = coupling.NoiseConfig(scale=0.25, seed=77)
         state = random_model(14, zero_output=True)
-        out = sampler.complete_scene(state, scan, 10, noise, sampler.SamplerConfig())
+        x0 = coupling.noisy_initial_cloud(scan, 10, noise)
+        out = sampler.euler_integrate(state, x0, scan,
+                                      sampler.SamplerConfig()).final
         want = coupling.noisy_initial_cloud(scan, 10, noise)
         assert np.array_equal(out, want)
 
@@ -158,10 +162,10 @@ class TestCompleteScene:
         rng = np.random.default_rng(14)
         scan = random_cloud(rng, 21)
         state = random_model(15)
-        out = sampler.complete_scene(
-            state, scan, 10, coupling.NoiseConfig(scale=0.1, seed=5),
-            sampler.SamplerConfig(steps=2),
-        )
+        x0 = coupling.noisy_initial_cloud(
+            scan, 10, coupling.NoiseConfig(scale=0.1, seed=5))
+        out = sampler.euler_integrate(state, x0, scan,
+                                      sampler.SamplerConfig(steps=2)).final
         assert out.shape == (210, 3)
 
 
@@ -172,8 +176,8 @@ class TestCompleteScene:
         noise = coupling.NoiseConfig(scale=0.1, seed=6)
         state = random_model(16)
         cfg = sampler.SamplerConfig(steps=3, guidance_weight=2.5)
-        out = sampler.complete_scene(state, scan, 4, noise, cfg)
         x = coupling.noisy_initial_cloud(scan, 4, noise)
+        out = sampler.euler_integrate(state, x, scan, cfg).final
         for k in range(cfg.steps):
             x = x + (1.0 / cfg.steps) * sampler.guided_field(
                 state, k / cfg.steps, x, scan, cfg.guidance_weight, use_ema=True)
