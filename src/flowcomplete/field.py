@@ -181,10 +181,10 @@ def _input_features(config: FieldConfig, t: float, x_t, condition) -> np.ndarray
     return np.concatenate(cols, axis=1)
 
 
-def _activate(name: str, z: np.ndarray) -> np.ndarray:
+def _activate(name: str, z: np.ndarray, out=None) -> np.ndarray:
     if name == "tanh":
-        return np.tanh(z)
-    return np.maximum(z, 0.0)
+        return np.tanh(z, out=out)
+    return np.maximum(z, 0.0, out=out)
 
 
 def _activation_slope(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -211,11 +211,37 @@ def _forward_cached(flat: np.ndarray, config: FieldConfig, feats: np.ndarray):
     return out, (pre, post)
 
 
-def forward(state: ModelState, t: float, x_t, condition, use_ema: bool = False) -> np.ndarray:
-    """Per-point velocity prediction u(t, x_t, condition), shape (n, 3)."""
-    feats = _input_features(state.config, t, x_t, condition)
-    flat = state.ema_weights if use_ema else state.weights
-    out, _ = _forward_cached(flat, state.config, feats)
+def hidden_buffers(config: FieldConfig, n: int) -> list:
+    """One (n, width) float64 array per hidden layer, for `forward`."""
+    return [np.empty((n, width)) for width in config.hidden_widths]
+
+
+def forward(state: ModelState, t: float, x_t, condition, use_ema: bool = False,
+            *, buffers=None) -> np.ndarray:
+    """Per-point velocity prediction u(t, x_t, condition), shape (n, 3).
+
+    Each hidden layer is computed in place in its array of `buffers`
+    (`hidden_buffers(config, n)`; allocated here when None), which the
+    next call may overwrite. The ufuncs and their operand order are those
+    of the training forward, so the result is bit-identical to it, and it
+    is always a fresh array.
+    """
+    config = state.config
+    feats = _input_features(config, t, x_t, condition)
+    layers = _unpack(state.ema_weights if use_ema else state.weights, config)
+    if buffers is None:
+        buffers = hidden_buffers(config, len(feats))
+    h = feats
+    # finiteness is checked on the output; silence numpy's own warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (w, b), buf in zip(layers[:-1], buffers, strict=True):
+            np.matmul(h, w, out=buf)
+            buf += b
+            h = _activate(config.activation, buf, out=buf)
+        w_out, b_out = layers[-1]
+        out = h @ w_out + b_out
+    if not np.all(np.isfinite(out)):
+        raise FloatingPointError("numeric overflow in field")
     return out
 
 
@@ -336,9 +362,10 @@ def load_checkpoint(path):
 
     Raises:
         ValueError: naming the file and the reason, on a bad magic or
-            version, a truncated or malformed header, arrays whose names or
-            sizes disagree with the configured network, truncated arrays,
-            or bytes after the last array.
+            version (in the binary prefix or the header), a truncated or
+            malformed header, arrays whose names or sizes disagree with
+            the configured network, truncated arrays, or bytes after the
+            last array.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -359,6 +386,7 @@ def load_checkpoint(path):
         raise fail("truncated checkpoint: header")
     try:
         header = json.loads(raw[offset:offset + header_len].decode())
+        header_version = header["version"]
         cfg_dict = dict(header["config"])
         cfg_dict["hidden_widths"] = tuple(cfg_dict["hidden_widths"])
         config = FieldConfig(**cfg_dict)
@@ -369,6 +397,9 @@ def load_checkpoint(path):
     except (KeyError, TypeError, ValueError) as exc:
         raise fail(f"malformed checkpoint header: {exc!r}") from exc
     offset += header_len
+    if type(header_version) is not int or header_version != CHECKPOINT_VERSION:
+        raise fail(f"header version {header_version!r} does not match "
+                   f"checkpoint version {CHECKPOINT_VERSION}")
 
     names = tuple(name for name, _ in arrays)
     if names != _CHECKPOINT_ARRAYS:

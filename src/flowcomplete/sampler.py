@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import ModelState, forward
+from .field import ModelState, forward, hidden_buffers
 from .geometry import NeighborIndex, as_cloud
 
 
@@ -48,14 +48,16 @@ class Trajectory:
 
 
 def guided_field(state: ModelState, t: float, x_t, scan, w: float,
-                 use_ema: bool = False) -> np.ndarray:
+                 use_ema: bool = False, *, buffers=None) -> np.ndarray:
     """Guided velocity: unconditioned + w * (conditioned - unconditioned).
 
-    Exactly two forward evaluations. w = 1 returns the conditioned
-    prediction itself and w = 0 the unconditioned one, bit-for-bit.
+    Exactly two forward evaluations, which share the hidden-layer
+    `buffers` when given (see `field.forward`). w = 1 returns the
+    conditioned prediction itself and w = 0 the unconditioned one,
+    bit-for-bit.
     """
-    u_cond = forward(state, t, x_t, scan, use_ema=use_ema)
-    u_null = forward(state, t, x_t, None, use_ema=use_ema)
+    u_cond = forward(state, t, x_t, scan, use_ema=use_ema, buffers=buffers)
+    u_null = forward(state, t, x_t, None, use_ema=use_ema, buffers=buffers)
     if w == 1.0:
         return u_cond
     if w == 0.0:
@@ -77,12 +79,15 @@ def euler_integrate(state: ModelState, x0, scan, config: SamplerConfig,
     """
     x = as_cloud(x0).copy()
     if field_fn is None:
-        # One index over the scan serves the condition features of every step.
+        # One index over the scan serves the condition features of every
+        # step, and one set of hidden-layer buffers serves every forward.
         condition = None if scan is None else NeighborIndex(scan)
+        buffers = hidden_buffers(state.config, len(x))
 
         def field_fn(t, current):
             return guided_field(state, t, current, condition,
-                                config.guidance_weight, use_ema=config.use_ema)
+                                config.guidance_weight, use_ema=config.use_ema,
+                                buffers=buffers)
     h = 1.0 / config.steps
     initial = x.copy()
     times, recorded = [0.0], [initial]

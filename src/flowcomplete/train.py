@@ -59,8 +59,12 @@ def fit(cases, cfg: RunConfig, on_step=None):
                 samples.append(coupling.nearest_neighbor_flow(
                     x0, scene, t, condition=draw.outcome))
             try:
-                state, opt, report = field.train_batch(state, opt, samples,
-                                                       weights)
+                # A diverging step overflows on its way to the finiteness
+                # checks that raise; numpy's warnings would only repeat them.
+                with np.errstate(over="ignore", invalid="ignore",
+                                 divide="ignore"):
+                    state, opt, report = field.train_batch(state, opt,
+                                                           samples, weights)
             except FloatingPointError as exc:
                 raise Diverged(step + 1, state, opt, exc) from exc
             state = field.ema_update(state, cfg.ema_decay)

@@ -94,7 +94,8 @@ class TestTrain:
         assert a.read_bytes() == b.read_bytes()
 
     def test_divergence_keeps_last_finite_checkpoint(self, dataset, tmp_path,
-                                                     monkeypatch, capsys):
+                                                     monkeypatch, capsys,
+                                                     recwarn):
         # Adam moves every weight by about the learning rate, so the first
         # step leaves weights near 1e200 and the second step's gradient
         # overflows.
@@ -106,6 +107,9 @@ class TestTrain:
         )
         assert code == 2
         assert "training aborted at step 2" in err
+        # the one error line, with no numpy overflow warnings before it
+        assert len(err.splitlines()) == 1
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert len([l for l in out.splitlines() if l.startswith("step=")]) == 1
         state, opt = field.load_checkpoint(ckpt)
         assert state.step_count == 1

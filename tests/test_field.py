@@ -1,5 +1,6 @@
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -130,12 +131,44 @@ class TestForward:
         assert np.array_equal(a, b)
 
     def test_overflow_reported(self):
-        cfg = field.FieldConfig(hidden_widths=(4,), activation="relu",
-                                time_embed_dim=4, zero_init_output=False)
+        for activation in ("relu", "tanh"):
+            cfg = field.FieldConfig(hidden_widths=(4, 4), activation=activation,
+                                    time_embed_dim=4, zero_init_output=False)
+            state = field.init_model(cfg)
+            # tanh saturates, so only the output layer's sum can overflow
+            state.weights[:] = 1e308
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(FloatingPointError,
+                                   match="numeric overflow in field"):
+                    field.forward(state, 0.5, np.ones((3, 3)), None)
+                with pytest.raises(FloatingPointError,
+                                   match="numeric overflow in field"):
+                    field.forward(state, 0.5, np.ones((3, 3)), None,
+                                  buffers=field.hidden_buffers(cfg, 3))
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("widths", [(5,), (128, 128), (16, 24, 8)])
+    @pytest.mark.parametrize("n", [1, 7, 33, 300])
+    @pytest.mark.parametrize("use_ema", [False, True])
+    def test_matches_training_forward_bit_for_bit(self, activation, widths, n,
+                                                  use_ema):
+        rng = np.random.default_rng(n)
+        cfg = field.FieldConfig(hidden_widths=widths, activation=activation,
+                                seed=n + len(widths), zero_init_output=False)
         state = field.init_model(cfg)
-        state.weights[:] = 1e300
-        with pytest.raises(FloatingPointError, match="numeric overflow in field"):
-            field.forward(state, 0.5, np.ones((3, 3)), None)
+        state.weights[:] += rng.normal(scale=0.05, size=state.weights.shape)
+        flat = state.ema_weights if use_ema else state.weights
+        pts, scan = random_cloud(rng, n), random_cloud(rng, 9)
+        buffers = field.hidden_buffers(cfg, n)
+        for condition in (scan, None):
+            feats = field._input_features(cfg, 0.35, pts, condition)
+            want = field._forward_cached(flat, cfg, feats)[0]
+            got = field.forward(state, 0.35, pts, condition, use_ema=use_ema)
+            reused = field.forward(state, 0.35, pts, condition,
+                                   use_ema=use_ema, buffers=buffers)
+            assert got.tobytes() == want.tobytes()
+            assert reused.tobytes() == want.tobytes()
 
     def test_ema_weights_selectable(self):
         cfg = field.FieldConfig(hidden_widths=(8,), seed=11, zero_init_output=False)
@@ -380,6 +413,25 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="5443 values .* 163 parameters") as err:
             field.load_checkpoint(path)
         assert str(path) in str(err.value)
+
+    def test_header_version_mismatch_rejected(self, tmp_path):
+        state = field.init_model(SMALL)
+        opt = field.init_optimizer(state)
+        path = tmp_path / "model.ckpt"
+        field.save_checkpoint(path, state, opt)
+        raw = path.read_bytes()
+        start = len(field.CHECKPOINT_MAGIC) + 12
+        (header_len,) = struct.unpack_from("<Q", raw, start - 8)
+        header = json.loads(raw[start:start + header_len])
+        for version in (field.CHECKPOINT_VERSION + 1, 0, "1", True):
+            header["version"] = version
+            blob = json.dumps(header, sort_keys=True,
+                              separators=(",", ":")).encode()
+            path.write_bytes(raw[:start - 8] + struct.pack("<Q", len(blob))
+                             + blob + raw[start + header_len:])
+            with pytest.raises(ValueError, match="header version") as err:
+                field.load_checkpoint(path)
+            assert str(path) in str(err.value)
 
 
 class TestCheckpointFuzz:

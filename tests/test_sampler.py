@@ -21,6 +21,16 @@ def random_model(seed, zero_output=False):
     return state
 
 
+def wide_model(seed):
+    # the (128, 128) width of a full-size completion, with a distinct EMA
+    cfg = field.FieldConfig(hidden_widths=(128, 128), seed=seed,
+                            zero_init_output=False)
+    state = field.init_model(cfg)
+    state.weights[:] += np.random.default_rng(seed + 1).normal(
+        scale=0.05, size=state.weights.shape)
+    return state
+
+
 class TestSamplerConfig:
     def test_defaults(self):
         cfg = sampler.SamplerConfig()
@@ -129,6 +139,39 @@ class TestEulerIntegrate:
         a = sampler.euler_integrate(state, x0, scan, cfg)
         b = sampler.euler_integrate(state, x0, scan, cfg)
         assert np.array_equal(a.final, b.final)
+
+    @pytest.mark.parametrize("w", [0.0, 1.0, 3.0])
+    @pytest.mark.parametrize("record", [False, True])
+    def test_default_field_matches_fresh_guided_field_loop(self, w, record):
+        # The integrator's shared hidden-layer buffers change no bit.
+        rng = np.random.default_rng(17)
+        x0, scan = random_cloud(rng, 150), random_cloud(rng, 30)
+        state = wide_model(18)
+        cfg = sampler.SamplerConfig(steps=4, guidance_weight=w,
+                                    record_trajectory=record)
+        traj = sampler.euler_integrate(state, x0, scan, cfg)
+        x, want = x0.copy(), [x0.copy()]
+        for k in range(cfg.steps):
+            x = x + (1.0 / cfg.steps) * sampler.guided_field(
+                state, k / cfg.steps, x, scan, w, use_ema=True)
+            want.append(x)
+        if not record:
+            want = [want[0], want[-1]]
+        assert [s.tobytes() for s in traj.states] == [s.tobytes() for s in want]
+
+    def test_integrations_of_different_sizes_match_solo_runs(self):
+        rng = np.random.default_rng(19)
+        small, large = random_cloud(rng, 40), random_cloud(rng, 170)
+        scan = random_cloud(rng, 25)
+        state = wide_model(20)
+        cfg = sampler.SamplerConfig(steps=3, guidance_weight=3.0)
+        solo_small = sampler.euler_integrate(state, small, scan, cfg).final
+        solo_large = sampler.euler_integrate(state, large, scan, cfg).final
+        for _ in range(2):
+            again_large = sampler.euler_integrate(state, large, scan, cfg).final
+            again_small = sampler.euler_integrate(state, small, scan, cfg).final
+            assert again_large.tobytes() == solo_large.tobytes()
+            assert again_small.tobytes() == solo_small.tobytes()
 
     def test_nonfinite_state_names_step(self):
         rng = np.random.default_rng(12)
