@@ -34,13 +34,14 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    file_overrides = read_config_file(args.config) if args.config else {}
-    flag_overrides = {}
-    for key, raw in vars(args).items():
-        if key.startswith("cfg_") and raw is not None:
-            name = key[len("cfg_"):]
-            flag_overrides[name] = _parse_value(name, raw)
+    # values that fail to parse or validate are usage errors (exit 1)
     try:
+        file_overrides = read_config_file(args.config) if args.config else {}
+        flag_overrides = {}
+        for key, raw in vars(args).items():
+            if key.startswith("cfg_") and raw is not None:
+                name = key[len("cfg_"):]
+                flag_overrides[name] = _parse_value(name, raw)
         return build_config(file_overrides, flag_overrides)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -59,8 +60,8 @@ def cmd_make_data(cfg: RunConfig, out_dir: str) -> int:
         case = scenes.build_case(case_id, spec, cfg.scan_spec(case_seed))
         scene_rel = f"scenes/{case_id}.ply"
         scan_rel = f"scans/{case_id}.ply"
-        cloud_io.write_cloud(case.scene, out / scene_rel, "ply-binary")
-        cloud_io.write_cloud(case.scan, out / scan_rel, "ply-binary")
+        cloud_io.write_cloud(case.scene, out / scene_rel)
+        cloud_io.write_cloud(case.scan, out / scan_rel)
         entries.append(cloud_io.ManifestEntry(case_id, scene_rel, scan_rel,
                                               case_seed))
     cloud_io.write_manifest(entries, out / "manifest.tsv")
@@ -111,8 +112,8 @@ def cmd_complete(cfg: RunConfig, checkpoint_path: str, scan_path: str,
     if cfg.record_trajectory:
         for t, cloud in zip(traj.times, traj.states):
             step_path = out.with_name(f"{out.stem}-t{t:.2f}{out.suffix}")
-            cloud_io.write_cloud(cloud, step_path, "ply-binary")
-    cloud_io.write_cloud(traj.final, out, "ply-binary")
+            cloud_io.write_cloud(cloud, step_path)
+    cloud_io.write_cloud(traj.final, out)
     print(f"wrote {len(traj.final)} points to {out}")
     return 0
 

@@ -1,10 +1,11 @@
 """Point-cloud file formats and the dataset manifest.
 
-Three interchange formats: whitespace XYZ text, ASCII PLY, and binary
-little-endian PLY with float32 coordinates. Binary PLY is the lossless
-workhorse (write/read/write reproduces identical bytes); the text formats
-round-trip through 9 significant digits. The manifest is a tab-separated
-index of dataset cases.
+The file extension alone picks the format. `.ply` is binary
+little-endian PLY with float32 coordinates, the lossless workhorse
+(write/read/write reproduces identical bytes); the reader also accepts
+ASCII PLY, which outside tools may write. `.xyz` and `.txt` are
+whitespace XYZ text, which round-trips through 9 significant digits. The
+manifest is a tab-separated index of dataset cases.
 """
 from __future__ import annotations
 
@@ -15,46 +16,33 @@ import numpy as np
 
 from .geometry import as_cloud
 
-FORMATS = ("xyz", "ply", "ply-binary")
-
-_EXTENSIONS = {".xyz": "xyz", ".txt": "xyz", ".ply": "ply-binary"}
+_TEXT_EXTENSIONS = (".xyz", ".txt")
 
 
-def _guess_format(path) -> str:
-    from pathlib import Path
-
-    suffix = Path(path).suffix.lower()
-    if suffix not in _EXTENSIONS:
+def _is_text(path) -> bool:
+    """True for XYZ text, False for PLY; any other extension is an error."""
+    suffix = PurePath(path).suffix.lower()
+    if suffix not in (".ply", *_TEXT_EXTENSIONS):
         raise ValueError(f"cannot guess cloud format from {path!r}")
-    return _EXTENSIONS[suffix]
+    return suffix in _TEXT_EXTENSIONS
 
 
-def write_cloud(cloud, path, format: str | None = None) -> None:
-    """Write a cloud; format inferred from the extension when omitted.
+def write_cloud(cloud, path) -> None:
+    """Write a cloud in the format its extension names.
 
     Binary PLY stores float32 coordinates, so a float64 cloud is rounded
     once on write and stable thereafter.
     """
     cloud = as_cloud(cloud)
-    fmt = format or _guess_format(path)
-    if fmt == "xyz":
+    if _is_text(path):
         _write_xyz(cloud, path)
-    elif fmt == "ply":
-        _write_ply(cloud, path, binary=False)
-    elif fmt == "ply-binary":
-        _write_ply(cloud, path, binary=True)
     else:
-        raise ValueError(f"unknown cloud format {fmt!r}")
+        _write_ply(cloud, path)
 
 
-def read_cloud(path, format: str | None = None) -> np.ndarray:
-    """Read a cloud written by write_cloud (or compatible files)."""
-    fmt = format or _guess_format(path)
-    if fmt == "xyz":
-        return _read_xyz(path)
-    if fmt in ("ply", "ply-binary"):
-        return _read_ply(path)
-    raise ValueError(f"unknown cloud format {fmt!r}")
+def read_cloud(path) -> np.ndarray:
+    """Read a cloud in the format its extension names (PLY: binary or ASCII)."""
+    return _read_xyz(path) if _is_text(path) else _read_ply(path)
 
 
 def _write_xyz(cloud: np.ndarray, path) -> None:
@@ -84,26 +72,19 @@ def _read_xyz(path) -> np.ndarray:
     return _checked_cloud(points, path)
 
 
-def _write_ply(cloud: np.ndarray, path, binary: bool) -> None:
-    fmt = "binary_little_endian" if binary else "ascii"
+def _write_ply(cloud: np.ndarray, path) -> None:
     header = (
         "ply\n"
-        f"format {fmt} 1.0\n"
+        "format binary_little_endian 1.0\n"
         f"element vertex {len(cloud)}\n"
         "property float x\n"
         "property float y\n"
         "property float z\n"
         "end_header\n"
     )
-    if binary:
-        with open(path, "wb") as fh:
-            fh.write(header.encode("ascii"))
-            fh.write(np.ascontiguousarray(cloud, dtype="<f4").tobytes())
-    else:
-        with open(path, "w") as fh:
-            fh.write(header)
-            for x, y, z in cloud:
-                fh.write(f"{x:.9g} {y:.9g} {z:.9g}\n")
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        fh.write(np.ascontiguousarray(cloud, dtype="<f4").tobytes())
 
 
 def _read_ply(path) -> np.ndarray:

@@ -9,6 +9,7 @@ constructed during validation so range errors surface before any work.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .coupling import NoiseConfig
@@ -153,11 +154,14 @@ def _parse_value(name: str, text: str):
             ) from None
     if isinstance(default, float):
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
+            value = math.nan  # not a number: rejected with the non-finite ones
+        if not math.isfinite(value):
             raise ValueError(
-                f"config key {name!r}: expected a number, got {text!r}"
-            ) from None
+                f"config key {name!r}: expected a finite number, got {text!r}"
+            )
+        return value
     if isinstance(default, tuple):  # hidden_widths: comma-separated ints
         try:
             return tuple(int(part) for part in text.split(",") if part.strip())

@@ -126,20 +126,18 @@ def init_model(config: FieldConfig) -> ModelState:
     return ModelState(config=config, weights=flat, ema_weights=flat.copy(), step_count=0)
 
 
-def init_optimizer(state: ModelState, learning_rate: float = 1e-3,
-                   beta1: float = 0.9, beta2: float = 0.999,
-                   eps: float = 1e-8) -> OptimizerState:
+def init_optimizer(state: ModelState, learning_rate: float = 1e-3) -> OptimizerState:
+    """Zero Adam moments with the default betas and eps."""
     zeros = np.zeros_like(state.weights)
-    return OptimizerState(learning_rate, beta1, beta2, eps, zeros, zeros.copy())
+    return OptimizerState(learning_rate, m=zeros, v=zeros.copy())
 
 
 def time_embedding(t: float, dim: int) -> np.ndarray:
     """Sinusoidal features [sin(w_j t), cos(w_j t)] over dim/2 frequencies.
 
     Frequencies sweep geometrically from TIME_FREQ_MIN to TIME_FREQ_MAX.
+    Every model evaluation checks t here; FieldConfig keeps dim even.
     """
-    if dim % 2 != 0 or dim < 2:
-        raise ValueError("time embedding dimension must be even and >= 2")
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"time must be in [0, 1], got {t}")
@@ -314,8 +312,6 @@ def train_batch(state: ModelState, opt: OptimizerState, samples,
 
 def ema_update(state: ModelState, decay: float = 0.9999) -> ModelState:
     """Shadow update ema <- decay * ema + (1 - decay) * weights."""
-    if not 0.0 <= decay <= 1.0:
-        raise ValueError("decay must be in [0, 1]")
     ema = decay * state.ema_weights + (1.0 - decay) * state.weights
     return dataclasses.replace(state, ema_weights=ema)
 

@@ -243,8 +243,6 @@ def tile_cloud(cloud, copies: int) -> np.ndarray:
     Point i*n + j of the output equals point j of the input.
     """
     pts = as_cloud(cloud)
-    if copies < 1:
-        raise ValueError("copies must be >= 1")
     return np.tile(pts, (copies, 1))
 
 

@@ -17,15 +17,14 @@ from .geometry import as_cloud, bev_histogram, chamfer_distance_mean, voxelize
 
 DEFAULT_BEV_RESOLUTION = 0.5
 DEFAULT_BEV_EXTENT = (-50.0, 50.0, -50.0, 50.0)
-DEFAULT_IOU_RESOLUTIONS = (0.5, 0.2, 0.1)
+# Voxel IoU is reported on grids anchored at the world origin.
+IOU_RESOLUTIONS = (0.5, 0.2, 0.1)
 
 
 @dataclass(frozen=True)
 class MetricConfig:
     bev_resolution: float = DEFAULT_BEV_RESOLUTION
     bev_extent: tuple = DEFAULT_BEV_EXTENT
-    iou_resolutions: tuple = DEFAULT_IOU_RESOLUTIONS
-    voxel_origin: tuple = (0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -83,10 +82,7 @@ def evaluate(pred, gt, config: MetricConfig = MetricConfig()) -> EvalReport:
     start = time.perf_counter()
     cd = eval_chamfer(pred, gt)
     jsd = eval_bev_jsd(pred, gt, config.bev_resolution, config.bev_extent)
-    iou = {
-        res: eval_voxel_iou(pred, gt, res, config.voxel_origin)
-        for res in config.iou_resolutions
-    }
+    iou = {res: eval_voxel_iou(pred, gt, res) for res in IOU_RESOLUTIONS}
     return EvalReport(cd_m=cd, jsd=jsd, voxel_iou=iou,
                       wall_time_s=time.perf_counter() - start)
 

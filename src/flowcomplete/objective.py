@@ -52,16 +52,13 @@ def flow_matching_loss_grad(u_pred, v_target) -> tuple[float, np.ndarray]:
     return value, 2.0 * diff / len(u)
 
 
-def chamfer_loss_grad(
-    x0, u_pred, x1, reduction: str = "mean"
-) -> tuple[float, np.ndarray]:
+def chamfer_loss_grad(x0, u_pred, x1) -> tuple[float, np.ndarray]:
     """Chamfer matching loss and its gradient with respect to u_pred.
 
     The predicted displacement is applied to the initial cloud x0 — the
     full remaining travel, regardless of the time the field was sampled
-    at. `reduction` selects "sum" (the raw symmetric squared sum) or
-    "mean" (that sum divided by |x0| + |x1|, the default, which keeps the
-    magnitude comparable across cloud sizes).
+    at. The loss is the symmetric squared nearest-neighbor sum divided by
+    |x0| + |x1|, which keeps its magnitude comparable across cloud sizes.
 
     The min over neighbors is handled by the standard subgradient at the
     argmin pair; exact ties resolve to the lowest index, consistent with
@@ -69,8 +66,6 @@ def chamfer_loss_grad(
     direction reuses; the x1→moved direction builds a tree over the moved
     cloud on every call.
     """
-    if reduction not in ("mean", "sum"):
-        raise ValueError(f"unknown reduction {reduction!r}")
     src = as_cloud(x0)
     tgt = as_cloud(x1)
     u = np.asarray(u_pred, dtype=np.float64)
@@ -92,10 +87,9 @@ def chamfer_loss_grad(
     grad = 2.0 * diff_fwd
     # Each target's nearest moved point also feels the backward term.
     np.add.at(grad, bwd, -2.0 * diff_bwd)
-    if reduction == "mean":
-        scale = len(src) + len(tgt)
-        value /= scale
-        grad /= scale
+    scale = len(src) + len(tgt)
+    value /= scale
+    grad /= scale
     return value, grad
 
 

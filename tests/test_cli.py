@@ -170,6 +170,28 @@ class TestComplete:
         for t in ("0.00", "0.25", "0.50", "0.75", "1.00"):
             assert (tmp_path / f"traj-t{t}.ply").exists()
 
+    def test_text_output_evaluates(self, dataset, zero_checkpoint, tmp_path,
+                                   monkeypatch, capsys):
+        # the extension picks the format, so `eval` reads back what
+        # `complete` wrote
+        entries = cloud_io.read_manifest(dataset / "manifest.tsv")
+        scan_path = dataset / entries[0].scan_path
+        out = tmp_path / "pred.xyz"
+        code, _, err = run_cli(
+            ["complete", *FAST, "--checkpoint", str(zero_checkpoint),
+             "--scan", str(scan_path), "--out", str(out)],
+            monkeypatch, capsys,
+        )
+        assert code == 0, err
+        assert not out.read_bytes().startswith(b"ply")
+        assert len(cloud_io.read_cloud(out)) == 2 * len(cloud_io.read_cloud(scan_path))
+        code, _, err = run_cli(
+            ["eval", *FAST, "--pred", str(out),
+             "--gt", str(dataset / entries[0].scene_path)],
+            monkeypatch, capsys,
+        )
+        assert code == 0, err
+
     def test_missing_scan_file(self, zero_checkpoint, tmp_path, monkeypatch, capsys):
         code, _, err = run_cli(
             ["complete", "--checkpoint", str(zero_checkpoint),
@@ -236,6 +258,21 @@ class TestUsage:
                                monkeypatch, capsys)
         assert code == 1
         assert "cases" in err
+
+    @pytest.mark.parametrize("argv, key", [
+        (["train", "--learning-rate", "nan"], "learning_rate"),
+        (["eval", "--bev-resolution", "nan", "--pred", "p.ply", "--gt", "g.ply"],
+         "bev_resolution"),
+        (["make-data", "--density", "inf"], "density"),
+        (["make-data", "--cases", "many"], "cases"),
+    ], ids=["learning_rate", "bev_resolution", "density", "cases"])
+    def test_unparsable_value_is_usage_error(self, tmp_path, monkeypatch,
+                                             capsys, argv, key):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(argv, monkeypatch, capsys)
+        assert code == 1
+        assert key in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_config_file_and_flag_precedence(self, tmp_path, monkeypatch, capsys):
         cfgfile = tmp_path / "run.cfg"

@@ -8,6 +8,15 @@ def random_cloud(rng, n):
     return rng.uniform(-10, 10, size=(n, 3))
 
 
+def ascii_ply(cloud) -> str:
+    """An ASCII PLY file of the cloud, as outside tools write it."""
+    rows = "".join(f"{x:.9g} {y:.9g} {z:.9g}\n" for x, y, z in cloud)
+    return ("ply\nformat ascii 1.0\n"
+            f"element vertex {len(cloud)}\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "end_header\n" + rows)
+
+
 class TestXyz:
     def test_literal_three_lines(self, tmp_path):
         path = tmp_path / "cloud.xyz"
@@ -70,29 +79,29 @@ class TestPlyBinary:
         cloud = random_cloud(rng, 100)
         a = tmp_path / "a.ply"
         b = tmp_path / "b.ply"
-        cloud_io.write_cloud(cloud, a, "ply-binary")
+        cloud_io.write_cloud(cloud, a)
         back = cloud_io.read_cloud(a)
-        cloud_io.write_cloud(back, b, "ply-binary")
+        cloud_io.write_cloud(back, b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_read_preserves_stored_precision(self, tmp_path):
         rng = np.random.default_rng(3)
         cloud = random_cloud(rng, 40)
         path = tmp_path / "cloud.ply"
-        cloud_io.write_cloud(cloud, path, "ply-binary")
+        cloud_io.write_cloud(cloud, path)
         back = cloud_io.read_cloud(path)
         # storage is float32; the read must match that rounding exactly
         assert np.array_equal(back, cloud.astype("<f4").astype(np.float64))
 
     def test_empty_cloud(self, tmp_path):
         path = tmp_path / "empty.ply"
-        cloud_io.write_cloud(np.empty((0, 3)), path, "ply-binary")
+        cloud_io.write_cloud(np.empty((0, 3)), path)
         assert cloud_io.read_cloud(path).shape == (0, 3)
 
     def test_truncated_body(self, tmp_path):
         rng = np.random.default_rng(4)
         path = tmp_path / "cloud.ply"
-        cloud_io.write_cloud(random_cloud(rng, 10), path, "ply-binary")
+        cloud_io.write_cloud(random_cloud(rng, 10), path)
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])
         with pytest.raises(ValueError, match="truncated"):
@@ -165,7 +174,7 @@ class TestPlyAscii:
         rng = np.random.default_rng(5)
         cloud = random_cloud(rng, 30)
         path = tmp_path / "cloud.ply"
-        cloud_io.write_cloud(cloud, path, "ply")
+        path.write_text(ascii_ply(cloud))
         back = cloud_io.read_cloud(path)
         assert np.allclose(back, cloud, rtol=1e-8, atol=1e-12)
 
@@ -174,8 +183,8 @@ class TestPlyAscii:
         cloud = random_cloud(rng, 25).astype("<f4").astype(np.float64)
         pa = tmp_path / "a.ply"
         pb = tmp_path / "b.ply"
-        cloud_io.write_cloud(cloud, pa, "ply")
-        cloud_io.write_cloud(cloud, pb, "ply-binary")
+        pa.write_text(ascii_ply(cloud))
+        cloud_io.write_cloud(cloud, pb)
         ascii_back = cloud_io.read_cloud(pa)
         binary_back = cloud_io.read_cloud(pb)
         assert np.allclose(ascii_back, binary_back, rtol=1e-6, atol=1e-9)
@@ -198,8 +207,22 @@ class TestFormatGuessing:
             cloud_io.read_cloud(tmp_path / "cloud.bin")
 
     def test_unknown_format_name(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown cloud format"):
-            cloud_io.write_cloud(np.zeros((1, 3)), tmp_path / "c.xyz", "npz")
+        # the extension names the format
+        with pytest.raises(ValueError, match="cannot guess cloud format"):
+            cloud_io.write_cloud(np.zeros((1, 3)), tmp_path / "cloud.npz")
+        assert not (tmp_path / "cloud.npz").exists()
+
+    @pytest.mark.parametrize("name, start", [
+        ("cloud.xyz", b"1 2 3\n"), ("cloud.txt", b"1 2 3\n"),
+        ("CLOUD.XYZ", b"1 2 3\n"),
+        ("cloud.ply", b"ply\nformat binary_little_endian 1.0\n"),
+        ("CLOUD.PLY", b"ply\nformat binary_little_endian 1.0\n"),
+    ])
+    def test_extension_picks_format(self, tmp_path, name, start):
+        path = tmp_path / name
+        cloud_io.write_cloud([[1.0, 2.0, 3.0]], path)
+        assert path.read_bytes().startswith(start)
+        assert cloud_io.read_cloud(path).tolist() == [[1.0, 2.0, 3.0]]
 
 
 class TestManifest:

@@ -1,6 +1,11 @@
+import dataclasses
+
 import pytest
 
 from flowcomplete import config
+
+FLOAT_KEYS = [f.name for f in dataclasses.fields(config.RunConfig)
+              if isinstance(f.default, float)]
 
 
 class TestParseValue:
@@ -31,6 +36,13 @@ class TestParseValue:
     def test_bad_bool(self):
         with pytest.raises(ValueError, match="boolean"):
             config._parse_value("use_ema", "maybe")
+
+    @pytest.mark.parametrize("name", FLOAT_KEYS)
+    def test_non_finite_float_rejected(self, name):
+        # "1e400" overflows to inf when parsed
+        for text in ("nan", "NaN", "inf", "-inf", "infinity", "1e400"):
+            with pytest.raises(ValueError, match=f"'{name}'.*finite"):
+                config._parse_value(name, text)
 
 
 class TestConfigFile:
@@ -90,6 +102,10 @@ class TestBuildConfig:
             config.build_config({}, {"learning_rate": -1.0})
         with pytest.raises(ValueError, match=">= 0"):
             config.build_config({}, {"noise_scale": -0.1})
+        with pytest.raises(ValueError, match="copies"):
+            config.build_config({}, {"copies": 0})
+        with pytest.raises(ValueError, match="ema decay"):
+            config.build_config({}, {"ema_decay": 1.5})
 
     def test_derived_configs(self):
         cfg = config.build_config({}, {"bev_half_extent": 5.0})

@@ -67,10 +67,6 @@ class TestStraightFlow:
         assert pos.tolist() == [0.5, 0.0, 0.0]
         assert v.tolist() == [2.0, 0.0, 0.0]
 
-    def test_time_out_of_range(self):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            coupling.straight_flow([0, 0, 0], [1, 0, 0], 1.5)
-
 
 class TestNearestNeighborFlow:
     def test_identical_clouds_degenerate(self):
@@ -198,7 +194,3 @@ class TestDrawCondition:
             for _ in range(10 ** 4)
         )
         assert abs(nulls / 10 ** 4 - 0.1) <= 0.01
-
-    def test_invalid_probability(self):
-        with pytest.raises(ValueError, match="p_null"):
-            coupling.draw_condition(self.SCAN, 1.5, np.random.default_rng(0))

@@ -61,10 +61,6 @@ class TestTimeEmbedding:
         b = field.time_embedding(0.5 + 1e-9, 16)
         assert np.max(np.abs(a - b)) < 1e-6
 
-    def test_odd_dim_error(self):
-        with pytest.raises(ValueError, match="even"):
-            field.time_embedding(0.5, 5)
-
     def test_time_out_of_range(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             field.time_embedding(1.2, 4)

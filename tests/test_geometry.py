@@ -215,10 +215,6 @@ class TestTileCloud:
         scan = random_cloud(rng, 180)
         assert geometry.tile_cloud(scan, 10).shape == (1800, 3)
 
-    def test_bad_count(self):
-        with pytest.raises(ValueError, match="copies"):
-            geometry.tile_cloud(np.zeros((1, 3)), 0)
-
 
 class TestVoxelize:
     def test_single_point(self):

@@ -73,9 +73,10 @@ class TestChamferLoss:
         x0 = np.zeros((1, 3))
         u = np.zeros((1, 3))
         x1 = np.array([[1.0, 0.0, 0.0]])
-        assert objective.chamfer_loss_grad(x0, u, x1, reduction="sum")[0] == 2.0
-        # mean reduction divides by |x0| + |x1|
-        assert objective.chamfer_loss_grad(x0, u, x1)[0] == 1.0
+        value = objective.chamfer_loss_grad(x0, u, x1)[0]
+        # the raw symmetric sum, divided by |x0| + |x1|
+        assert value * (len(x0) + len(x1)) == chamfer_sum_exhaustive(x0 + u, x1) == 2.0
+        assert value == 1.0
 
     def test_perfect_transport_bijection(self):
         rng = np.random.default_rng(3)
@@ -91,7 +92,7 @@ class TestChamferLoss:
         x0 = random_cloud(rng, 20)
         u = 0.1 * random_cloud(rng, 20)
         x1 = random_cloud(rng, 26)
-        got = objective.chamfer_loss_grad(x0, u, x1, reduction="sum")[0]
+        got = objective.chamfer_loss_grad(x0, u, x1)[0] * (len(x0) + len(x1))
         assert got == pytest.approx(chamfer_sum_exhaustive(x0 + u, x1), rel=1e-9)
 
     def test_invariant_under_target_permutation(self):
@@ -103,11 +104,7 @@ class TestChamferLoss:
         b = objective.chamfer_loss_grad(x0, u, x1[rng.permutation(14)])[0]
         assert a == pytest.approx(b, rel=1e-12)
 
-    def test_unknown_reduction(self):
-        with pytest.raises(ValueError, match="reduction"):
-            objective.chamfer_loss_grad(np.zeros((1, 3)), np.zeros((1, 3)),
-                                        np.ones((1, 3)), reduction="max")
-
+    # "sum" checks the raw symmetric sum: the loss times |x0| + |x1|
     @pytest.mark.parametrize("reduction", ["mean", "sum"])
     def test_gradient_matches_finite_differences(self, reduction):
         rng = np.random.default_rng(6)
@@ -116,12 +113,13 @@ class TestChamferLoss:
             x0 = random_cloud(rng, n)
             u = 0.2 * random_cloud(rng, n)
             x1 = random_cloud(rng, int(rng.integers(3, 12)))
-            _, grad = objective.chamfer_loss_grad(x0, u, x1, reduction)
+            scale = 1.0 if reduction == "mean" else float(n + len(x1))
+            _, grad = objective.chamfer_loss_grad(x0, u, x1)
             assert_grad_matches_fd(
-                lambda flat: objective.chamfer_loss_grad(
-                    x0, flat.reshape(n, 3), x1, reduction
+                lambda flat: scale * objective.chamfer_loss_grad(
+                    x0, flat.reshape(n, 3), x1
                 )[0],
-                grad.ravel(),
+                scale * grad.ravel(),
                 u.ravel(),
                 lambda flat: chamfer_assignments(x0, flat.reshape(n, 3), x1),
             )
@@ -185,11 +183,10 @@ class TestNeighborIndexInput:
             x1 = random_cloud(rng, n1)
             x1[-1] = x1[0]
             index = geometry.NeighborIndex(x1)
-            for reduction in ("mean", "sum"):
-                val_a, grad_a = objective.chamfer_loss_grad(x0, u, x1, reduction)
-                val_b, grad_b = objective.chamfer_loss_grad(x0, u, index, reduction)
-                assert val_a == val_b
-                assert grad_a.tobytes() == grad_b.tobytes()
+            val_a, grad_a = objective.chamfer_loss_grad(x0, u, x1)
+            val_b, grad_b = objective.chamfer_loss_grad(x0, u, index)
+            assert val_a == val_b
+            assert grad_a.tobytes() == grad_b.tobytes()
 
     def test_total_loss_grad(self):
         rng = np.random.default_rng(32)
