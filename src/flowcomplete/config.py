@@ -100,6 +100,13 @@ class RunConfig:
                             bev_extent=(-h, h, -h, h))
 
     def validate(self) -> "RunConfig":
+        # NaN fails no comparison, so the range checks below need finite values
+        for name in _FLOAT_KEYS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"config key {name!r}: expected a finite number, got {value!r}"
+                )
         if self.cases < 0:
             raise ValueError("cases must be >= 0")
         if self.copies < 1:
@@ -130,6 +137,8 @@ class RunConfig:
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
+_FLOAT_KEYS = tuple(name for name, f in _FIELDS.items()
+                    if isinstance(f.default, float))
 
 
 def _parse_value(name: str, text: str):

@@ -179,39 +179,32 @@ def _input_features(config: FieldConfig, t: float, x_t, condition) -> np.ndarray
     return np.concatenate(cols, axis=1)
 
 
-def _activate(name: str, z: np.ndarray, out=None) -> np.ndarray:
-    if name == "tanh":
-        return np.tanh(z, out=out)
-    return np.maximum(z, 0.0, out=out)
+def hidden_buffers(config: FieldConfig, n: int) -> list:
+    """One (n, width) float64 array per hidden layer, written in place."""
+    return [np.empty((n, width)) for width in config.hidden_widths]
 
 
-def _activation_slope(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    if name == "tanh":
-        return 1.0 - a ** 2
-    return (z > 0.0).astype(np.float64)
+def _run_layers(layers, activation: str, feats: np.ndarray, buffers) -> np.ndarray:
+    """The network on `feats`: hidden layers in place in `buffers`, fresh output.
 
-
-def _forward_cached(flat: np.ndarray, config: FieldConfig, feats: np.ndarray):
-    layers = _unpack(flat, config)
-    pre, post = [], [feats]
+    Afterwards buffers[i] holds hidden layer i's activations.
+    """
     h = feats
     # finiteness is checked on the output; silence numpy's own warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for w, b in layers[:-1]:
-            z = h @ w + b
-            h = _activate(config.activation, z)
-            pre.append(z)
-            post.append(h)
+        for (w, b), buf in zip(layers[:-1], buffers, strict=True):
+            np.matmul(h, w, out=buf)
+            buf += b
+            if activation == "tanh":
+                np.tanh(buf, out=buf)
+            else:
+                np.maximum(buf, 0.0, out=buf)
+            h = buf
         w_out, b_out = layers[-1]
         out = h @ w_out + b_out
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("numeric overflow in field")
-    return out, (pre, post)
-
-
-def hidden_buffers(config: FieldConfig, n: int) -> list:
-    """One (n, width) float64 array per hidden layer, for `forward`."""
-    return [np.empty((n, width)) for width in config.hidden_widths]
+    return out
 
 
 def forward(state: ModelState, t: float, x_t, condition, use_ema: bool = False,
@@ -220,54 +213,55 @@ def forward(state: ModelState, t: float, x_t, condition, use_ema: bool = False,
 
     Each hidden layer is computed in place in its array of `buffers`
     (`hidden_buffers(config, n)`; allocated here when None), which the
-    next call may overwrite. The ufuncs and their operand order are those
-    of the training forward, so the result is bit-identical to it, and it
-    is always a fresh array.
+    next call may overwrite. Training runs the same layer loop, so the
+    result is bit-identical to the training forward, and it is always a
+    fresh array.
     """
     config = state.config
     feats = _input_features(config, t, x_t, condition)
-    layers = _unpack(state.ema_weights if use_ema else state.weights, config)
     if buffers is None:
         buffers = hidden_buffers(config, len(feats))
-    h = feats
-    # finiteness is checked on the output; silence numpy's own warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for (w, b), buf in zip(layers[:-1], buffers, strict=True):
-            np.matmul(h, w, out=buf)
-            buf += b
-            h = _activate(config.activation, buf, out=buf)
-        w_out, b_out = layers[-1]
-        out = h @ w_out + b_out
-    if not np.all(np.isfinite(out)):
-        raise FloatingPointError("numeric overflow in field")
-    return out
+    layers = _unpack(state.ema_weights if use_ema else state.weights, config)
+    return _run_layers(layers, config.activation, feats, buffers)
 
 
-def _backward(flat: np.ndarray, config: FieldConfig, caches, d_out: np.ndarray) -> np.ndarray:
-    """Gradient of sum(output * d_out) wrt the flat parameters."""
-    pre, post = caches
-    layers = _unpack(flat, config)
-    grad = np.zeros_like(flat)
-    grad_layers = _unpack(grad, config)
-    delta = d_out
-    for i in range(len(layers) - 1, -1, -1):
-        gw, gb = grad_layers[i]
-        gw[...] = post[i].T @ delta
-        gb[...] = delta.sum(axis=0)
+def loss_and_grad(state: ModelState, sample: FlowSample, weights: LossWeights,
+                  *, buffers=None):
+    """Blended loss on one sample plus its gradient wrt all parameters.
+
+    The forward pass is `forward`'s layer loop. Both passes work in place
+    in the arrays that the dict `buffers` keeps for the sample's point
+    count n, `{n: (activations, deltas)}`, each a `hidden_buffers(config,
+    n)` list; missing ones are added, and None allocates them for this
+    call alone. The gradient is a fresh array.
+    """
+    config = state.config
+    feats = _input_features(config, sample.t, sample.x_t, sample.condition)
+    n = len(feats)
+    if buffers is None:
+        buffers = {}
+    if n not in buffers:
+        buffers[n] = (hidden_buffers(config, n), hidden_buffers(config, n))
+    activations, deltas = buffers[n]
+    layers = _unpack(state.weights, config)
+    u_pred = _run_layers(layers, config.activation, feats, activations)
+    report, delta = total_loss_grad(sample, u_pred, weights)
+    grad = np.empty_like(state.weights)
+    inputs = [feats, *activations]
+    for i, (gw, gb) in reversed(list(enumerate(_unpack(grad, config)))):
+        np.matmul(inputs[i].T, delta, out=gw)
+        np.sum(delta, axis=0, out=gb)
         if i > 0:
-            w, _ = layers[i]
-            delta = (delta @ w.T) * _activation_slope(
-                config.activation, pre[i - 1], post[i]
-            )
-    return grad
-
-
-def loss_and_grad(state: ModelState, sample: FlowSample, weights: LossWeights):
-    """Blended loss on one sample plus its gradient wrt all parameters."""
-    feats = _input_features(state.config, sample.t, sample.x_t, sample.condition)
-    u_pred, caches = _forward_cached(state.weights, state.config, feats)
-    report, d_u = total_loss_grad(sample, u_pred, weights)
-    grad = _backward(state.weights, state.config, caches, d_u)
+            # gw was the last use of this layer's input: hold its slope now
+            slope = activations[i - 1]
+            if config.activation == "tanh":
+                np.multiply(slope, slope, out=slope)
+                np.subtract(1.0, slope, out=slope)
+            else:
+                # for finite inputs relu(z) > 0 exactly when z > 0
+                np.greater(slope, 0.0, out=slope)
+            delta = np.matmul(delta, layers[i][0].T, out=deltas[i - 1])
+            delta *= slope
     return report, grad
 
 
@@ -290,14 +284,19 @@ def apply_gradient(state: ModelState, opt: OptimizerState, grad: np.ndarray):
 
 
 def train_batch(state: ModelState, opt: OptimizerState, samples,
-                weights: LossWeights):
-    """Averaged loss and gradient over a list of samples, one Adam step."""
+                weights: LossWeights, *, buffers=None):
+    """Averaged loss and gradient over a list of samples, one Adam step.
+
+    `buffers` is `loss_and_grad`'s dict of per-point-count layer arrays;
+    a caller that passes the same dict to every batch allocates them once
+    per point count. None allocates them for every sample.
+    """
     if not samples:
         raise ValueError("empty batch")
     total_grad = np.zeros_like(state.weights)
     reports = []
     for sample in samples:
-        report, grad = loss_and_grad(state, sample, weights)
+        report, grad = loss_and_grad(state, sample, weights, buffers=buffers)
         total_grad += grad
         reports.append(report)
     total_grad /= len(samples)

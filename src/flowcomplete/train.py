@@ -45,6 +45,9 @@ def fit(cases, cfg: RunConfig, on_step=None):
     opt = field.init_optimizer(state, learning_rate=cfg.learning_rate)
     weights = cfg.loss_weights()
     rng = np.random.default_rng([cfg.seed, _TRAIN_STREAM])
+    # Layer arrays for every step, one set per sample point count: scans,
+    # and so x0, can differ in size between cases.
+    buffers = {}
     step = 0
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(cases))
@@ -63,8 +66,8 @@ def fit(cases, cfg: RunConfig, on_step=None):
                 # checks that raise; numpy's warnings would only repeat them.
                 with np.errstate(over="ignore", invalid="ignore",
                                  divide="ignore"):
-                    state, opt, report = field.train_batch(state, opt,
-                                                           samples, weights)
+                    state, opt, report = field.train_batch(
+                        state, opt, samples, weights, buffers=buffers)
             except FloatingPointError as exc:
                 raise Diverged(step + 1, state, opt, exc) from exc
             state = field.ema_update(state, cfg.ema_decay)

@@ -107,6 +107,14 @@ class TestBuildConfig:
         with pytest.raises(ValueError, match="ema decay"):
             config.build_config({}, {"ema_decay": 1.5})
 
+    @pytest.mark.parametrize("name", FLOAT_KEYS)
+    def test_validate_rejects_non_finite_float(self, name):
+        # built directly, as library callers do, so no parsing guards it
+        for value in (float("nan"), float("inf"), float("-inf")):
+            cfg = config.RunConfig(**{name: value})
+            with pytest.raises(ValueError, match=f"'{name}'.*finite"):
+                cfg.validate()
+
     def test_derived_configs(self):
         cfg = config.build_config({}, {"bev_half_extent": 5.0})
         assert cfg.metric_config().bev_extent == (-5.0, 5.0, -5.0, 5.0)

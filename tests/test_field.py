@@ -11,6 +11,49 @@ from oracles import assert_grad_matches_fd, chamfer_assignments, nn_map_exhausti
 SMALL = field.FieldConfig(hidden_widths=(8,), time_embed_dim=4, seed=3)
 
 
+def reference_forward(flat, config, feats):
+    """The allocating training forward; returns (output, (pre, post))."""
+    layers = field._unpack(flat, config)
+    pre, post = [], [feats]
+    h = feats
+    for w, b in layers[:-1]:
+        z = h @ w + b
+        h = np.tanh(z) if config.activation == "tanh" else np.maximum(z, 0.0)
+        pre.append(z)
+        post.append(h)
+    w_out, b_out = layers[-1]
+    return h @ w_out + b_out, (pre, post)
+
+
+def reference_backward(flat, config, caches, d_out):
+    """The allocating backward: gradient of sum(output * d_out)."""
+    pre, post = caches
+    layers = field._unpack(flat, config)
+    grad = np.zeros_like(flat)
+    grad_layers = field._unpack(grad, config)
+    delta = d_out
+    for i in range(len(layers) - 1, -1, -1):
+        gw, gb = grad_layers[i]
+        gw[...] = post[i].T @ delta
+        gb[...] = delta.sum(axis=0)
+        if i > 0:
+            w, _ = layers[i]
+            if config.activation == "tanh":
+                slope = 1.0 - post[i] ** 2
+            else:
+                slope = (pre[i - 1] > 0.0).astype(np.float64)
+            delta = (delta @ w.T) * slope
+    return grad
+
+
+def reference_loss_and_grad(state, sample, weights):
+    feats = field._input_features(state.config, sample.t, sample.x_t,
+                                  sample.condition)
+    u_pred, caches = reference_forward(state.weights, state.config, feats)
+    report, d_u = objective.total_loss_grad(sample, u_pred, weights)
+    return report, reference_backward(state.weights, state.config, caches, d_u)
+
+
 def random_cloud(rng, n):
     return rng.uniform(-1, 1, size=(n, 3))
 
@@ -159,7 +202,7 @@ class TestForward:
         buffers = field.hidden_buffers(cfg, n)
         for condition in (scan, None):
             feats = field._input_features(cfg, 0.35, pts, condition)
-            want = field._forward_cached(flat, cfg, feats)[0]
+            want = reference_forward(flat, cfg, feats)[0]
             got = field.forward(state, 0.35, pts, condition, use_ema=use_ema)
             reused = field.forward(state, 0.35, pts, condition,
                                    use_ema=use_ema, buffers=buffers)
@@ -235,6 +278,37 @@ class TestGradient:
         assert_grad_matches_fd(scalar, grad, state.weights,
                                assign_fn=None, max_kink_fraction=0.0)
 
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("widths", [(5,), (128, 128), (16, 24, 8)])
+    @pytest.mark.parametrize("n", [1, 7, 33, 300])
+    def test_in_place_matches_reference_bit_for_bit(self, activation, widths, n):
+        rng = np.random.default_rng(100 + n)
+        cfg = field.FieldConfig(hidden_widths=widths, activation=activation,
+                                seed=n + len(widths), zero_init_output=False)
+        state = field.init_model(cfg)
+        weights = objective.LossWeights(1.0, 0.1)
+        buffers = {}
+        for with_scan in (True, False):
+            sample = make_sample(rng, n0=n, n1=max(n // 2, 1),
+                                 with_scan=with_scan)
+            want_report, want_grad = reference_loss_and_grad(state, sample,
+                                                             weights)
+            # twice with one buffer dict: the second call reuses its arrays
+            for buf in (None, buffers, buffers):
+                report, grad = field.loss_and_grad(state, sample, weights,
+                                                   buffers=buf)
+                assert report == want_report
+                assert grad.tobytes() == want_grad.tobytes()
+        assert list(buffers) == [n]
+
+    def test_in_place_tanh_slope_bit_for_bit(self):
+        a = np.tanh(np.random.default_rng(12).normal(scale=2.0,
+                                                     size=(6144, 128)))
+        want = 1.0 - a ** 2
+        np.multiply(a, a, out=a)
+        np.subtract(1.0, a, out=a)
+        assert a.tobytes() == want.tobytes()
+
 
 class TestOptimizer:
     def test_zero_gradient_no_motion(self):
@@ -293,6 +367,34 @@ class TestOptimizer:
             field.init_model(cfg), field.init_optimizer(state), samples, weights
         )
         assert np.allclose(stepped.weights, batched.weights, atol=1e-15)
+
+    def test_shared_buffers_carry_no_state(self):
+        rng = np.random.default_rng(11)
+        cfg = field.FieldConfig(hidden_widths=(12, 9), time_embed_dim=4,
+                                seed=25, zero_init_output=False)
+        weights = objective.LossWeights(1.0, 0.1)
+        # two point counts, interleaved, so each size's arrays are reused
+        # after the other size has run
+        batches = [[make_sample(rng, n0=n) for n in (10, 17, 10, 17)]
+                   for _ in range(2)]
+
+        def run(buffers):
+            state = field.init_model(cfg)
+            opt = field.init_optimizer(state)
+            reports = []
+            for samples in batches:
+                state, opt, report = field.train_batch(state, opt, samples,
+                                                       weights, buffers=buffers)
+                reports.append(report)
+            return state, opt, reports
+
+        buffers = {}
+        fresh, shared = run(None), run(buffers)
+        assert sorted(buffers) == [10, 17]
+        assert fresh[2] == shared[2]
+        for got, want in ((shared[0].weights, fresh[0].weights),
+                          (shared[1].m, fresh[1].m), (shared[1].v, fresh[1].v)):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestEma:
