@@ -55,9 +55,8 @@ def cmd_make_data(cfg: RunConfig, out_dir: str) -> int:
     for i in range(cfg.cases):
         case_seed = cfg.scene_seed + i
         case_id = f"case-{i:03d}"
-        spec = scenes.random_scene_spec(case_seed, cfg.ground_half_extent,
-                                        cfg.density)
-        case = scenes.build_case(case_id, spec, cfg.scan_spec(case_seed))
+        case = scenes.build_case(case_id, cfg.scene_spec(case_seed),
+                                 cfg.scan_spec(case_seed))
         scene_rel = f"scenes/{case_id}.ply"
         scan_rel = f"scans/{case_id}.ply"
         cloud_io.write_cloud(case.scene, out / scene_rel)

@@ -185,6 +185,18 @@ def write_manifest(entries, path) -> None:
             fh.write(f"{e.case_id}\t{e.scene_path}\t{e.scan_path}\t{e.seed}\n")
 
 
+def read_utf8(path) -> str:
+    """The file's text; a body that is not UTF-8 raises a ValueError
+    naming the file and the line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {lineno}: not valid UTF-8") from None
+
+
 def read_manifest(path):
     """Parse a manifest written by write_manifest.
 
@@ -194,15 +206,8 @@ def read_manifest(path):
             could leave the dataset directory (absolute, or with a `..`
             part).
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = raw.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{path}: line {lineno}: not valid UTF-8") from None
     entries = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_utf8(path).splitlines(), start=1):
         if not line:
             continue
         parts = line.split("\t")

@@ -9,15 +9,17 @@ constructed during validation so range errors surface before any work.
 from __future__ import annotations
 
 import dataclasses
+import io
 import math
 from dataclasses import dataclass
 
+from .cloud_io import read_utf8
 from .coupling import NoiseConfig
 from .field import FieldConfig
 from .metrics import MetricConfig
 from .objective import LossWeights
 from .sampler import SamplerConfig
-from .scenes import ScanSpec
+from .scenes import ScanSpec, SceneSpec, random_scene_spec
 
 
 @dataclass
@@ -86,6 +88,9 @@ class RunConfig:
                              use_ema=self.use_ema,
                              record_trajectory=self.record_trajectory)
 
+    def scene_spec(self, seed: int) -> SceneSpec:
+        return random_scene_spec(seed, self.ground_half_extent, self.density)
+
     def scan_spec(self, seed: int) -> ScanSpec:
         return ScanSpec(origin=(0.0, 0.0, self.sensor_height),
                         azimuth_count=self.scan_azimuths,
@@ -132,6 +137,7 @@ class RunConfig:
         self.field_config()
         self.loss_weights()
         self.sampler_config()
+        self.scene_spec(seed=0)
         self.scan_spec(seed=0)
         return self
 
@@ -182,23 +188,25 @@ def _parse_value(name: str, text: str):
 
 
 def read_config_file(path) -> dict:
-    """Parse a flat `key = value` file into typed overrides."""
+    """Parse a flat UTF-8 `key = value` file into typed overrides; errors
+    are ValueErrors naming the file and the line."""
     overrides = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected 'key = value', got {raw.rstrip()!r}"
-                )
-            key, _, value = line.partition("=")
-            key = key.strip()
-            try:
-                overrides[key] = _parse_value(key, value)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    # lines end at \n, \r\n or \r, as when reading the file in text mode
+    lines = io.StringIO(read_utf8(path), newline=None)
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(
+                f"{path}: line {lineno}: expected 'key = value', got {raw.rstrip()!r}"
+            )
+        key, _, value = line.partition("=")
+        key = key.strip()
+        try:
+            overrides[key] = _parse_value(key, value)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return overrides
 
 

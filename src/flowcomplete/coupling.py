@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (NeighborIndex, as_cloud, nearest_neighbor_map,
-                       neighbor_index, tile_cloud)
+                       neighbor_index)
 
 
 @dataclass(frozen=True)
@@ -39,12 +39,13 @@ class FlowSample:
     field should regress. x0/x1 are the path endpoints, kept so the
     chamfer term of the objective can be evaluated without recomputing
     the coupling; x1_index is the neighbor index over x1, which that term
-    queries again. condition is the scan cloud or None when dropped.
+    queries again. condition is the scan (a cloud or a NeighborIndex over
+    one) or None when dropped.
     """
     t: float
     x_t: np.ndarray
     v_target: np.ndarray
-    condition: np.ndarray | None
+    condition: np.ndarray | NeighborIndex | None
     x0: np.ndarray
     x1: np.ndarray
     x1_index: NeighborIndex
@@ -54,9 +55,10 @@ class FlowSample:
 class ConditionDraw:
     """Outcome of one Bernoulli condition draw.
 
-    outcome is the scan itself when kept, or None for the null token.
+    outcome is the caller's scan, as given, when kept, or None for the
+    null token.
     """
-    outcome: np.ndarray | None
+    outcome: np.ndarray | NeighborIndex | None
 
     @property
     def is_null(self) -> bool:
@@ -66,7 +68,8 @@ class ConditionDraw:
 def noisy_initial_cloud(scan, copies: int, noise: NoiseConfig) -> np.ndarray:
     """Tile the scan `copies` times and add independent Gaussian offsets.
 
-    Deterministic given noise.seed; output has copies * len(scan) points.
+    Deterministic given noise.seed; output has copies * len(scan) points,
+    block by block: before the offsets, point i*n + j is scan point j.
 
     Raises:
         ValueError: on an empty scan.
@@ -74,7 +77,7 @@ def noisy_initial_cloud(scan, copies: int, noise: NoiseConfig) -> np.ndarray:
     pts = as_cloud(scan)
     if len(pts) == 0:
         raise ValueError("empty scan")
-    tiled = tile_cloud(pts, copies)
+    tiled = np.tile(pts, (copies, 1))
     if noise.scale == 0:
         return tiled
     rng = np.random.default_rng(noise.seed)
@@ -117,6 +120,9 @@ def sample_time(rng: np.random.Generator) -> float:
 
 
 def draw_condition(scan, p_null: float, rng: np.random.Generator) -> ConditionDraw:
-    """Drop the scan condition with probability p_null, else keep it."""
+    """Drop the scan condition with probability p_null, else keep it.
+
+    A kept scan is passed on as given, so an index over it is not rebuilt.
+    """
     keep = float(rng.uniform()) >= p_null
-    return ConditionDraw(outcome=as_cloud(scan) if keep else None)
+    return ConditionDraw(outcome=scan if keep else None)

@@ -13,9 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-# Below this many target points an exhaustive scan beats building a tree.
-BRUTE_FORCE_LIMIT = 32
-
 
 def as_cloud(points) -> np.ndarray:
     """Coerce input to an (n, 3) float64 array with finite coordinates.
@@ -65,12 +62,11 @@ def _unique_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class NeighborIndex:
     """Nearest-neighbor index over a fixed target cloud, built once.
 
-    Holds a private copy of the target rows, and for targets of at least
-    BRUTE_FORCE_LIMIT rows the deduplicated rows, their lowest original
-    indices and a k-d tree over them. Queries follow the rules of
-    :func:`nearest_neighbor_map`. Later writes to the caller's array do not
-    reach the index. `np.asarray(index)` and `len(index)` give the original
-    rows in their original order.
+    Holds a private copy of the target rows, the deduplicated rows, their
+    lowest original indices and a k-d tree over them. Queries follow the
+    rules of :func:`nearest_neighbor_map`. Later writes to the caller's
+    array do not reach the index. `np.asarray(index)` and `len(index)`
+    give the original rows in their original order.
 
     Raises:
         ValueError: on an invalid or empty target.
@@ -82,18 +78,11 @@ class NeighborIndex:
             raise ValueError("empty target cloud")
         rows.flags.writeable = False
         self._rows = rows
+        uniq, lowest = _unique_rows(rows)
         # Lowest original index of each tree row; None when the tree is
         # built over the rows themselves, which have no duplicates.
-        self._lowest = None
-        self._tree = None
-        if len(rows) < BRUTE_FORCE_LIMIT:
-            return
-        uniq, lowest = _unique_rows(rows)
-        if len(uniq) == len(rows):
-            self._tree = cKDTree(rows)
-        else:
-            self._lowest = lowest
-            self._tree = cKDTree(uniq)
+        self._lowest = None if len(uniq) == len(rows) else lowest
+        self._tree = cKDTree(rows if self._lowest is None else uniq)
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -112,8 +101,6 @@ class NeighborIndex:
         src = as_cloud(source)
         if len(src) == 0:
             return np.empty(0, dtype=np.int64)
-        if self._tree is None:
-            return _brute_nearest(src, self._rows)
         # A one-row tree reports its missing second neighbor at infinite
         # distance, so a target of one repeated point needs no special case.
         dist, idx = self._tree.query(src, k=2)
@@ -138,8 +125,7 @@ def nearest_neighbor_map(source, target) -> np.ndarray:
 
     Distances are Euclidean; ties are broken toward the lowest target
     index, so the result is deterministic even when the target contains
-    duplicate points. Small targets use an exhaustive scan, larger ones a
-    k-d tree.
+    duplicate points.
 
     Args:
         source: (n, 3) cloud; may be empty.
@@ -152,44 +138,26 @@ def nearest_neighbor_map(source, target) -> np.ndarray:
     return neighbor_index(target).query(source)
 
 
-def _nearest_sq_dists(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Squared distance from each point of a to its nearest neighbor in b,
-    # recomputed from coordinates so values match the returned indices.
+def nearest_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distance from each point of cloud `a` to its nearest neighbor
+    in cloud `b`, recomputed from the coordinates of the mapped rows."""
     idx = nearest_neighbor_map(a, b)
     diff = a - b[idx]
-    return np.einsum("ij,ij->i", diff, diff), idx
+    return np.einsum("ij,ij->i", diff, diff)
 
 
 def chamfer_distance(a, b) -> float:
     """Symmetric sum of squared nearest-neighbor distances (m² summed).
 
     Returns sum_{p in a} min_q ||p-q||^2 + sum_{q in b} min_p ||p-q||^2.
-    This is the raw matching objective; see :func:`chamfer_distance_mean`
+    This is the raw matching objective; see :func:`metrics.eval_chamfer`
     for the metric-reporting variant in meters.
     """
     pa = as_cloud(a)
     pb = as_cloud(b)
     if len(pa) == 0 or len(pb) == 0:
         raise ValueError("empty cloud in chamfer")
-    d_ab, _ = _nearest_sq_dists(pa, pb)
-    d_ba, _ = _nearest_sq_dists(pb, pa)
-    return float(d_ab.sum() + d_ba.sum())
-
-
-def chamfer_distance_mean(a, b) -> float:
-    """Reporting variant of the Chamfer distance, in meters.
-
-    Mean (non-squared) nearest-neighbor distance per direction, averaged
-    over both directions. Equals a uniform offset d for two well-separated
-    copies of the same cloud shifted by d.
-    """
-    pa = as_cloud(a)
-    pb = as_cloud(b)
-    if len(pa) == 0 or len(pb) == 0:
-        raise ValueError("empty cloud in chamfer")
-    d_ab, _ = _nearest_sq_dists(pa, pb)
-    d_ba, _ = _nearest_sq_dists(pb, pa)
-    return float(0.5 * (np.sqrt(d_ab).mean() + np.sqrt(d_ba).mean()))
+    return float(nearest_sq_dists(pa, pb).sum() + nearest_sq_dists(pb, pa).sum())
 
 
 def farthest_point_sample(cloud, count: int, seed=None) -> np.ndarray:
@@ -237,23 +205,13 @@ def farthest_point_sample(cloud, count: int, seed=None) -> np.ndarray:
     return pts[chosen]
 
 
-def tile_cloud(cloud, copies: int) -> np.ndarray:
-    """Concatenate `copies` repetitions of the cloud, block by block.
-
-    Point i*n + j of the output equals point j of the input.
-    """
-    pts = as_cloud(cloud)
-    return np.tile(pts, (copies, 1))
-
-
 @dataclass(frozen=True)
 class VoxelSet:
-    """Occupied cells of a cubic voxel grid anchored at `origin`.
+    """Occupied cells of a cubic voxel grid.
 
-    A point p occupies cell floor((p - origin) / resolution), componentwise.
+    A point p occupies cell floor((p - origin) / resolution), componentwise,
+    for the origin and resolution given to :func:`voxelize`.
     """
-    resolution: float
-    origin: tuple[float, float, float]
     occupied: frozenset = field(repr=False)
 
     def __len__(self) -> int:
@@ -271,19 +229,18 @@ def voxelize(cloud, resolution: float, origin=(0.0, 0.0, 0.0)) -> VoxelSet:
     org = np.asarray(origin, dtype=np.float64)
     cells = np.floor((pts - org) / resolution).astype(np.int64)
     occupied = frozenset(tuple(row) for row in cells.tolist())
-    return VoxelSet(float(resolution), tuple(float(c) for c in org), occupied)
+    return VoxelSet(occupied)
 
 
 @dataclass(frozen=True, eq=False)
 class BevHistogram:
-    """Bird's-eye-view point counts on an (nx, ny) grid over `extent`.
+    """Bird's-eye-view point counts on an (nx, ny) grid.
 
-    extent is (xmin, xmax, ymin, ymax); cell (i, j) covers
+    For the extent (xmin, xmax, ymin, ymax) and resolution given to
+    :func:`bev_histogram`, cell (i, j) covers
     [xmin + i*res, xmin + (i+1)*res) x [ymin + j*res, ymin + (j+1)*res).
     `dropped` counts the points that fell outside the extent.
     """
-    resolution: float
-    extent: tuple[float, float, float, float]
     counts: np.ndarray
     dropped: int
 
@@ -313,6 +270,4 @@ def bev_histogram(cloud, resolution: float, extent) -> BevHistogram:
     np.clip(iy, 0, ny - 1, out=iy)
     counts = np.zeros((nx, ny), dtype=np.int64)
     np.add.at(counts, (ix, iy), 1)
-    return BevHistogram(
-        float(resolution), (xmin, xmax, ymin, ymax), counts, int(len(pts) - len(kept))
-    )
+    return BevHistogram(counts, int(len(pts) - len(kept)))

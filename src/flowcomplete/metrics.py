@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import as_cloud, bev_histogram, chamfer_distance_mean, voxelize
+from .geometry import as_cloud, bev_histogram, nearest_sq_dists, voxelize
 
 DEFAULT_BEV_RESOLUTION = 0.5
 DEFAULT_BEV_EXTENT = (-50.0, 50.0, -50.0, 50.0)
@@ -37,8 +37,19 @@ class EvalReport:
 
 
 def eval_chamfer(pred, gt) -> float:
-    """Symmetric mean nearest-neighbor distance in meters."""
-    return chamfer_distance_mean(pred, gt)
+    """Symmetric mean nearest-neighbor distance in meters.
+
+    Mean (non-squared) nearest-neighbor distance per direction, averaged
+    over both directions. Equals a uniform offset d for two well-separated
+    copies of the same cloud shifted by d.
+    """
+    pa = as_cloud(pred)
+    pb = as_cloud(gt)
+    if len(pa) == 0 or len(pb) == 0:
+        raise ValueError("empty cloud in chamfer")
+    d_ab = nearest_sq_dists(pa, pb)
+    d_ba = nearest_sq_dists(pb, pa)
+    return float(0.5 * (np.sqrt(d_ab).mean() + np.sqrt(d_ba).mean()))
 
 
 def eval_bev_jsd(pred, gt, resolution: float = DEFAULT_BEV_RESOLUTION,

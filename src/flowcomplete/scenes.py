@@ -24,6 +24,10 @@ import numpy as np
 from .geometry import as_cloud, farthest_point_sample
 
 _EPS = 1e-9
+# Smallest ground half extent for random_scene_spec: the widest edge margin
+# (walls, 1.6 m) plus the sensor clearance (0.8 m), so that every position
+# draw lands clear of the sensor with probability at least 1 - pi/4.
+MIN_RANDOM_HALF_EXTENT = 2.4
 
 
 def _yaw_matrix(yaw: float) -> np.ndarray:
@@ -243,12 +247,10 @@ class ScanSpec:
 
 @dataclass(frozen=True)
 class SceneCase:
-    """A complete cloud, its partial scan, and how they were made."""
+    """A complete cloud and its partial scan."""
     case_id: str
     scene: np.ndarray
     scan: np.ndarray
-    scene_spec: SceneSpec
-    scan_spec: ScanSpec
 
 
 class _Ground:
@@ -345,7 +347,7 @@ def build_case(case_id: str, scene_spec: SceneSpec, scan_spec: ScanSpec) -> Scen
     scan = simulate_scan(scene_spec, scan_spec)
     if len(scan) == 0:
         raise ValueError(f"case {case_id}: simulated scan is empty")
-    return SceneCase(case_id, scene, scan, scene_spec, scan_spec)
+    return SceneCase(case_id, scene, scan)
 
 
 def random_scene_spec(seed: int, ground_half_extent: float = 4.0,
@@ -354,7 +356,15 @@ def random_scene_spec(seed: int, ground_half_extent: float = 4.0,
 
     Primitive counts, poses, and sizes derive from the seed alone. The
     area near the sensor origin is kept clear.
+
+    Raises:
+        ValueError: before any draw, on an extent below MIN_RANDOM_HALF_EXTENT.
     """
+    if not ground_half_extent >= MIN_RANDOM_HALF_EXTENT:
+        raise ValueError(
+            f"ground_half_extent must be >= {MIN_RANDOM_HALF_EXTENT} to place "
+            f"primitives clear of the sensor, got {ground_half_extent!r}"
+        )
     rng = np.random.default_rng([seed, 0x5CE2E])
     prims = []
 

@@ -39,8 +39,9 @@ def fit(cases, cfg: RunConfig, on_step=None):
             and optimizer states.
     """
     # One index per scene serves the coupling and the chamfer term of every
-    # sample drawn from that case.
-    cases = [(geometry.NeighborIndex(scene), scan) for scene, scan in cases]
+    # sample drawn from that case, and one per scan its condition features.
+    cases = [(geometry.NeighborIndex(scene), geometry.NeighborIndex(scan))
+             for scene, scan in cases]
     state = field.init_model(cfg.field_config())
     opt = field.init_optimizer(state, learning_rate=cfg.learning_rate)
     weights = cfg.loss_weights()

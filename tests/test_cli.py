@@ -265,7 +265,16 @@ class TestUsage:
          "bev_resolution"),
         (["make-data", "--density", "inf"], "density"),
         (["make-data", "--cases", "many"], "cases"),
-    ], ids=["learning_rate", "bev_resolution", "density", "cases"])
+        # out of range: placement would hang (2, 1) or numpy would fail
+        # late (-4), after the dataset directories exist
+        (["make-data", "--ground-half-extent", "2"], "ground_half_extent"),
+        (["make-data", "--ground-half-extent", "1"], "ground_half_extent"),
+        (["make-data", "--ground-half-extent", "-4"], "ground_half_extent"),
+        (["make-data", "--density", "-1"], "density"),
+        (["make-data", "--density", "0"], "density"),
+    ], ids=["learning_rate", "bev_resolution", "density", "cases",
+            "extent_2", "extent_1", "extent_negative", "density_negative",
+            "density_zero"])
     def test_unparsable_value_is_usage_error(self, tmp_path, monkeypatch,
                                              capsys, argv, key):
         monkeypatch.chdir(tmp_path)

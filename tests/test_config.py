@@ -70,6 +70,13 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="key = value"):
             config.read_config_file(path)
 
+    def test_non_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"cases = 4\n# caf\xe9\nseed = 1\n")
+        with pytest.raises(ValueError) as info:
+            config.read_config_file(path)
+        assert str(info.value) == f"{path}: line 2: not valid UTF-8"
+
 
 class TestBuildConfig:
     def test_defaults_are_valid(self):
@@ -106,6 +113,10 @@ class TestBuildConfig:
             config.build_config({}, {"copies": 0})
         with pytest.raises(ValueError, match="ema decay"):
             config.build_config({}, {"ema_decay": 1.5})
+        with pytest.raises(ValueError, match="ground_half_extent"):
+            config.build_config({}, {"ground_half_extent": 2.0})
+        with pytest.raises(ValueError, match="density"):
+            config.build_config({}, {"density": -1.0})
 
     @pytest.mark.parametrize("name", FLOAT_KEYS)
     def test_validate_rejects_non_finite_float(self, name):
@@ -121,3 +132,4 @@ class TestBuildConfig:
         assert cfg.sampler_config().steps == 10
         assert cfg.field_config().hidden_widths == (64, 64)
         assert cfg.scan_spec(3).seed == 3
+        assert cfg.scene_spec(3).seed == 3

@@ -14,7 +14,26 @@ class TestNoisyInitialCloud:
         rng = np.random.default_rng(0)
         scan = random_cloud(rng, 20)
         out = coupling.noisy_initial_cloud(scan, 3, coupling.NoiseConfig(0.0))
-        assert np.array_equal(out, geometry.tile_cloud(scan, 3))
+        assert np.array_equal(out, np.tile(scan, (3, 1)))
+
+    def test_zero_noise_single_copy_identity(self):
+        cloud = np.array([[1.0, 2.0, 3.0]])
+        out = coupling.noisy_initial_cloud(cloud, 1, coupling.NoiseConfig(0.0))
+        assert np.array_equal(out, cloud)
+
+    def test_zero_noise_block_pattern(self):
+        cloud = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+        out = coupling.noisy_initial_cloud(cloud, 3, coupling.NoiseConfig(0.0))
+        assert out.shape == (6, 3)
+        for i in range(3):
+            assert np.array_equal(out[2 * i:2 * i + 2], cloud)
+
+    def test_zero_noise_scaled_size_product(self):
+        # N scans tiled K times give M = K*N points (reduced-size check).
+        rng = np.random.default_rng(37)
+        scan = random_cloud(rng, 180)
+        out = coupling.noisy_initial_cloud(scan, 10, coupling.NoiseConfig(0.0))
+        assert out.shape == (1800, 3)
 
     def test_size_is_copies_times_scan(self):
         rng = np.random.default_rng(1)

@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 from flowcomplete import geometry
 from oracles import (
     bev_counts_recount,
-    chamfer_mean_exhaustive,
     chamfer_sum_exhaustive,
     farthest_point_loop,
     min_pairwise_distance,
@@ -130,20 +129,6 @@ class TestChamferDistance:
             want = chamfer_sum_exhaustive(a, b)
             assert got == pytest.approx(want, rel=1e-9)
 
-    def test_mean_variant_uniform_shift(self):
-        # Well-separated points shifted by d: the mean form reports d.
-        a = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [20.0, 0.0, 0.0]])
-        b = a + np.array([0.25, 0.0, 0.0])
-        assert geometry.chamfer_distance_mean(a, b) == pytest.approx(0.25, rel=1e-12)
-
-    def test_mean_variant_matches_oracle(self):
-        rng = np.random.default_rng(19)
-        a = random_cloud(rng, 60)
-        b = random_cloud(rng, 90)
-        assert geometry.chamfer_distance_mean(a, b) == pytest.approx(
-            chamfer_mean_exhaustive(a, b), rel=1e-9
-        )
-
 
 class TestFarthestPointSample:
     def test_full_sample_is_permutation(self):
@@ -195,25 +180,6 @@ class TestFarthestPointSample:
             pick = rng.choice(64, size=8, replace=False)
             medians.append(min_pairwise_distance(cloud[pick]))
         assert fps_spread >= float(np.median(medians))
-
-
-class TestTileCloud:
-    def test_single_copy_identity(self):
-        cloud = np.array([[1.0, 2.0, 3.0]])
-        assert np.array_equal(geometry.tile_cloud(cloud, 1), cloud)
-
-    def test_block_pattern(self):
-        cloud = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-        out = geometry.tile_cloud(cloud, 3)
-        assert out.shape == (6, 3)
-        for i in range(3):
-            assert np.array_equal(out[2 * i:2 * i + 2], cloud)
-
-    def test_scaled_size_product(self):
-        # N scans tiled K times give M = K*N points (reduced-size check).
-        rng = np.random.default_rng(37)
-        scan = random_cloud(rng, 180)
-        assert geometry.tile_cloud(scan, 10).shape == (1800, 3)
 
 
 class TestVoxelize:
@@ -309,7 +275,8 @@ def test_chamfer_symmetry_property(seed):
 # Coordinates on a coarse lattice, with both signed zeros, so that drawn
 # clouds hold duplicate rows and exact distance ties.
 LATTICE = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
-# Target sizes around BRUTE_FORCE_LIMIT (32), plus a spread of others.
+# Target sizes from one row up, with 31-33 drawn often as fixed mid-size
+# targets, so both tiny and larger trees are checked against the oracle.
 TARGET_SIZES = st.one_of(st.sampled_from([31, 32, 33]), st.integers(1, 80))
 
 

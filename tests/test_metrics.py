@@ -32,6 +32,20 @@ class TestEvalChamfer:
             chamfer_mean_exhaustive(a, b), rel=1e-9
         )
 
+    def test_uniform_shift_of_spaced_points(self):
+        # Well-separated points shifted by d: the mean form reports d.
+        a = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [20.0, 0.0, 0.0]])
+        b = a + np.array([0.25, 0.0, 0.0])
+        assert metrics.eval_chamfer(a, b) == pytest.approx(0.25, rel=1e-12)
+
+    def test_matches_oracle_60_to_90(self):
+        rng = np.random.default_rng(19)
+        a = random_cloud(rng, 60)
+        b = random_cloud(rng, 90)
+        assert metrics.eval_chamfer(a, b) == pytest.approx(
+            chamfer_mean_exhaustive(a, b), rel=1e-9
+        )
+
     def test_symmetric(self):
         rng = np.random.default_rng(2)
         a = random_cloud(rng, 30)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,3 +266,29 @@ class TestBuildCase:
         with pytest.raises(ValueError, match="empty"):
             scenes.build_case("case-001", spec,
                               scenes.ScanSpec(dropout=1.0, seed=7))
+
+
+class TestRandomSceneSpecExtent:
+    @pytest.mark.parametrize("extent", [2.39, 2.17, 2.0, 1.0, 0.0, -4.0, math.nan])
+    def test_small_extent_rejected_before_any_draw(self, extent, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("rng built before the extent check")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(ValueError, match="ground_half_extent must be >= 2.4"):
+            scenes.random_scene_spec(seed=0, ground_half_extent=extent)
+
+    def test_smallest_extent_places_every_seed(self):
+        # In a child process, so that a placement loop that never ends
+        # fails the test instead of hanging the run.
+        program = (
+            "from flowcomplete import scenes\n"
+            "for seed in range(50):\n"
+            "    spec = scenes.random_scene_spec(seed, scenes.MIN_RANDOM_HALF_EXTENT)\n"
+            "    assert spec.primitives\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", program], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
