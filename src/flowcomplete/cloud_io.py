@@ -179,26 +179,45 @@ class ManifestEntry:
 
 
 def write_manifest(entries, path) -> None:
-    """Tab-separated index: case-id, scene-path, scan-path, seed."""
-    with open(path, "w") as fh:
+    """Tab-separated index: case-id, scene-path, scan-path, seed.
+
+    Raises:
+        ValueError: before anything is written, on a field that holds a
+            tab or a line break, which would split the entry's row.
+    """
+    entries = list(entries)
+    for e in entries:
+        for name in ("case_id", "scene_path", "scan_path"):
+            value = getattr(e, name)
+            if any(ch in value for ch in "\t\n\r"):
+                raise ValueError(
+                    f"manifest {name} {value!r} holds a tab or a line break")
+    with open(path, "w", encoding="utf-8") as fh:
         for e in entries:
             fh.write(f"{e.case_id}\t{e.scene_path}\t{e.scan_path}\t{e.seed}\n")
 
 
+def split_lines(text: str) -> list:
+    """The lines of `text` without their ends. A line ends at \\n, \\r\\n
+    or \\r, as when reading a file in text mode, and at nothing else."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def read_utf8(path) -> str:
     """The file's text; a body that is not UTF-8 raises a ValueError
-    naming the file and the line."""
+    naming the file and the line (counted by :func:`split_lines`)."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        lineno = raw.count(b"\n", 0, exc.start) + 1
+        lineno = len(split_lines(raw[:exc.start].decode("utf-8")))
         raise ValueError(f"{path}: line {lineno}: not valid UTF-8") from None
 
 
 def read_manifest(path):
-    """Parse a manifest written by write_manifest.
+    """Parse a manifest written by write_manifest; lines end as
+    :func:`split_lines` says.
 
     Raises:
         ValueError: naming the file and the line, on a body that is not
@@ -207,7 +226,7 @@ def read_manifest(path):
             part).
     """
     entries = []
-    for lineno, line in enumerate(read_utf8(path).splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(read_utf8(path)), start=1):
         if not line:
             continue
         parts = line.split("\t")

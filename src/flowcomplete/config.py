@@ -9,11 +9,10 @@ constructed during validation so range errors surface before any work.
 from __future__ import annotations
 
 import dataclasses
-import io
 import math
 from dataclasses import dataclass
 
-from .cloud_io import read_utf8
+from .cloud_io import read_utf8, split_lines
 from .coupling import NoiseConfig
 from .field import FieldConfig
 from .metrics import MetricConfig
@@ -191,9 +190,7 @@ def read_config_file(path) -> dict:
     """Parse a flat UTF-8 `key = value` file into typed overrides; errors
     are ValueErrors naming the file and the line."""
     overrides = {}
-    # lines end at \n, \r\n or \r, as when reading the file in text mode
-    lines = io.StringIO(read_utf8(path), newline=None)
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(split_lines(read_utf8(path)), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -218,18 +218,81 @@ class VoxelSet:
         return len(self.occupied)
 
 
+def _floor_cells(pts: np.ndarray, resolution: float, origin) -> np.ndarray:
+    # (3, n) int64: row k holds the cell index of every point along axis k.
+    # A cell index that int64 cannot hold is a ValueError, since casting it
+    # would wrap or saturate silently. Working on one contiguous row per
+    # axis, in place, keeps the arithmetic elementwise and cheap.
+    if not resolution > 0:
+        raise ValueError("voxel resolution must be positive")
+    scaled = np.array(pts.T, order="C")
+    with np.errstate(over="ignore"):
+        scaled -= np.asarray(origin, dtype=np.float64)[:, None]
+        scaled /= resolution
+    np.floor(scaled, out=scaled)
+    if scaled.size and not (scaled.min() >= -2.0**63 and scaled.max() < 2.0**63):
+        raise ValueError(
+            f"voxel cell index out of int64 range at resolution {resolution!r}")
+    return scaled.astype(np.int64)
+
+
+def _cell_keys(cells: list) -> list:
+    # One int64 key per column of each (3, n) cell array, equal exactly
+    # where the cells are equal, across all arrays of the list. Cells pack
+    # row-major relative to the common minimum cell when the span product
+    # fits in int64; otherwise each key is the cell's rank among the
+    # lexsorted distinct cells.
+    stacked = np.concatenate(cells, axis=1)
+    bounds = np.cumsum([c.shape[1] for c in cells[:-1]])
+    if stacked.shape[1] == 0:
+        return np.split(stacked[0], bounds)
+    lo = stacked.min(axis=1)
+    span = [int(h) - int(l) + 1 for h, l in zip(stacked.max(axis=1), lo)]
+    if math.prod(span) <= np.iinfo(np.int64).max:
+        stacked -= lo[:, None]
+        keys = stacked[0] * span[1]
+        keys += stacked[1]
+        keys *= span[2]
+        keys += stacked[2]
+    else:
+        keys = np.unique(stacked.T, axis=0, return_inverse=True)[1]
+    return np.split(keys, bounds)
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    # np.unique for a 1-D array that may be sorted in place, at a fraction
+    # of np.unique's cost.
+    keys.sort()
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
+def voxel_keys(clouds, resolution: float, origin=(0.0, 0.0, 0.0)) -> list:
+    """Occupied cells of each cloud as sorted unique int64 keys.
+
+    Keys from one call are equal exactly where the cells are, so the sizes
+    of their intersections and unions are those of the cell sets of
+    :func:`voxelize`; keys from different calls are not comparable.
+
+    Raises:
+        ValueError: on an invalid cloud, a non-positive resolution or a
+            cell index outside the int64 range.
+    """
+    cells = [_floor_cells(as_cloud(c), resolution, origin) for c in clouds]
+    return [_sorted_unique(keys) for keys in _cell_keys(cells)]
+
+
 def voxelize(cloud, resolution: float, origin=(0.0, 0.0, 0.0)) -> VoxelSet:
     """Set of voxel cells containing at least one point of the cloud.
 
     Deterministic and invariant under permutation of the input points.
+    Raises ValueError as :func:`voxel_keys` does.
     """
-    pts = as_cloud(cloud)
-    if resolution <= 0:
-        raise ValueError("voxel resolution must be positive")
-    org = np.asarray(origin, dtype=np.float64)
-    cells = np.floor((pts - org) / resolution).astype(np.int64)
-    occupied = frozenset(tuple(row) for row in cells.tolist())
-    return VoxelSet(occupied)
+    cells = _floor_cells(as_cloud(cloud), resolution, origin)
+    _, first = np.unique(_cell_keys([cells])[0], return_index=True)
+    return VoxelSet(frozenset(map(tuple, cells[:, first].T.tolist())))
 
 
 @dataclass(frozen=True, eq=False)

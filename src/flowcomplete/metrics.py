@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import as_cloud, bev_histogram, nearest_sq_dists, voxelize
+from .geometry import as_cloud, bev_histogram, nearest_sq_dists, voxel_keys
 
 DEFAULT_BEV_RESOLUTION = 0.5
 DEFAULT_BEV_EXTENT = (-50.0, 50.0, -50.0, 50.0)
@@ -78,12 +78,11 @@ def eval_bev_jsd(pred, gt, resolution: float = DEFAULT_BEV_RESOLUTION,
 def eval_voxel_iou(pred, gt, resolution: float,
                    origin=(0.0, 0.0, 0.0)) -> float:
     """Intersection over union of the occupied voxel sets."""
-    gt_cells = voxelize(gt, resolution, origin).occupied
-    if not gt_cells:
+    pred_keys, gt_keys = voxel_keys((pred, gt), resolution, origin)
+    if len(gt_keys) == 0:
         raise ValueError("empty cloud in voxel IoU")
-    pred_cells = voxelize(pred, resolution, origin).occupied
-    union = pred_cells | gt_cells
-    return len(pred_cells & gt_cells) / len(union)
+    inter = len(np.intersect1d(pred_keys, gt_keys, assume_unique=True))
+    return inter / (len(pred_keys) + len(gt_keys) - inter)
 
 
 def evaluate(pred, gt, config: MetricConfig = MetricConfig()) -> EvalReport:

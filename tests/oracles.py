@@ -53,6 +53,13 @@ def voxel_cells_recount(cloud, resolution, origin=(0.0, 0.0, 0.0)):
     return cells
 
 
+def cell_span_product(cells):
+    """Number of cells in the bounding box of a set of cells: the key range
+    a row-major packing of them needs."""
+    return math.prod(max(c[k] for c in cells) - min(c[k] for c in cells) + 1
+                     for k in range(3))
+
+
 def bev_counts_recount(cloud, resolution, extent):
     """Per-point recount of the BEV grid; returns (counts, dropped)."""
     xmin, xmax, ymin, ymax = extent

@@ -235,6 +235,27 @@ class TestManifest:
         cloud_io.write_manifest(entries, path)
         assert cloud_io.read_manifest(path) == entries
 
+    def test_unicode_line_separators_round_trip(self, tmp_path):
+        # Only \n, \r\n and \r end a line, so these stay inside a field.
+        entries = [cloud_io.ManifestEntry(f"case{sep}0", "scenes/é.ply",
+                                          "scans/000.ply", 3)
+                   for sep in ("\u2028", "\u0085", "\x0b", "\x0c", "\x1e")]
+        path = tmp_path / "manifest.tsv"
+        cloud_io.write_manifest(entries, path)
+        assert path.read_bytes().decode("utf-8").count("\n") == len(entries)
+        assert cloud_io.read_manifest(path) == entries
+
+    @pytest.mark.parametrize("field", ["case_id", "scene_path", "scan_path"])
+    @pytest.mark.parametrize("bad", ["\t", "\n", "\r"])
+    def test_write_rejects_tab_and_line_breaks(self, tmp_path, field, bad):
+        values = {"case_id": "case-0", "scene_path": "a.ply",
+                  "scan_path": "b.ply", "seed": 1}
+        values[field] += bad
+        path = tmp_path / "manifest.tsv"
+        with pytest.raises(ValueError, match=field):
+            cloud_io.write_manifest([cloud_io.ManifestEntry(**values)], path)
+        assert not path.exists()
+
     def test_bad_field_count(self, tmp_path):
         path = tmp_path / "manifest.tsv"
         path.write_text("case-0\tscene.ply\n")
@@ -280,3 +301,10 @@ class TestManifest:
         with pytest.raises(ValueError, match="line 2: not valid UTF-8") as err:
             cloud_io.read_manifest(path)
         assert str(path) in str(err.value)
+
+    def test_non_utf8_line_after_carriage_return(self, tmp_path):
+        path = tmp_path / "manifest.tsv"
+        path.write_bytes(b"case-0\ta.ply\tb.ply\t1\r"
+                         b"case-1\tscenes/\xff.ply\tb.ply\t2\r")
+        with pytest.raises(ValueError, match="line 2: not valid UTF-8"):
+            cloud_io.read_manifest(path)

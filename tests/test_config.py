@@ -77,6 +77,17 @@ class TestConfigFile:
             config.read_config_file(path)
         assert str(info.value) == f"{path}: line 2: not valid UTF-8"
 
+    @pytest.mark.parametrize("body, line", [(b"cases = 1\rseed = \xff\n", 2),
+                                            (b"cases = 1\r\nseed = \xff\n", 2),
+                                            (b"cases = 1\r\n\r\xff", 3)])
+    def test_non_utf8_line_counts_every_line_end(self, tmp_path, body, line):
+        # the same line rule as the parser's, which reports line 2 for
+        # b"cases = 1\rbogus = 1"
+        path = tmp_path / "run.cfg"
+        path.write_bytes(body)
+        with pytest.raises(ValueError, match=f"line {line}: not valid UTF-8"):
+            config.read_config_file(path)
+
 
 class TestBuildConfig:
     def test_defaults_are_valid(self):

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from flowcomplete import geometry
 from oracles import (
     bev_counts_recount,
+    cell_span_product,
     chamfer_sum_exhaustive,
     farthest_point_loop,
     min_pairwise_distance,
@@ -213,6 +214,16 @@ class TestVoxelize:
                                origin=(0.05, 0.05, 0.05))
         assert vs.occupied == {(0, 0, 0)}
 
+    def test_int64_range_edges(self):
+        low = geometry.voxelize([[-2.0 ** 63, 0, 0], [0, 0, 0]], 1.0)
+        assert low.occupied == {(-2 ** 63, 0, 0), (0, 0, 0)}
+        with pytest.raises(ValueError, match="out of int64 range"):
+            geometry.voxelize([[2.0 ** 63, 0, 0]], 1.0)
+
+    def test_keys_of_empty_cloud(self):
+        empty, two = geometry.voxel_keys([np.empty((0, 3)), np.zeros((2, 3))], 0.5)
+        assert (empty.dtype, len(empty), len(two)) == (np.int64, 0, 1)
+
 
 class TestBevHistogram:
     EXTENT = (-1.0, 1.0, -1.0, 1.0)
@@ -375,3 +386,37 @@ class TestNeighborIndex:
         out = geometry.NeighborIndex(np.zeros((40, 3))).query(np.empty((0, 3)))
         assert out.shape == (0,)
         assert out.dtype == np.int64
+
+
+# Added to a cloud near the origin, this offset makes the cell span of the
+# whole cloud overflow int64 at every IoU resolution (2e9 * 2e12 cells at
+# 0.5 m), so voxel keys take the lexsorted-rows path, while each cell index
+# still fits.
+FAR = np.array([1e9, 1e12, 0.0])
+VOXEL_RESOLUTIONS = st.sampled_from([0.5, 0.2, 0.1])
+VOXEL_ORIGINS = st.sampled_from([(0.0, 0.0, 0.0), (0.05, -0.3, 1.25)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_or_lattice_cloud(st.integers(0, 120)), VOXEL_RESOLUTIONS,
+       VOXEL_ORIGINS, st.booleans())
+def test_voxelize_matches_recount_property(cloud, resolution, origin, far):
+    if far:
+        cloud = np.vstack([cloud, cloud + FAR])
+    want = voxel_cells_recount(cloud, resolution, origin)
+    if far and want:
+        assert cell_span_product(want) > np.iinfo(np.int64).max
+    assert geometry.voxelize(cloud, resolution, origin).occupied == want
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(1e19, 1e300), st.sampled_from([-1.0, 1.0]),
+       st.integers(0, 2), VOXEL_RESOLUTIONS)
+def test_voxel_cell_overflow_is_value_error_property(magnitude, sign, axis,
+                                                     resolution):
+    cloud = np.zeros((2, 3))
+    cloud[1, axis] = sign * magnitude
+    with pytest.raises(ValueError, match="out of int64 range"):
+        geometry.voxelize(cloud, resolution)
+    with pytest.raises(ValueError, match="out of int64 range"):
+        geometry.voxel_keys([np.zeros((1, 3)), cloud], resolution)

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flowcomplete import metrics
-from oracles import chamfer_mean_exhaustive, jsd_direct, voxel_cells_recount
+from oracles import (cell_span_product, chamfer_mean_exhaustive, jsd_direct,
+                     voxel_cells_recount)
 
 EXTENT = (-2.0, 2.0, -2.0, 2.0)
 
@@ -127,6 +130,10 @@ class TestEvalVoxelIou:
         want = len(pc & gc) / len(pc | gc)
         assert metrics.eval_voxel_iou(pred, gt, 0.2) == want
 
+    def test_empty_gt_rejected(self):
+        with pytest.raises(ValueError, match="empty cloud"):
+            metrics.eval_voxel_iou(np.zeros((3, 3)), np.empty((0, 3)), 0.5)
+
     def test_translation_by_resolution_multiples(self):
         rng = np.random.default_rng(8)
         pred = random_cloud(rng, 60, scale=2.0)
@@ -135,6 +142,40 @@ class TestEvalVoxelIou:
         a = metrics.eval_voxel_iou(pred, gt, 0.5)
         b = metrics.eval_voxel_iou(pred + shift, gt + shift, 0.5)
         assert a == b
+
+
+# See tests/test_geometry.py: with this offset a pair's cell span overflows
+# int64, so the IoU counts run on lexsorted rows instead of packed keys.
+FAR = np.array([1e9, 1e12, 0.0])
+
+
+@settings(max_examples=150, deadline=None)
+@example(pred_size=0, gt_size=5, shared=0, seed=0, resolution=0.1,
+         origin=(0.0, 0.0, 0.0), far=False)
+@example(pred_size=0, gt_size=5, shared=0, seed=0, resolution=0.5,
+         origin=(0.0, 0.0, 0.0), far=True)
+@given(pred_size=st.integers(0, 150), gt_size=st.integers(1, 150),
+       shared=st.integers(0, 40), seed=st.integers(0, 2 ** 32 - 1),
+       resolution=st.sampled_from([0.5, 0.2, 0.1]),
+       origin=st.sampled_from([(0.0, 0.0, 0.0), (0.05, -0.3, 1.25)]),
+       far=st.booleans())
+def test_voxel_iou_matches_set_oracle_property(pred_size, gt_size, shared, seed,
+                                               resolution, origin, far):
+    rng = np.random.default_rng(seed)
+    pred = random_cloud(rng, pred_size, scale=2.0)
+    # the ground truth holds some prediction points, so the cells overlap
+    gt = np.vstack([random_cloud(rng, gt_size, scale=2.0), pred[:shared]])
+    if far:
+        pred = np.vstack([pred, pred + FAR])
+        gt = np.vstack([gt, gt + FAR])
+    pc = voxel_cells_recount(pred, resolution, origin)
+    gc = voxel_cells_recount(gt, resolution, origin)
+    if far:
+        assert cell_span_product(pc | gc) > np.iinfo(np.int64).max
+    got = metrics.eval_voxel_iou(pred, gt, resolution, origin)
+    assert got == len(pc & gc) / len(pc | gc)
+    if pred_size == 0:
+        assert got == 0.0
 
 
 class TestEvaluate:
