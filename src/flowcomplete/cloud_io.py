@@ -51,24 +51,29 @@ def _write_xyz(cloud: np.ndarray, path) -> None:
             fh.write(f"{x:.9g} {y:.9g} {z:.9g}\n")
 
 
+def _parse_row(line: str, path, lineno: int) -> list:
+    """The three coordinates of one `x y z` text row."""
+    parts = line.split()
+    if len(parts) != 3:
+        raise ValueError(
+            f"{path}: line {lineno}: expected 3 coordinates, got {len(parts)}"
+        )
+    try:
+        return [float(p) for p in parts]
+    except ValueError:
+        raise ValueError(
+            f"{path}: line {lineno}: bad coordinate in {line!r}"
+        ) from None
+
+
 def _read_xyz(path) -> np.ndarray:
+    with open(path, "rb") as fh:
+        text = fh.read().decode("ascii", errors="replace")
     points = []
-    with open(path, encoding="ascii", errors="replace") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected 3 coordinates, got {len(parts)}"
-                )
-            try:
-                points.append([float(p) for p in parts])
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: bad coordinate in {line!r}"
-                ) from None
+    for lineno, raw in enumerate(split_lines(text), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            points.append(_parse_row(line, path, lineno))
     return _checked_cloud(points, path)
 
 
@@ -93,12 +98,13 @@ def _read_ply(path) -> np.ndarray:
     end = data.find(b"end_header\n")
     if not data.startswith(b"ply\n") or end < 0:
         raise ValueError(f"{path}: not a PLY file (missing header)")
-    header_lines = data[:end].decode("ascii", errors="replace").splitlines()
+    header_lines = split_lines(data[:end].decode("ascii", errors="replace"))
     body = data[end + len(b"end_header\n"):]
 
     fmt = None
     vertex_count = None
     properties = []
+    types = []
     in_vertex = False
     for line in header_lines[1:]:
         words = line.split()
@@ -112,6 +118,10 @@ def _read_ply(path) -> np.ndarray:
             if len(words) < 3:
                 raise ValueError(f"{path}: PLY element line needs a name and a count")
             in_vertex = words[1] == "vertex"
+            if not in_vertex and vertex_count is None:
+                # the body's first rows or bytes are read as the vertices
+                raise ValueError(f"{path}: PLY element {words[1]!r} comes "
+                                 "before vertex; vertex must be the first element")
             if in_vertex:
                 try:
                     vertex_count = int(words[2])
@@ -122,6 +132,7 @@ def _read_ply(path) -> np.ndarray:
                 if vertex_count < 0:
                     raise ValueError(f"{path}: negative PLY vertex count {vertex_count}")
         elif words[0] == "property" and in_vertex:
+            types.append(" ".join(words[1:-1]))
             properties.append(words[-1])
     if fmt not in ("ascii", "binary_little_endian"):
         raise ValueError(f"{path}: unsupported PLY format {fmt!r}")
@@ -134,6 +145,9 @@ def _read_ply(path) -> np.ndarray:
         raise ValueError(f"{path}: only plain x/y/z vertices are supported")
 
     if fmt == "binary_little_endian":
+        if any(t not in ("float", "float32") for t in types):
+            raise ValueError(f"{path}: binary PLY coordinates must be "
+                             f"float or float32, got {types}")
         want = vertex_count * 12
         if len(body) < want:
             raise ValueError(
@@ -142,24 +156,17 @@ def _read_ply(path) -> np.ndarray:
         flat = np.frombuffer(body[:want], dtype="<f4").astype(np.float64)
         return _checked_cloud(flat.reshape(vertex_count, 3), path)
 
-    rows = body.decode("ascii", errors="replace").splitlines()
+    rows = split_lines(body.decode("ascii", errors="replace"))
+    if rows[-1] == "":
+        rows.pop()  # the end of the last row starts no new one
     if len(rows) < vertex_count:
         raise ValueError(
             f"{path}: truncated PLY body: {len(rows)} rows, expected {vertex_count}"
         )
-    points = []
-    for lineno, line in enumerate(rows[:vertex_count], start=len(header_lines) + 2):
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(
-                f"{path}: line {lineno}: expected 3 coordinates, got {len(parts)}"
-            )
-        try:
-            points.append([float(p) for p in parts])
-        except ValueError:
-            raise ValueError(
-                f"{path}: line {lineno}: bad coordinate in {line!r}"
-            ) from None
+    # the last of header_lines is the line that end_header stands on
+    first = len(header_lines) + 1
+    points = [_parse_row(line, path, lineno)
+              for lineno, line in enumerate(rows[:vertex_count], start=first)]
     return _checked_cloud(points, path)
 
 

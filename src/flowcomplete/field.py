@@ -29,12 +29,16 @@ TIME_FREQ_MIN = 1.0
 TIME_FREQ_MAX = 100.0
 
 CHECKPOINT_MAGIC = b"FLOWCKPT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 # The stored arrays, in file order; each holds parameter_count values.
 _CHECKPOINT_ARRAYS = ("weights", "ema_weights", "adam_m", "adam_v")
 
+# Adam's moment decay rates and denominator guard.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 _ACTIVATIONS = ("tanh", "relu")
-_COND_MODES = ("nearest-offset", "none")
 
 
 @dataclass(frozen=True)
@@ -42,7 +46,6 @@ class FieldConfig:
     """Architecture and initialization of the field network."""
     hidden_widths: tuple = (64, 64)
     time_embed_dim: int = 8
-    cond_feature_mode: str = "nearest-offset"
     activation: str = "tanh"
     seed: int = 0
     # Zero output weights make the untrained field identically zero, so
@@ -52,19 +55,19 @@ class FieldConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
+        object.__setattr__(self, "time_embed_dim", int(self.time_embed_dim))
+        object.__setattr__(self, "seed", int(self.seed))
         if not self.hidden_widths or any(w < 1 for w in self.hidden_widths):
             raise ValueError("hidden widths must be positive")
         if self.time_embed_dim % 2 != 0 or self.time_embed_dim < 2:
             raise ValueError("time embedding dimension must be even and >= 2")
-        if self.cond_feature_mode not in _COND_MODES:
-            raise ValueError(f"unknown condition feature mode {self.cond_feature_mode!r}")
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
     def input_dim(self) -> int:
-        cond = 5 if self.cond_feature_mode == "nearest-offset" else 0
-        return 3 + self.time_embed_dim + cond
+        # position, time embedding, condition features
+        return 3 + self.time_embed_dim + 5
 
     @property
     def layer_dims(self) -> tuple:
@@ -82,11 +85,8 @@ class ModelState:
 
 @dataclass
 class OptimizerState:
-    """Adam moment accumulators and hyperparameters."""
+    """Adam moment accumulators and the learning rate."""
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     m: np.ndarray = None
     v: np.ndarray = None
 
@@ -127,7 +127,7 @@ def init_model(config: FieldConfig) -> ModelState:
 
 
 def init_optimizer(state: ModelState, learning_rate: float = 1e-3) -> OptimizerState:
-    """Zero Adam moments with the default betas and eps."""
+    """Zero Adam moments."""
     zeros = np.zeros_like(state.weights)
     return OptimizerState(learning_rate, m=zeros, v=zeros.copy())
 
@@ -170,13 +170,11 @@ def condition_feature_matrix(points: np.ndarray, condition) -> np.ndarray:
 def _input_features(config: FieldConfig, t: float, x_t, condition) -> np.ndarray:
     pts = as_cloud(x_t)
     emb = time_embedding(t, config.time_embed_dim)
-    cols = [pts * COORD_SCALE, np.broadcast_to(emb, (len(pts), emb.size))]
-    if config.cond_feature_mode == "nearest-offset":
-        feats = condition_feature_matrix(pts, condition)
-        # metric columns share the coordinate squashing; the flag does not
-        feats = np.concatenate([feats[:, :4] * COORD_SCALE, feats[:, 4:]], axis=1)
-        cols.append(feats)
-    return np.concatenate(cols, axis=1)
+    feats = condition_feature_matrix(pts, condition)
+    # metric columns share the coordinate squashing; the flag does not
+    return np.concatenate([pts * COORD_SCALE,
+                           np.broadcast_to(emb, (len(pts), emb.size)),
+                           feats[:, :4] * COORD_SCALE, feats[:, 4:]], axis=1)
 
 
 def hidden_buffers(config: FieldConfig, n: int) -> list:
@@ -273,11 +271,11 @@ def apply_gradient(state: ModelState, opt: OptimizerState, grad: np.ndarray):
     if not np.all(np.isfinite(grad)):
         raise FloatingPointError("non-finite gradient")
     step = state.step_count + 1
-    m = opt.beta1 * opt.m + (1.0 - opt.beta1) * grad
-    v = opt.beta2 * opt.v + (1.0 - opt.beta2) * grad ** 2
-    m_hat = m / (1.0 - opt.beta1 ** step)
-    v_hat = v / (1.0 - opt.beta2 ** step)
-    new_weights = state.weights - opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.eps)
+    m = ADAM_BETA1 * opt.m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * opt.v + (1.0 - ADAM_BETA2) * grad ** 2
+    m_hat = m / (1.0 - ADAM_BETA1 ** step)
+    v_hat = v / (1.0 - ADAM_BETA2 ** step)
+    new_weights = state.weights - opt.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     new_state = dataclasses.replace(state, weights=new_weights, step_count=step)
     new_opt = dataclasses.replace(opt, m=m, v=v)
     return new_state, new_opt
@@ -315,52 +313,52 @@ def ema_update(state: ModelState, decay: float = 0.9999) -> ModelState:
     return dataclasses.replace(state, ema_weights=ema)
 
 
-def _config_to_dict(config: FieldConfig) -> dict:
-    out = dataclasses.asdict(config)
-    out["hidden_widths"] = list(config.hidden_widths)
-    return out
+def _header_bytes(config: FieldConfig, learning_rate: float, step_count: int) -> bytes:
+    """Canonical JSON of the network config, learning rate and step count.
+
+    `save_checkpoint` writes these bytes and `load_checkpoint` accepts no
+    others, so any change here bumps CHECKPOINT_VERSION. Raises ValueError
+    on a learning rate that is not finite and positive or a negative step
+    count.
+    """
+    learning_rate, step_count = float(learning_rate), int(step_count)
+    if not 0.0 < learning_rate < float("inf"):
+        raise ValueError(f"learning rate must be finite and positive, got {learning_rate!r}")
+    if step_count < 0:
+        raise ValueError(f"step count must be >= 0, got {step_count}")
+    header = {"config": dataclasses.asdict(config),
+              "learning_rate": learning_rate, "step_count": step_count}
+    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
 
 
 def save_checkpoint(path, state: ModelState, opt: OptimizerState) -> None:
     """Write a deterministic binary checkpoint (same inputs, same bytes).
 
-    Layout: magic, version, length-prefixed JSON header, then the raw
-    little-endian float64 arrays named in the header, in order.
+    Layout: magic, `<IQ` version and header length, the `_header_bytes`
+    JSON header, then the little-endian float64 arrays `_CHECKPOINT_ARRAYS`
+    in order, each of `parameter_count(config)` values.
     """
-    arrays = list(zip(_CHECKPOINT_ARRAYS,
-                      (state.weights, state.ema_weights, opt.m, opt.v)))
-    header = {
-        "version": CHECKPOINT_VERSION,
-        "config": _config_to_dict(state.config),
-        "step_count": state.step_count,
-        "optimizer": {
-            "learning_rate": opt.learning_rate,
-            "beta1": opt.beta1,
-            "beta2": opt.beta2,
-            "eps": opt.eps,
-        },
-        "arrays": [[name, int(arr.size)] for name, arr in arrays],
-    }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    blob = _header_bytes(state.config, opt.learning_rate, state.step_count)
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<IQ", CHECKPOINT_VERSION, len(blob)))
         fh.write(blob)
-        for _, arr in arrays:
+        for arr in (state.weights, state.ema_weights, opt.m, opt.v):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path):
     """Read a checkpoint; returns (ModelState, OptimizerState).
 
-    Weight and moment arrays round-trip bit-exactly.
+    Weight and moment arrays round-trip bit-exactly, and a loaded
+    checkpoint re-saves to the same bytes.
 
     Raises:
         ValueError: naming the file and the reason, on a bad magic or
-            version (in the binary prefix or the header), a truncated or
-            malformed header, arrays whose names or sizes disagree with
-            the configured network, truncated arrays, or bytes after the
-            last array.
+            version, a truncated or malformed header, a header that
+            `_header_bytes` would not write (unknown, missing or repeated
+            keys, other spacing or number forms, out-of-range values),
+            truncated arrays, or bytes after the last array.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -379,46 +377,30 @@ def load_checkpoint(path):
     offset += 12
     if len(raw) < offset + header_len:
         raise fail("truncated checkpoint: header")
-    try:
-        header = json.loads(raw[offset:offset + header_len].decode())
-        header_version = header["version"]
-        cfg_dict = dict(header["config"])
-        cfg_dict["hidden_widths"] = tuple(cfg_dict["hidden_widths"])
-        config = FieldConfig(**cfg_dict)
-        arrays = [(name, int(size)) for name, size in header["arrays"]]
-        step_count = int(header["step_count"])
-        hyper = {key: float(header["optimizer"][key])
-                 for key in ("learning_rate", "beta1", "beta2", "eps")}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise fail(f"malformed checkpoint header: {exc!r}") from exc
+    blob = raw[offset:offset + header_len]
     offset += header_len
-    if type(header_version) is not int or header_version != CHECKPOINT_VERSION:
-        raise fail(f"header version {header_version!r} does not match "
-                   f"checkpoint version {CHECKPOINT_VERSION}")
+    try:
+        header = json.loads(blob)
+        config = FieldConfig(**header["config"])
+        learning_rate, step_count = header["learning_rate"], header["step_count"]
+        canonical = _header_bytes(config, learning_rate, step_count)
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        raise fail(f"malformed checkpoint header: {exc!r}") from exc
+    if blob != canonical:
+        raise fail("checkpoint header differs from the one save_checkpoint "
+                   "writes for its values")
 
-    names = tuple(name for name, _ in arrays)
-    if names != _CHECKPOINT_ARRAYS:
-        raise fail(f"checkpoint arrays {list(names)}, expected "
-                   f"{list(_CHECKPOINT_ARRAYS)}")
-    expected = parameter_count(config)
-    data = {}
-    for name, size in arrays:
-        if size != expected:
-            raise fail(f"array {name!r} holds {size} values but the "
-                       f"configured network has {expected} parameters")
-        if len(raw) < offset + 8 * size:
+    count = parameter_count(config)
+    arrays = []
+    for name in _CHECKPOINT_ARRAYS:
+        if len(raw) < offset + 8 * count:
             raise fail(f"truncated checkpoint: array {name!r}")
-        data[name] = np.frombuffer(raw, dtype="<f8", count=size,
-                                   offset=offset).astype(np.float64)
-        offset += 8 * size
+        arrays.append(np.frombuffer(raw, dtype="<f8", count=count,
+                                    offset=offset).astype(np.float64))
+        offset += 8 * count
     if len(raw) != offset:
-        raise fail(f"{len(raw) - offset} trailing bytes after the last array")
-
-    state = ModelState(
-        config=config,
-        weights=data["weights"],
-        ema_weights=data["ema_weights"],
-        step_count=step_count,
-    )
-    opt = OptimizerState(**hyper, m=data["adam_m"], v=data["adam_v"])
-    return state, opt
+        raise fail(f"{len(raw) - offset} trailing bytes after the last array "
+                   f"of {count} values")
+    weights, ema_weights, m, v = arrays
+    return (ModelState(config, weights, ema_weights, step_count),
+            OptimizerState(learning_rate, m=m, v=v))

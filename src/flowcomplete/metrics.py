@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cloud_io import split_lines
 from .geometry import as_cloud, bev_histogram, nearest_sq_dists, voxel_keys
 
 DEFAULT_BEV_RESOLUTION = 0.5
@@ -110,10 +111,10 @@ def format_report(report: EvalReport) -> str:
 
 
 def parse_report(text: str) -> EvalReport:
-    """Inverse of format_report."""
+    """Inverse of format_report; lines end as `cloud_io.split_lines` says."""
     values = {}
     iou = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -201,6 +201,94 @@ class TestPlyAscii:
         assert str(err.value) == f"{path}: line 8: bad coordinate in {shown!r}"
 
 
+class TestPlyLimits:
+    def test_binary_double_coordinates_rejected(self, tmp_path):
+        # read as float32, these bytes used to load as [[0, 1.875, 0], ...]
+        path = tmp_path / "double.ply"
+        path.write_bytes(
+            b"ply\nformat binary_little_endian 1.0\nelement vertex 2\n"
+            b"property double x\nproperty double y\nproperty double z\n"
+            b"end_header\n" + np.array([[1, 2, 3], [4, 5, 6]], "<f8").tobytes()
+        )
+        with pytest.raises(ValueError) as err:
+            cloud_io.read_cloud(path)
+        assert str(err.value) == (f"{path}: binary PLY coordinates must be "
+                                  "float or float32, got ['double', 'double', 'double']")
+
+    def test_binary_float32_name_accepted(self, tmp_path):
+        path = tmp_path / "f32.ply"
+        path.write_bytes(
+            b"ply\nformat binary_little_endian 1.0\nelement vertex 1\n"
+            b"property float32 x\nproperty float32 y\nproperty float32 z\n"
+            b"end_header\n" + np.array([[1, 2, 3]], "<f4").tobytes()
+        )
+        assert cloud_io.read_cloud(path).tolist() == [[1, 2, 3]]
+
+    @pytest.mark.parametrize("fmt", ["binary_little_endian", "ascii"])
+    def test_bare_property_line_rejected(self, tmp_path, fmt):
+        path = tmp_path / "bare.ply"
+        path.write_text(f"ply\nformat {fmt} 1.0\nelement vertex 0\n"
+                        "property float x\nproperty float y\nproperty\n"
+                        "end_header\n")
+        with pytest.raises(ValueError, match="missing property 'z'"):
+            cloud_io.read_cloud(path)
+
+    def test_ascii_double_coordinates_accepted(self, tmp_path):
+        path = tmp_path / "double.ply"
+        path.write_text("ply\nformat ascii 1.0\nelement vertex 1\n"
+                        "property double x\nproperty double y\n"
+                        "property double z\nend_header\n0.1 0.2 0.3\n")
+        assert cloud_io.read_cloud(path).tolist() == [[0.1, 0.2, 0.3]]
+
+    @pytest.mark.parametrize("fmt, face", [
+        ("binary_little_endian", b"\x03" + bytes(12)),
+        ("ascii", b"3 0 0 0\n"),
+    ], ids=["binary", "ascii"])
+    def test_element_before_vertex_rejected(self, tmp_path, fmt, face):
+        # the face row used to be read as the first vertex
+        path = tmp_path / "face-first.ply"
+        vertex = (np.array([[1, 2, 3]], "<f4").tobytes() if fmt != "ascii"
+                  else b"1 2 3\n")
+        path.write_bytes(
+            f"ply\nformat {fmt} 1.0\nelement face 1\n"
+            "property list uchar int vertex_indices\nelement vertex 1\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "end_header\n".encode("ascii") + face + vertex
+        )
+        with pytest.raises(ValueError) as err:
+            cloud_io.read_cloud(path)
+        assert str(err.value) == (f"{path}: PLY element 'face' comes before "
+                                  "vertex; vertex must be the first element")
+
+    def test_element_after_vertex_ignored(self, tmp_path):
+        path = tmp_path / "face-last.ply"
+        path.write_text("ply\nformat ascii 1.0\nelement vertex 1\n"
+                        "property float x\nproperty float y\nproperty float z\n"
+                        "element face 1\nproperty list uchar int vertex_indices\n"
+                        "end_header\n1 2 3\n3 0 0 0\n")
+        assert cloud_io.read_cloud(path).tolist() == [[1, 2, 3]]
+
+    @pytest.mark.parametrize("name, text, reason", [
+        ("cloud.xyz", "1 2 3\x0c4 5 6\n", "line 1: expected 3 coordinates, got 6"),
+        ("cloud.ply", ascii_ply(np.zeros((2, 3)))[:-len("0 0 0\n0 0 0\n")]
+         + "1 2 3\x0c4 5 6\n", "truncated PLY body: 1 rows, expected 2"),
+    ], ids=["xyz", "ascii-ply"])
+    def test_form_feed_does_not_end_a_line(self, tmp_path, name, text, reason):
+        # one line rule for every text format: \n, \r\n or \r end a line
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            cloud_io.read_cloud(path)
+        assert str(err.value) == f"{path}: {reason}"
+
+    def test_carriage_returns_end_ascii_rows(self, tmp_path):
+        path = tmp_path / "cr.ply"
+        path.write_bytes(ascii_ply(np.zeros((0, 3))).encode("ascii")
+                         .replace(b"element vertex 0", b"element vertex 2")
+                         + b"1 2 3\r4 5 6\r\n")
+        assert cloud_io.read_cloud(path).tolist() == [[1, 2, 3], [4, 5, 6]]
+
+
 class TestFormatGuessing:
     def test_unknown_extension(self, tmp_path):
         with pytest.raises(ValueError, match="guess"):

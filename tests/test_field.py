@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowcomplete import coupling, field, geometry, objective
 from oracles import assert_grad_matches_fd, chamfer_assignments, nn_map_exhaustive
@@ -74,19 +76,13 @@ class TestFieldConfig:
         with pytest.raises(ValueError, match="activation"):
             field.FieldConfig(activation="swish")
 
-    def test_unknown_cond_mode(self):
-        with pytest.raises(ValueError, match="condition"):
-            field.FieldConfig(cond_feature_mode="voxel")
-
     def test_empty_widths(self):
         with pytest.raises(ValueError, match="widths"):
             field.FieldConfig(hidden_widths=())
 
     def test_input_dim(self):
-        cfg = field.FieldConfig(time_embed_dim=8, cond_feature_mode="nearest-offset")
+        cfg = field.FieldConfig(time_embed_dim=8)
         assert cfg.input_dim == 3 + 8 + 5
-        cfg = field.FieldConfig(time_embed_dim=8, cond_feature_mode="none")
-        assert cfg.input_dim == 11
 
 
 class TestTimeEmbedding:
@@ -444,6 +440,33 @@ class TestCheckpoint:
         assert np.array_equal(loaded_opt.m, opt.m)
         assert np.array_equal(loaded_opt.v, opt.v)
         assert loaded_opt.learning_rate == opt.learning_rate
+        resaved = tmp_path / "resaved.ckpt"
+        field.save_checkpoint(resaved, loaded, loaded_opt)
+        assert resaved.read_bytes() == path.read_bytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(widths=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+           half_dim=st.integers(1, 3), activation=st.sampled_from(["tanh", "relu"]),
+           seed=st.integers(0, 2 ** 32), zero_init_output=st.booleans(),
+           learning_rate=st.floats(min_value=5e-324, allow_infinity=False),
+           step_count=st.integers(0, 2 ** 63))
+    def test_every_saved_file_resaves_identically(self, tmp_path_factory, widths,
+                                                  half_dim, activation, seed,
+                                                  zero_init_output,
+                                                  learning_rate, step_count):
+        cfg = field.FieldConfig(hidden_widths=widths, time_embed_dim=2 * half_dim,
+                                activation=activation, seed=seed,
+                                zero_init_output=zero_init_output)
+        state = field.init_model(cfg)
+        state = field.ModelState(cfg, state.weights, state.ema_weights, step_count)
+        opt = field.init_optimizer(state, learning_rate=learning_rate)
+        path = tmp_path_factory.mktemp("saved") / "model.ckpt"
+        field.save_checkpoint(path, state, opt)
+        loaded, loaded_opt = field.load_checkpoint(path)
+        assert (loaded.config, loaded.step_count, loaded_opt.learning_rate) == (
+            cfg, step_count, learning_rate)
+        field.save_checkpoint(path.with_name("again.ckpt"), loaded, loaded_opt)
+        assert path.with_name("again.ckpt").read_bytes() == path.read_bytes()
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         state = field.init_model(SMALL)
@@ -492,52 +515,152 @@ class TestCheckpoint:
 
     def test_header_widths_disagree_with_arrays(self, tmp_path):
         # A (64, 64) network's arrays under a header that says (8,): the
-        # arrays hold 5443 values where the header implies 163.
+        # header implies four arrays of 163 values where the file holds
+        # four of 5443.
         cfg = field.FieldConfig(hidden_widths=(64, 64))
         state = field.init_model(cfg)
         opt = field.init_optimizer(state)
         path = tmp_path / "model.ckpt"
         field.save_checkpoint(path, state, opt)
-        raw = path.read_bytes()
-        start = len(field.CHECKPOINT_MAGIC) + 12
-        (header_len,) = struct.unpack_from("<Q", raw, start - 8)
-        header = json.loads(raw[start:start + header_len])
-        header["config"]["hidden_widths"] = [8]
-        blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-        path.write_bytes(raw[:start - 8] + struct.pack("<Q", len(blob)) + blob
-                         + raw[start + header_len:])
         narrow = field.FieldConfig(hidden_widths=(8,))
         assert (field.parameter_count(cfg), field.parameter_count(narrow)) == (5443, 163)
-        with pytest.raises(ValueError, match="5443 values .* 163 parameters") as err:
+        rewrite_header(path, field._header_bytes(narrow, opt.learning_rate, 0))
+        with pytest.raises(ValueError) as err:
+            field.load_checkpoint(path)
+        extra = 4 * 8 * (5443 - 163)
+        assert str(err.value) == (f"{path}: {extra} trailing bytes after the "
+                                  "last array of 163 values")
+
+    def test_header_bytes_golden(self):
+        # Any change to these bytes must come with a CHECKPOINT_VERSION bump.
+        assert field.CHECKPOINT_VERSION == 2
+        blob = field._header_bytes(SMALL, 3e-4, 7)
+        assert blob == (b'{"config":{"activation":"tanh","hidden_widths":[8],'
+                        b'"seed":3,"time_embed_dim":4,"zero_init_output":true},'
+                        b'"learning_rate":0.0003,"step_count":7}')
+
+    @pytest.mark.parametrize("key, value", [
+        ("version", 2),
+        ("provenance", {}),
+    ], ids=["version", "provenance"])
+    def test_header_with_unknown_key_rejected(self, tmp_path, key, value):
+        path = saved_small(tmp_path)
+        header = json.loads(field._header_bytes(SMALL, 1e-3, 0))
+        header[key] = value
+        rewrite_header(path, json.dumps(header, sort_keys=True,
+                                        separators=(",", ":")).encode())
+        with pytest.raises(ValueError, match="differs from the one "
+                           "save_checkpoint writes") as err:
             field.load_checkpoint(path)
         assert str(path) in str(err.value)
 
-    def test_header_version_mismatch_rejected(self, tmp_path):
+    @pytest.mark.parametrize("old, new", [
+        (b'"step_count":0', b'"step_count":0,"step_count":0'),   # repeated key
+        (b'"step_count":0', b'"step_count": 0'),                 # spacing
+        (b'"step_count":0', b'"step_count":0.0'),
+        (b'"learning_rate":0.001', b'"learning_rate":1e-3'),
+        (b'"learning_rate":0.001', b'"learning_rate":"0.001"'),
+        (b'"time_embed_dim":4', b'"time_embed_dim":4.0'),
+        (b'"hidden_widths":[8]', b'"hidden_widths":[8.0]'),
+        (b'"seed":3', b'"seed":true'),
+        (b'"seed":3,', b''),                                     # missing key
+    ])
+    def test_non_canonical_header_rejected(self, tmp_path, old, new):
+        path = saved_small(tmp_path)
+        blob = field._header_bytes(SMALL, 1e-3, 0)
+        assert blob.count(old) == 1
+        rewrite_header(path, blob.replace(old, new))
+        with pytest.raises(ValueError, match="differs from the one "
+                           "save_checkpoint writes") as err:
+            field.load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("old, new, reason", [
+        (b'"learning_rate":0.001', b'"learning_rate":NaN', "learning rate"),
+        (b'"learning_rate":0.001', b'"learning_rate":Infinity', "learning rate"),
+        (b'"learning_rate":0.001', b'"learning_rate":0.0', "learning rate"),
+        (b'"learning_rate":0.001', b'"learning_rate":-0.001', "learning rate"),
+        (b'"step_count":0', b'"step_count":-5', "step count"),
+        (b'"step_count":0', b'"step_count":Infinity', "infinity"),
+        (b'"hidden_widths":[8]', b'"hidden_widths":[Infinity]', "infinity"),
+        (b'"activation":"tanh"', b'"activation":"swish"', "activation"),
+        (b'"seed":3', b'"seed":3,"bogus":1', "bogus"),
+    ])
+    def test_out_of_range_header_value_rejected(self, tmp_path, old, new, reason):
+        path = saved_small(tmp_path)
+        blob = field._header_bytes(SMALL, 1e-3, 0)
+        rewrite_header(path, blob.replace(old, new))
+        with pytest.raises(ValueError, match="malformed checkpoint header") as err:
+            field.load_checkpoint(path)
+        assert str(path) in str(err.value)
+        assert reason in str(err.value)
+
+    def test_deeply_nested_header_rejected(self, tmp_path):
+        path = saved_small(tmp_path)
+        rewrite_header(path, b"[" * 100_000)
+        with pytest.raises(ValueError, match="malformed checkpoint header"):
+            field.load_checkpoint(path)
+
+    @pytest.mark.parametrize("learning_rate, step_count", [
+        (float("nan"), 0), (0.0, 0), (-1e-3, 0), (1e-3, -1)])
+    def test_save_rejects_out_of_range_values(self, tmp_path, learning_rate,
+                                              step_count):
         state = field.init_model(SMALL)
-        opt = field.init_optimizer(state)
+        state = field.ModelState(state.config, state.weights,
+                                 state.ema_weights, step_count)
+        opt = field.init_optimizer(state, learning_rate=learning_rate)
         path = tmp_path / "model.ckpt"
-        field.save_checkpoint(path, state, opt)
-        raw = path.read_bytes()
-        start = len(field.CHECKPOINT_MAGIC) + 12
-        (header_len,) = struct.unpack_from("<Q", raw, start - 8)
-        header = json.loads(raw[start:start + header_len])
-        for version in (field.CHECKPOINT_VERSION + 1, 0, "1", True):
-            header["version"] = version
-            blob = json.dumps(header, sort_keys=True,
-                              separators=(",", ":")).encode()
-            path.write_bytes(raw[:start - 8] + struct.pack("<Q", len(blob))
-                             + blob + raw[start + header_len:])
-            with pytest.raises(ValueError, match="header version") as err:
-                field.load_checkpoint(path)
-            assert str(path) in str(err.value)
+        with pytest.raises(ValueError):
+            field.save_checkpoint(path, state, opt)
+
+    def test_version_1_file_rejected(self, tmp_path):
+        # The version 1 layout: the header also held a version key, Adam's
+        # constants and a table of array names and sizes.
+        state = field.init_model(SMALL)
+        count = field.parameter_count(SMALL)
+        header = {
+            "version": 1,
+            "config": {"activation": "tanh", "cond_feature_mode": "nearest-offset",
+                       "hidden_widths": [8], "seed": 3, "time_embed_dim": 4,
+                       "zero_init_output": True},
+            "step_count": 0,
+            "optimizer": {"learning_rate": 1e-3, "beta1": 0.9,
+                          "beta2": 0.999, "eps": 1e-8},
+            "arrays": [[name, count] for name in
+                       ("weights", "ema_weights", "adam_m", "adam_v")],
+        }
+        blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(field.CHECKPOINT_MAGIC + struct.pack("<IQ", 1, len(blob))
+                         + blob + state.weights.tobytes() * 2
+                         + bytes(16 * count))
+        with pytest.raises(ValueError) as err:
+            field.load_checkpoint(path)
+        assert str(err.value) == f"{path}: unsupported checkpoint version 1"
+
+
+def saved_small(tmp_path):
+    """Path of a checkpoint of a fresh SMALL model, learning rate 1e-3."""
+    state = field.init_model(SMALL)
+    path = tmp_path / "model.ckpt"
+    field.save_checkpoint(path, state, field.init_optimizer(state))
+    return path
+
+
+def rewrite_header(path, blob):
+    """Replace the checkpoint's header by `blob`, fixing its length."""
+    raw = path.read_bytes()
+    start = len(field.CHECKPOINT_MAGIC) + 12
+    (header_len,) = struct.unpack_from("<Q", raw, start - 8)
+    path.write_bytes(raw[:start - 8] + struct.pack("<Q", len(blob)) + blob
+                     + raw[start + header_len:])
 
 
 class TestCheckpointFuzz:
     """Every truncation and every single-bit flip of a small checkpoint."""
 
-    # 21 parameters keep the exhaustive loops short
-    CONFIG = field.FieldConfig(hidden_widths=(2,), time_embed_dim=2,
-                               cond_feature_mode="none", seed=4,
+    # 31 parameters keep the exhaustive loops short
+    CONFIG = field.FieldConfig(hidden_widths=(2,), time_embed_dim=2, seed=4,
                                zero_init_output=False)
 
     @pytest.fixture(scope="class")
@@ -573,15 +696,6 @@ class TestCheckpointFuzz:
                 continue
             loaded_count += 1
             field.save_checkpoint(resaved, state, opt)
-            again, again_opt = field.load_checkpoint(resaved)
-            assert again.config == state.config
-            assert again.step_count == state.step_count
-            hyper = ("learning_rate", "beta1", "beta2", "eps")
-            assert ([getattr(again_opt, k) for k in hyper]
-                    == [getattr(opt, k) for k in hyper])
-            for a, b in ((state.weights, again.weights),
-                         (state.ema_weights, again.ema_weights),
-                         (opt.m, again_opt.m), (opt.v, again_opt.v)):
-                assert a.tobytes() == b.tobytes()
+            assert resaved.read_bytes() == bytes(flipped)
         # every flip inside the four arrays loads
         assert loaded_count >= 8 * 8 * 4 * field.parameter_count(self.CONFIG)

@@ -209,6 +209,9 @@ class TestEvaluate:
             metrics.parse_report("cd_m = 0.5\n")
         with pytest.raises(ValueError, match="bad number"):
             metrics.parse_report("cd_m = abc\n")
+        # a form feed does not end a line, as in every text format here
+        with pytest.raises(ValueError, match="line 1: bad number"):
+            metrics.parse_report("cd_m = 0.5\x0cjsd = 0.1\n")
 
     def test_table_contains_mean_row(self):
         rng = np.random.default_rng(11)
