@@ -12,7 +12,8 @@ import sys
 from pathlib import Path
 
 from . import cloud_io, coupling, field, metrics, sampler, scenes, train
-from .config import RunConfig, _parse_value, build_config, read_config_file
+from .config import (Overrides, RunConfig, _parse_value, build_config,
+                     read_config_file)
 
 
 class UsageError(Exception):
@@ -37,11 +38,16 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     # values that fail to parse or validate are usage errors (exit 1)
     try:
         file_overrides = read_config_file(args.config) if args.config else {}
-        flag_overrides = {}
+        flag_overrides = Overrides()
         for key, raw in vars(args).items():
             if key.startswith("cfg_") and raw is not None:
                 name = key[len("cfg_"):]
-                flag_overrides[name] = _parse_value(name, raw)
+                flag = f"flag --{name.replace('_', '-')}"
+                try:
+                    flag_overrides[name] = _parse_value(name, raw)
+                except ValueError as exc:
+                    raise ValueError(f"{flag}: {exc}") from None
+                flag_overrides.origin[name] = flag
         return build_config(file_overrides, flag_overrides)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc

@@ -95,11 +95,20 @@ def _write_ply(cloud: np.ndarray, path) -> None:
 def _read_ply(path) -> np.ndarray:
     with open(path, "rb") as fh:
         data = fh.read()
-    end = data.find(b"end_header\n")
-    if not data.startswith(b"ply\n") or end < 0:
+    # Header lines end in \n, or all of them in \r\n, as an ASCII file
+    # written with Windows line ends has them. A \r-only rule would make
+    # the end of the header ambiguous in front of a binary body.
+    eol = b"\r\n" if data.startswith(b"ply\r\n") else b"\n"
+    end = data.find(b"end_header" + eol)
+    if not data.startswith(b"ply" + eol) or end < 0:
         raise ValueError(f"{path}: not a PLY file (missing header)")
+    if eol == b"\r\n":
+        stray = data[:end].replace(eol, b"")
+        if b"\r" in stray or b"\n" in stray:
+            raise ValueError(f"{path}: PLY header lines must all end in "
+                             "\\r\\n once the first does")
     header_lines = split_lines(data[:end].decode("ascii", errors="replace"))
-    body = data[end + len(b"end_header\n"):]
+    body = data[end + len(b"end_header" + eol):]
 
     fmt = None
     vertex_count = None
@@ -136,6 +145,10 @@ def _read_ply(path) -> np.ndarray:
             properties.append(words[-1])
     if fmt not in ("ascii", "binary_little_endian"):
         raise ValueError(f"{path}: unsupported PLY format {fmt!r}")
+    if fmt != "ascii" and eol == b"\r\n":
+        # a text-mode copy turns the body's \n bytes into \r\n as well
+        raise ValueError(f"{path}: binary PLY with \\r\\n header line ends; "
+                         "the file was probably converted as text")
     if vertex_count is None:
         raise ValueError(f"{path}: PLY header missing element vertex")
     for axis in ("x", "y", "z"):

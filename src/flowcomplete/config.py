@@ -186,10 +186,19 @@ def _parse_value(name: str, text: str):
     return text
 
 
-def read_config_file(path) -> dict:
+class Overrides(dict):
+    """Typed config values by key. `origin[key]`, when set, says where a
+    value came from (a file and line, or a flag) for range errors."""
+
+    def __init__(self):
+        super().__init__()
+        self.origin = {}
+
+
+def read_config_file(path) -> Overrides:
     """Parse a flat UTF-8 `key = value` file into typed overrides; errors
     are ValueErrors naming the file and the line."""
-    overrides = {}
+    overrides = Overrides()
     for lineno, raw in enumerate(split_lines(read_utf8(path)), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -204,16 +213,45 @@ def read_config_file(path) -> dict:
             overrides[key] = _parse_value(key, value)
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        overrides.origin[key] = f"{path}: line {lineno}: config key {key!r}"
     return overrides
 
 
 def build_config(file_overrides: dict | None = None,
                  flag_overrides: dict | None = None) -> RunConfig:
-    """Merge defaults, then file values, then flags; validate the result."""
+    """Merge defaults, then file values, then flags; validate the result.
+
+    Only the merged values are checked, so a flag may replace a file value
+    that is out of range. A range error names the origin (see
+    :class:`Overrides`) of the value that breaks the config, when known.
+    """
     merged = {}
+    origin = {}
     for layer in (file_overrides or {}, flag_overrides or {}):
         for key, value in layer.items():
             if key not in _FIELDS:
                 raise ValueError(f"unknown config key {key!r}")
+            merged.pop(key, None)  # keep the keys in the order they apply
             merged[key] = value
-    return RunConfig(**merged).validate()
+            origin[key] = getattr(layer, "origin", {}).get(key)
+    try:
+        return RunConfig(**merged).validate()
+    except ValueError:
+        key, exc = _first_range_error(merged)
+        if origin[key] is None:
+            raise
+        raise ValueError(f"{origin[key]}: {exc}") from None
+
+
+def _first_range_error(values: dict) -> tuple:
+    # Applies the values to the defaults one at a time, in order, and
+    # returns the first key after which the config fails validation, with
+    # that error. `values` must fail validation as a whole.
+    applied = {}
+    for key, value in values.items():
+        applied[key] = value
+        try:
+            RunConfig(**applied).validate()
+        except ValueError as exc:
+            return key, exc
+    raise AssertionError("the values validate as a whole")

@@ -59,14 +59,38 @@ def _unique_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[first], order[first].astype(np.int64)
 
 
+# Weights of the repeat pre-check's row key: irrational-ish, so unequal
+# rows rarely share a key, and below 1 in magnitude, so no product
+# overflows and a key is never NaN.
+_KEY_WEIGHTS = (0.6180339887498949, 0.41421356237309515, 0.7320508075688772)
+
+
+def _may_repeat(points: np.ndarray) -> bool:
+    # False only if no two rows are equal. Every key is computed from its
+    # row's coordinates by the same elementwise products and sums, in the
+    # same order, so equal rows get equal keys (-0.0 and 0.0 included) and
+    # distinct keys mean distinct rows. A matrix product is avoided because BLAS may round one row
+    # differently depending on where it sits. Sums that overflow give
+    # infinite keys, which collide; any collision only costs the dedupe.
+    with np.errstate(over="ignore"):
+        keys = points[:, 0] * _KEY_WEIGHTS[0]
+        keys += points[:, 1] * _KEY_WEIGHTS[1]
+        keys += points[:, 2] * _KEY_WEIGHTS[2]
+    keys.sort()
+    return bool(np.any(keys[1:] == keys[:-1]))
+
+
 class NeighborIndex:
     """Nearest-neighbor index over a fixed target cloud, built once.
 
-    Holds a private copy of the target rows, the deduplicated rows, their
-    lowest original indices and a k-d tree over them. Queries follow the
-    rules of :func:`nearest_neighbor_map`. Later writes to the caller's
-    array do not reach the index. `np.asarray(index)` and `len(index)`
-    give the original rows in their original order.
+    Holds a private copy of the target rows and a k-d tree over them. A
+    cheap exact test (one sorted float key per row) first rules out
+    repeated rows; only a target it cannot clear is deduplicated, and then
+    the tree holds the unique rows and the index their lowest original
+    indices. Queries follow the rules of :func:`nearest_neighbor_map`.
+    Later writes to the caller's array do not reach the index.
+    `np.asarray(index)` and `len(index)` give the original rows in their
+    original order.
 
     Raises:
         ValueError: on an invalid or empty target.
@@ -78,11 +102,15 @@ class NeighborIndex:
             raise ValueError("empty target cloud")
         rows.flags.writeable = False
         self._rows = rows
-        uniq, lowest = _unique_rows(rows)
         # Lowest original index of each tree row; None when the tree is
         # built over the rows themselves, which have no duplicates.
-        self._lowest = None if len(uniq) == len(rows) else lowest
-        self._tree = cKDTree(rows if self._lowest is None else uniq)
+        self._lowest = None
+        tree_rows = rows
+        if _may_repeat(rows):
+            uniq, lowest = _unique_rows(rows)
+            if len(uniq) < len(rows):
+                self._lowest, tree_rows = lowest, uniq
+        self._tree = cKDTree(tree_rows)
 
     def __len__(self) -> int:
         return len(self._rows)

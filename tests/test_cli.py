@@ -283,6 +283,42 @@ class TestUsage:
         assert key in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("body, flags, source", [
+        ("cases = 2\nlearning_rate = -1\n", [],
+         "{cfg}: line 2: config key 'learning_rate': learning rate must be positive"),
+        ("# widths\nhidden_widths = 0\n", [],
+         "{cfg}: line 2: config key 'hidden_widths': hidden widths must be positive"),
+        ("cases = 2\n", ["--learning-rate", "-1"],
+         "flag --learning-rate: learning rate must be positive"),
+        ("cases = 2\n", ["--learning-rate", "nan"],
+         "flag --learning-rate: config key 'learning_rate': expected a finite "
+         "number, got 'nan'"),
+        # neither weight is out of range alone; the one applied last is named
+        ("flow_weight = 0\n", ["--chamfer-weight", "0"],
+         "flag --chamfer-weight: at least one loss weight must be positive"),
+    ], ids=["file_learning_rate", "file_hidden_widths", "flag_learning_rate",
+            "flag_unparsable", "flag_completes_bad_pair"])
+    def test_range_error_names_its_source(self, tmp_path, monkeypatch, capsys,
+                                          body, flags, source):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(body)
+        code, _, err = run_cli(["train", "--config", str(cfgfile), *flags],
+                               monkeypatch, capsys)
+        assert code == 1
+        assert err == f"usage error: {source.format(cfg=cfgfile)}\n"
+
+    def test_flag_replaces_out_of_range_file_value(self, tmp_path, monkeypatch,
+                                                   capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("cases = -3\nscan_budget = 0\n")
+        data = tmp_path / "data"
+        code, _, err = run_cli(
+            ["make-data", "--config", str(cfgfile), "--cases", "1",
+             "--scan-budget", "64", "--density", "25", "--out", str(data)],
+            monkeypatch, capsys)
+        assert code == 0, err
+        assert len(cloud_io.read_manifest(data / "manifest.tsv")) == 1
+
     def test_config_file_and_flag_precedence(self, tmp_path, monkeypatch, capsys):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("cases = 0\nscan_budget = 64\n")

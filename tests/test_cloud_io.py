@@ -289,6 +289,48 @@ class TestPlyLimits:
         assert cloud_io.read_cloud(path).tolist() == [[1, 2, 3], [4, 5, 6]]
 
 
+class TestPlyLineEnds:
+    def test_crlf_ascii_reads_as_lf(self, tmp_path):
+        cloud = np.array([[1.5, -2.0, 3.25], [0.0, 4.0, -5.5]])
+        path = tmp_path / "crlf.ply"
+        path.write_bytes(ascii_ply(cloud).replace("\n", "\r\n").encode("ascii"))
+        assert cloud_io.read_cloud(path).tolist() == cloud.tolist()
+
+    def test_crlf_body_error_counts_lines_as_lf(self, tmp_path):
+        text = ascii_ply(np.zeros((2, 3))).replace("0 0 0\n0 0 0", "0 0 0\n0 x 0")
+        lf, crlf = tmp_path / "lf.ply", tmp_path / "crlf.ply"
+        lf.write_text(text)
+        crlf.write_bytes(text.replace("\n", "\r\n").encode("ascii"))
+        errors = []
+        for path in (lf, crlf):
+            with pytest.raises(ValueError) as err:
+                cloud_io.read_cloud(path)
+            errors.append(str(err.value).replace(str(path), "FILE"))
+        assert errors[0] == errors[1] == "FILE: line 9: bad coordinate in '0 x 0'"
+
+    @pytest.mark.parametrize("header, reason", [
+        ("ply\r\nformat binary_little_endian 1.0\r\nelement vertex 1\r\n"
+         "property float x\r\nproperty float y\r\nproperty float z\r\n"
+         "end_header\r\n", "binary PLY with \\r\\n header line ends"),
+        ("ply\r\nformat ascii 1.0\nelement vertex 1\r\nproperty float x\r\n"
+         "property float y\r\nproperty float z\r\nend_header\r\n",
+         "PLY header lines must all end in \\r\\n"),
+        ("ply\r\nformat ascii 1.0\r\nelement vertex 1\r\r\nproperty float x\r\n"
+         "property float y\r\nproperty float z\r\nend_header\r\n",
+         "PLY header lines must all end in \\r\\n"),
+        # \r alone does not end a header line
+        ("ply\rformat ascii 1.0\relement vertex 1\rproperty float x\r"
+         "property float y\rproperty float z\rend_header\r", "missing header"),
+    ], ids=["crlf-binary", "crlf-then-lf", "crlf-then-cr", "cr-only"])
+    def test_rejected_header_line_ends(self, tmp_path, header, reason):
+        path = tmp_path / "bad.ply"
+        path.write_bytes(header.encode("ascii") + bytes(12))
+        with pytest.raises(ValueError) as err:
+            cloud_io.read_cloud(path)
+        assert str(err.value).startswith(f"{path}: ")
+        assert reason in str(err.value)
+
+
 class TestFormatGuessing:
     def test_unknown_extension(self, tmp_path):
         with pytest.raises(ValueError, match="guess"):

@@ -129,6 +129,24 @@ class TestBuildConfig:
         with pytest.raises(ValueError, match="density"):
             config.build_config({}, {"density": -1.0})
 
+    def test_range_error_names_the_value_that_stands(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("copies = 0\nsteps = 0\n")
+        overrides = config.read_config_file(path)
+        with pytest.raises(ValueError) as err:
+            config.build_config(overrides, {})
+        assert str(err.value) == (
+            f"{path}: line 1: config key 'copies': copies must be >= 1")
+        # the replaced value is not checked; a plain dict names no origin
+        with pytest.raises(ValueError) as err:
+            config.build_config(overrides, {"copies": 2})
+        assert str(err.value) == (
+            f"{path}: line 2: config key 'steps': steps must be >= 1")
+        assert config.build_config(overrides, {"copies": 2, "steps": 3}).steps == 3
+        with pytest.raises(ValueError) as err:
+            config.build_config({}, {"steps": 0})
+        assert str(err.value) == "steps must be >= 1"
+
     @pytest.mark.parametrize("name", FLOAT_KEYS)
     def test_validate_rejects_non_finite_float(self, name):
         # built directly, as library callers do, so no parsing guards it

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -340,17 +342,31 @@ def test_neighbor_index_ignores_later_writes_property(tgt, src):
     assert np.asarray(index).tobytes() == original.tobytes()
 
 
+ROW_CLOUDS = st.one_of(
+    random_or_lattice_cloud(st.integers(1, 300)), one_point_cloud(),
+    # 8 copies of each row, interleaved
+    random_or_lattice_cloud(st.integers(1, 40)).map(lambda c: np.tile(c, (8, 1))),
+    # rows of signed zeros: all equal, most of them not bit for bit
+    st.integers(1, 8).flatmap(lambda n: arrays(
+        np.float64, (n, 3), elements=st.sampled_from([-0.0, 0.0]))))
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(random_or_lattice_cloud(st.integers(1, 300)), one_point_cloud(),
-                 # 8 copies of each row, interleaved
-                 random_or_lattice_cloud(st.integers(1, 40)).map(
-                     lambda c: np.tile(c, (8, 1)))))
+@given(ROW_CLOUDS)
 def test_unique_rows_matches_numpy_unique_property(cloud):
     rows, lowest = geometry._unique_rows(cloud)
     want_rows, want_lowest = np.unique(cloud, axis=0, return_index=True)
     assert rows.tobytes() == want_rows.tobytes()
     assert lowest.dtype == np.int64
     assert np.array_equal(lowest, want_lowest)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ROW_CLOUDS)
+def test_repeat_precheck_never_misses_a_duplicate_property(cloud):
+    # NeighborIndex skips the dedupe when the pre-check clears the rows
+    if len(geometry._unique_rows(cloud)[0]) < len(cloud):
+        assert geometry._may_repeat(cloud)
 
 
 class TestNeighborIndex:
@@ -386,6 +402,42 @@ class TestNeighborIndex:
         out = geometry.NeighborIndex(np.zeros((40, 3))).query(np.empty((0, 3)))
         assert out.shape == (0,)
         assert out.dtype == np.int64
+
+    def test_distinct_rows_skip_the_dedupe(self, monkeypatch):
+        def dedupe(points):
+            raise AssertionError("distinct rows were deduplicated")
+
+        monkeypatch.setattr(geometry, "_unique_rows", dedupe)
+        rng = np.random.default_rng(59)
+        tgt = random_cloud(rng, 2000)
+        src = random_cloud(rng, 300)
+        got = geometry.NeighborIndex(tgt).query(src)
+        assert np.array_equal(got, nn_map_exhaustive(src, tgt))
+
+    @pytest.mark.parametrize("tgt, src", [
+        # keys that overflow to +-inf, with and without a repeated row;
+        # each source is a target row, so no query distance overflows
+        ([[1.7e308, 1.7e308, 1.7e308], [-1.7e308, -1.7e308, -1.7e308],
+          [1.7e308, 1.7e308, 1.6e308], [1.7e308, -1.7e308, 1.7e308]],
+         [[1.7e308, 1.7e308, 1.6e308], [-1.7e308, -1.7e308, -1.7e308],
+          [1.7e308, 1.7e308, 1.7e308]]),
+        ([[1.7e308, 1.7e308, 1.7e308], [-1.7e308, -1.7e308, -1.7e308],
+          [1.7e308, 1.7e308, 1.7e308], [0.0, 0.0, 0.0]],
+         [[1.7e308, 1.7e308, 1.7e308], [0.0, 0.0, 0.0]]),
+        # rows equal up to the sign of zero
+        ([[0.0, -0.0, 1.0], [1.0, 0.0, 0.0], [-0.0, 0.0, 1.0], [0.0, 0.0, -0.0],
+          [-0.0, -0.0, 0.0]],
+         [[0.0, 0.0, 1.0], [-0.0, -0.0, -0.0], [0.5, 0.0, 0.5], [1.0, -0.0, 0.0]]),
+    ], ids=["huge", "huge_repeated", "signed_zeros"])
+    def test_extreme_and_signed_zero_rows_match_oracle(self, tgt, src):
+        tgt = np.array(tgt)
+        src = np.array(src)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = geometry.NeighborIndex(tgt).query(src)
+        with np.errstate(over="ignore"):  # the oracle's differences overflow
+            want = nn_map_exhaustive(src, tgt)
+        assert np.array_equal(got, want)
 
 
 # Added to a cloud near the origin, this offset makes the cell span of the
