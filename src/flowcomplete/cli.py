@@ -25,13 +25,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _config_flags() -> argparse.ArgumentParser:
+    # Parent parser of every subcommand: argparse copies its actions into
+    # each one, so the flags are built and checked once.
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--config", metavar="FILE", default=None,
                         help="flat key = value config file")
     for f in dataclasses.fields(RunConfig):
         parser.add_argument(f"--{f.name.replace('_', '-')}",
                             dest=f"cfg_{f.name}", metavar="V", default=None,
                             help=f"override {f.name} (default {f.default!r})")
+    return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -115,8 +119,11 @@ def cmd_complete(cfg: RunConfig, checkpoint_path: str, scan_path: str,
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
     if cfg.record_trajectory:
+        # two decimals up to 100 steps, more above, so that every time
+        # k / steps gets its own file
+        digits = max(2, len(str(cfg.steps - 1)))
         for t, cloud in zip(traj.times, traj.states):
-            step_path = out.with_name(f"{out.stem}-t{t:.2f}{out.suffix}")
+            step_path = out.with_name(f"{out.stem}-t{t:.{digits}f}{out.suffix}")
             cloud_io.write_cloud(cloud, step_path)
     cloud_io.write_cloud(traj.final, out)
     print(f"wrote {len(traj.final)} points to {out}")
@@ -147,28 +154,29 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="flowcomplete",
                      description="Flow-based completion of partial 3-D scans")
     sub = parser.add_subparsers(dest="command", required=True)
+    config = [_config_flags()]
 
-    p = sub.add_parser("make-data", help="generate synthetic scene/scan pairs")
-    _add_config_flags(p)
+    p = sub.add_parser("make-data", help="generate synthetic scene/scan pairs",
+                       parents=config)
     p.add_argument("--out", metavar="DIR", default=None,
                    help="dataset directory (default: the data_dir config key)")
 
-    p = sub.add_parser("train", help="train a field checkpoint on a dataset")
-    _add_config_flags(p)
+    p = sub.add_parser("train", help="train a field checkpoint on a dataset",
+                       parents=config)
     p.add_argument("--data", metavar="DIR", default=None,
                    help="dataset directory (default: the data_dir config key)")
     p.add_argument("--out", metavar="FILE", default=None,
                    help="checkpoint path (default: <output_dir>/model.ckpt)")
 
-    p = sub.add_parser("complete", help="complete one scan with a checkpoint")
-    _add_config_flags(p)
+    p = sub.add_parser("complete", help="complete one scan with a checkpoint",
+                       parents=config)
     p.add_argument("--checkpoint", metavar="FILE", required=True)
     p.add_argument("--scan", metavar="FILE", required=True)
     p.add_argument("--out", metavar="FILE", default=None,
                    help="output cloud (default: <output_dir>/completed.ply)")
 
-    p = sub.add_parser("eval", help="evaluate completions against ground truth")
-    _add_config_flags(p)
+    p = sub.add_parser("eval", help="evaluate completions against ground truth",
+                       parents=config)
     p.add_argument("--pred", metavar="FILE", nargs="+", required=True)
     p.add_argument("--gt", metavar="FILE", nargs="+", required=True)
     p.add_argument("--report", metavar="FILE", default=None,

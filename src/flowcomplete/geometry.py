@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 
 def as_cloud(points) -> np.ndarray:
@@ -34,6 +33,12 @@ def as_cloud(points) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("point cloud contains non-finite coordinates")
     return arr
+
+
+class DistanceOverflowError(ValueError, FloatingPointError):
+    """A squared nearest-neighbor distance overflowed float64, so the
+    nearest row cannot be told apart; also a FloatingPointError, since a
+    training step that moves points this far has diverged."""
 
 
 def _brute_nearest(source: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -110,6 +115,10 @@ class NeighborIndex:
             uniq, lowest = _unique_rows(rows)
             if len(uniq) < len(rows):
                 self._lowest, tree_rows = lowest, uniq
+        # Imported here, at its one use, so that importing the package or
+        # running make-data never loads scipy.spatial, most of the CLI's
+        # import time.
+        from scipy.spatial import cKDTree
         self._tree = cKDTree(tree_rows)
 
     def __len__(self) -> int:
@@ -132,14 +141,22 @@ class NeighborIndex:
         # A one-row tree reports its missing second neighbor at infinite
         # distance, so a target of one repeated point needs no special case.
         dist, idx = self._tree.query(src, k=2)
+        if not np.all(np.isfinite(dist[:, 0])):
+            # the squared distance overflowed, so every candidate compares
+            # equal at inf and the nearest one cannot be told apart
+            raise DistanceOverflowError(
+                "nearest-neighbor distance overflows float64: source and "
+                "target points are too far apart")
         nearest = idx[:, 0]
         result = (nearest.astype(np.int64) if self._lowest is None
                   else self._lowest[nearest])
         tied = dist[:, 0] == dist[:, 1]
         if np.any(tied):
             # Rare exact ties between distinct rows: re-resolve exhaustively
-            # so the lowest-original-index rule holds.
-            result[tied] = _brute_nearest(src[tied], self._rows)
+            # so the lowest-original-index rule holds. Rows far enough away
+            # for their squared distance to overflow are not the nearest.
+            with np.errstate(over="ignore"):
+                result[tied] = _brute_nearest(src[tied], self._rows)
         return result
 
 
@@ -162,6 +179,10 @@ def nearest_neighbor_map(source, target) -> np.ndarray:
 
     Returns:
         int64 array of length n with values in [0, m).
+
+    Raises:
+        DistanceOverflowError: a ValueError, when the squared distance from
+            a source point to its nearest target point overflows float64.
     """
     return neighbor_index(target).query(source)
 

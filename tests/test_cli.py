@@ -1,9 +1,17 @@
+import dataclasses
+import os
+import re
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from flowcomplete import cli, cloud_io, coupling, field, sampler
+from flowcomplete.config import RunConfig
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # small-but-real settings so CLI tests stay fast
 FAST = [
@@ -170,6 +178,23 @@ class TestComplete:
         for t in ("0.00", "0.25", "0.50", "0.75", "1.00"):
             assert (tmp_path / f"traj-t{t}.ply").exists()
 
+    def test_trajectory_files_above_100_steps(self, dataset, zero_checkpoint,
+                                              tmp_path, monkeypatch, capsys):
+        entries = cloud_io.read_manifest(dataset / "manifest.tsv")
+        out = tmp_path / "traj.ply"
+        code, _, err = run_cli(
+            ["complete", *FAST, "--checkpoint", str(zero_checkpoint),
+             "--scan", str(dataset / entries[0].scan_path), "--out", str(out),
+             "--record-trajectory", "true", "--steps", "250"],
+            monkeypatch, capsys,
+        )
+        assert code == 0, err
+        steps = sorted(p.name for p in tmp_path.glob("traj-t*.ply"))
+        assert len(steps) == 251
+        assert steps[0] == "traj-t0.000.ply"
+        assert "traj-t0.004.ply" in steps
+        assert steps[-1] == "traj-t1.000.ply"
+
     def test_text_output_evaluates(self, dataset, zero_checkpoint, tmp_path,
                                    monkeypatch, capsys):
         # the extension picks the format, so `eval` reads back what
@@ -330,3 +355,67 @@ class TestUsage:
         )
         assert code == 0
         assert len(cloud_io.read_manifest(data / "manifest.tsv")) == 1
+
+
+# Each subcommand's own flags, listed after --config and the RunConfig flags.
+OWN_FLAGS = {
+    "make-data": ["--out"],
+    "train": ["--data", "--out"],
+    "complete": ["--checkpoint", "--scan", "--out"],
+    "eval": ["--pred", "--gt", "--report"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OWN_FLAGS))
+def test_help_lists_config_then_own_flags(command, monkeypatch, capsys):
+    code, out, err = run_cli([command, "--help"], monkeypatch, capsys)
+    assert code == 0, err
+    # option rows start at a two-space indent; wrapped help text is deeper
+    listed = re.findall(r"^  (-[-\w]+)", out, flags=re.MULTILINE)
+    config_flags = [f"--{f.name.replace('_', '-')}"
+                    for f in dataclasses.fields(RunConfig)]
+    assert listed == ["-h", "--config", *config_flags, *OWN_FLAGS[command]]
+
+
+STARTUP_SCRIPT = """
+import sys
+from flowcomplete import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+assert not scipy_modules(), ("import", scipy_modules())
+assert cli.main(["make-data", "--cases", "1", "--scan-budget", "64",
+                 "--density", "25", "--out", sys.argv[1]]) == 0
+assert not scipy_modules(), ("make-data", scipy_modules())
+for argv in (["--help"], ["make-data", "--help"]):
+    try:
+        cli.main(argv)
+    except SystemExit as exc:
+        assert exc.code == 0, argv
+assert not scipy_modules(), ("help", scipy_modules())
+try:
+    cli.main(["train", "--warp-speed", "9"])
+except cli.UsageError:
+    pass
+else:
+    raise AssertionError("no usage error")
+assert not scipy_modules(), ("usage error", scipy_modules())
+from flowcomplete.geometry import NeighborIndex
+NeighborIndex([[0.0, 0.0, 0.0]])
+assert "scipy.spatial" in sys.modules
+print("startup ok")
+"""
+
+
+def test_make_data_help_and_errors_never_load_scipy(tmp_path):
+    # a fresh interpreter, since this one already holds scipy
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", STARTUP_SCRIPT, str(tmp_path / "data")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "startup ok"
+    assert len(cloud_io.read_manifest(tmp_path / "data" / "manifest.tsv")) == 1

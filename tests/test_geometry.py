@@ -439,6 +439,27 @@ class TestNeighborIndex:
             want = nn_map_exhaustive(src, tgt)
         assert np.array_equal(got, want)
 
+    def test_overflowing_nearest_distance_is_value_error(self):
+        # both squared distances overflow to inf, so the tree cannot tell
+        # that row 1 is nearer
+        index = geometry.NeighborIndex([[1.7e308, 0.0, 0.0], [-1.7e308, 0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="distance overflows float64") as exc:
+                index.query([[-1e308, 0.0, 0.0]])
+        # training reports a step that moves points this far as divergence
+        assert isinstance(exc.value, FloatingPointError)
+
+    def test_tie_next_to_a_far_row_resolves_without_warning(self):
+        # the exhaustive tie re-resolve also measures the far row, whose
+        # squared distance overflows
+        index = geometry.NeighborIndex([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0],
+                                        [1.7e308, 0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = index.query([[1.0, 0.0, 0.0], [1.9, 0.0, 0.0]])
+        assert got.tolist() == [0, 1]
+
 
 # Added to a cloud near the origin, this offset makes the cell span of the
 # whole cloud overflow int64 at every IoU resolution (2e9 * 2e12 cells at
