@@ -228,19 +228,26 @@ def loss_and_grad(state: ModelState, sample: FlowSample, weights: LossWeights,
     """Blended loss on one sample plus its gradient wrt all parameters.
 
     The forward pass is `forward`'s layer loop. Both passes work in place
-    in the arrays that the dict `buffers` keeps for the sample's point
-    count n, `{n: (activations, deltas)}`, each a `hidden_buffers(config,
-    n)` list; missing ones are added, and None allocates them for this
-    call alone. The gradient is a fresh array.
+    in `buffers`, a list holding one flat float64 array per hidden layer
+    plus one scratch array as wide as the widest layer. A sample of n
+    points uses the views `flat[:n * width].reshape(n, width)`, so one set
+    serves every sample size; the list is refilled with larger arrays only
+    when a sample has more points than they hold. None allocates them for
+    this call alone. The gradient is a fresh array.
     """
     config = state.config
     feats = _input_features(config, sample.t, sample.x_t, sample.condition)
     n = len(feats)
+    widths = config.hidden_widths
     if buffers is None:
-        buffers = {}
-    if n not in buffers:
-        buffers[n] = (hidden_buffers(config, n), hidden_buffers(config, n))
-    activations, deltas = buffers[n]
+        buffers = []
+    if not buffers or buffers[0].size < n * widths[0]:
+        buffers[:] = [np.empty(n * w) for w in (*widths, max(widths))]
+
+    def view(flat, width):
+        return flat[:n * width].reshape(n, width)
+
+    activations = [view(flat, w) for flat, w in zip(buffers, widths)]
     layers = _unpack(state.weights, config)
     u_pred = _run_layers(layers, config.activation, feats, activations)
     report, delta = total_loss_grad(sample, u_pred, weights)
@@ -258,8 +265,11 @@ def loss_and_grad(state: ModelState, sample: FlowSample, weights: LossWeights,
             else:
                 # for finite inputs relu(z) > 0 exactly when z > 0
                 np.greater(slope, 0.0, out=slope)
-            delta = np.matmul(delta, layers[i][0].T, out=deltas[i - 1])
-            delta *= slope
+            # the next delta replaces the slope; an IEEE product is the same
+            # in either operand order, so this is `delta @ w.T * slope`
+            product = np.matmul(delta, layers[i][0].T,
+                                out=view(buffers[-1], widths[i - 1]))
+            delta = np.multiply(product, slope, out=slope)
     return report, grad
 
 
@@ -285,9 +295,9 @@ def train_batch(state: ModelState, opt: OptimizerState, samples,
                 weights: LossWeights, *, buffers=None):
     """Averaged loss and gradient over a list of samples, one Adam step.
 
-    `buffers` is `loss_and_grad`'s dict of per-point-count layer arrays;
-    a caller that passes the same dict to every batch allocates them once
-    per point count. None allocates them for every sample.
+    `buffers` is `loss_and_grad`'s list of flat layer arrays; a caller
+    that passes the same list to every batch keeps one set for the run,
+    sized for its largest sample. None allocates them for every sample.
     """
     if not samples:
         raise ValueError("empty batch")

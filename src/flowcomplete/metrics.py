@@ -90,6 +90,9 @@ def evaluate(pred, gt, config: MetricConfig = MetricConfig()) -> EvalReport:
     """All metrics for one (pred, gt) pair, plus the wall time spent."""
     pred = as_cloud(pred)
     gt = as_cloud(gt)
+    # The chamfer's neighbor index loads scipy.spatial on first use; load it
+    # here so the first pair of a process does not time the import.
+    import scipy.spatial  # noqa: F401
     start = time.perf_counter()
     cd = eval_chamfer(pred, gt)
     jsd = eval_bev_jsd(pred, gt, config.bev_resolution, config.bev_extent)

@@ -46,9 +46,9 @@ def fit(cases, cfg: RunConfig, on_step=None):
     opt = field.init_optimizer(state, learning_rate=cfg.learning_rate)
     weights = cfg.loss_weights()
     rng = np.random.default_rng([cfg.seed, _TRAIN_STREAM])
-    # Layer arrays for every step, one set per sample point count: scans,
-    # and so x0, can differ in size between cases.
-    buffers = {}
+    # One set of layer arrays for every step, grown to the largest sample:
+    # scans, and so x0, can differ in size between cases.
+    buffers = []
     step = 0
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(cases))

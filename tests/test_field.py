@@ -283,19 +283,21 @@ class TestGradient:
                                 seed=n + len(widths), zero_init_output=False)
         state = field.init_model(cfg)
         weights = objective.LossWeights(1.0, 0.1)
-        buffers = {}
+        buffers = []
         for with_scan in (True, False):
             sample = make_sample(rng, n0=n, n1=max(n // 2, 1),
                                  with_scan=with_scan)
             want_report, want_grad = reference_loss_and_grad(state, sample,
                                                              weights)
-            # twice with one buffer dict: the second call reuses its arrays
+            # twice with one buffer list: the second call reuses its arrays
             for buf in (None, buffers, buffers):
                 report, grad = field.loss_and_grad(state, sample, weights,
                                                    buffers=buf)
                 assert report == want_report
                 assert grad.tobytes() == want_grad.tobytes()
-        assert list(buffers) == [n]
+        # one flat array per hidden layer plus the widest-layer scratch
+        assert [b.shape for b in buffers] == [
+            (n * w,) for w in (*widths, max(widths))]
 
     def test_in_place_tanh_slope_bit_for_bit(self):
         a = np.tanh(np.random.default_rng(12).normal(scale=2.0,
@@ -384,13 +386,19 @@ class TestOptimizer:
                 reports.append(report)
             return state, opt, reports
 
-        buffers = {}
+        buffers = []
         fresh, shared = run(None), run(buffers)
-        assert sorted(buffers) == [10, 17]
+        # one set, sized for the largest point count
+        assert [b.shape for b in buffers] == [(17 * 12,), (17 * 9,), (17 * 12,)]
         assert fresh[2] == shared[2]
         for got, want in ((shared[0].weights, fresh[0].weights),
                           (shared[1].m, fresh[1].m), (shared[1].v, fresh[1].v)):
             assert got.tobytes() == want.tobytes()
+        # a smaller sample reuses the set rather than reallocating it
+        kept = list(buffers)
+        field.loss_and_grad(shared[0], batches[0][0], weights, buffers=buffers)
+        assert len(buffers) == len(kept)
+        assert all(got is want for got, want in zip(buffers, kept))
 
 
 class TestEma:

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,6 +205,34 @@ class TestEvaluate:
         assert back.jsd == report.jsd
         assert back.voxel_iou == report.voxel_iou
         assert back.wall_time_s == report.wall_time_s
+
+    def test_first_pair_does_not_time_the_scipy_import(self):
+        # a fresh interpreter, since this one already holds scipy; the
+        # timer records whether scipy.spatial is loaded each time it is read
+        script = """
+import sys, time, types
+from flowcomplete import metrics
+assert "scipy.spatial" not in sys.modules
+seen = []
+
+def perf_counter():
+    seen.append("scipy.spatial" in sys.modules)
+    return time.perf_counter()
+
+metrics.time = types.SimpleNamespace(perf_counter=perf_counter)
+cloud = [[0.0, 0.0, 0.0], [1.0, 0.5, 0.25]]
+metrics.evaluate(cloud, cloud, metrics.MetricConfig(bev_extent=(-2.0, 2.0, -2.0, 2.0)))
+assert seen == [True, True], seen
+print("ok")
+"""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p)
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["ok"]
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError, match="line 1"):
