@@ -92,10 +92,12 @@ class NeighborIndex:
     cheap exact test (one sorted float key per row) first rules out
     repeated rows; only a target it cannot clear is deduplicated, and then
     the tree holds the unique rows and the index their lowest original
-    indices. Queries follow the rules of :func:`nearest_neighbor_map`.
-    Later writes to the caller's array do not reach the index.
-    `np.asarray(index)` and `len(index)` give the original rows in their
-    original order.
+    indices. Queries follow the rules of :func:`nearest_neighbor_map`;
+    an index given as the source of another index's query is read in its
+    tree's leaf order, which keeps the other tree's nodes in cache from
+    one row to the next. Later writes to the caller's array do not reach
+    the index. `np.asarray(index)` and `len(index)` give the original rows
+    in their original order.
 
     Raises:
         ValueError: on an invalid or empty target.
@@ -132,10 +134,24 @@ class NeighborIndex:
             raise ValueError("a copy is needed to convert the index rows")
         return rows
 
+    def _leaf_ordered_rows(self):
+        # The rows in the tree's leaf order, where consecutive rows are
+        # near each other, so a query of them in turn walks the same paths
+        # of the other tree; also that order. A deduplicated tree holds
+        # other rows than the index, so those keep plain row order (None).
+        if self._lowest is not None:
+            return self._rows, None
+        order = self._tree.indices
+        return self._rows[order], order
+
     def query(self, source) -> np.ndarray:
         """Index of the nearest target row for each source row; see
-        :func:`nearest_neighbor_map`."""
-        src = as_cloud(source)
+        :func:`nearest_neighbor_map`. A NeighborIndex as the source is
+        queried in its tree's leaf order and answered in row order."""
+        if isinstance(source, NeighborIndex):
+            src, order = source._leaf_ordered_rows()
+        else:
+            src, order = as_cloud(source), None
         if len(src) == 0:
             return np.empty(0, dtype=np.int64)
         # A one-row tree reports its missing second neighbor at infinite
@@ -157,7 +173,11 @@ class NeighborIndex:
             # for their squared distance to overflow are not the nearest.
             with np.errstate(over="ignore"):
                 result[tied] = _brute_nearest(src[tied], self._rows)
-        return result
+        if order is None:
+            return result
+        in_row_order = np.empty_like(result)
+        in_row_order[order] = result
+        return in_row_order
 
 
 def neighbor_index(target) -> NeighborIndex:
@@ -173,7 +193,9 @@ def nearest_neighbor_map(source, target) -> np.ndarray:
     duplicate points.
 
     Args:
-        source: (n, 3) cloud; may be empty.
+        source: (n, 3) cloud, or a :class:`NeighborIndex` over one, whose
+            rows are then queried in its tree's leaf order (faster for a
+            large source) and answered in row order; may be empty.
         target: (m, 3) cloud, or a :class:`NeighborIndex` over one, which
             skips rebuilding the tree; must be non-empty.
 
@@ -187,11 +209,13 @@ def nearest_neighbor_map(source, target) -> np.ndarray:
     return neighbor_index(target).query(source)
 
 
-def nearest_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def nearest_sq_dists(a, b) -> np.ndarray:
     """Squared distance from each point of cloud `a` to its nearest neighbor
-    in cloud `b`, recomputed from the coordinates of the mapped rows."""
+    in cloud `b`, recomputed from the coordinates of the mapped rows.
+    Either may be a NeighborIndex, used as :func:`nearest_neighbor_map`
+    uses it."""
     idx = nearest_neighbor_map(a, b)
-    diff = a - b[idx]
+    diff = np.asarray(a) - np.asarray(b)[idx]
     return np.einsum("ij,ij->i", diff, diff)
 
 
@@ -380,6 +404,7 @@ def bev_histogram(cloud, resolution: float, extent) -> BevHistogram:
     iy = np.floor((kept[:, 1] - ymin) / resolution).astype(np.int64)
     np.clip(ix, 0, nx - 1, out=ix)
     np.clip(iy, 0, ny - 1, out=iy)
-    counts = np.zeros((nx, ny), dtype=np.int64)
-    np.add.at(counts, (ix, iy), 1)
+    ix *= ny
+    ix += iy
+    counts = np.bincount(ix, minlength=nx * ny).reshape(nx, ny)
     return BevHistogram(counts, int(len(pts) - len(kept)))

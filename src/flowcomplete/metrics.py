@@ -8,13 +8,15 @@ text and parse back losslessly.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cloud_io import split_lines
-from .geometry import as_cloud, bev_histogram, nearest_sq_dists, voxel_keys
+from .geometry import (NeighborIndex, as_cloud, bev_histogram, nearest_sq_dists,
+                       voxel_keys)
 
 DEFAULT_BEV_RESOLUTION = 0.5
 DEFAULT_BEV_EXTENT = (-50.0, 50.0, -50.0, 50.0)
@@ -42,14 +44,17 @@ def eval_chamfer(pred, gt) -> float:
 
     Mean (non-squared) nearest-neighbor distance per direction, averaged
     over both directions. Equals a uniform offset d for two well-separated
-    copies of the same cloud shifted by d.
+    copies of the same cloud shifted by d. Each cloud gets one neighbor
+    index, which serves as the target of one direction and, queried in
+    its tree's leaf order, as the source of the other.
     """
     pa = as_cloud(pred)
     pb = as_cloud(gt)
     if len(pa) == 0 or len(pb) == 0:
         raise ValueError("empty cloud in chamfer")
-    d_ab = nearest_sq_dists(pa, pb)
-    d_ba = nearest_sq_dists(pb, pa)
+    pred_index, gt_index = NeighborIndex(pa), NeighborIndex(pb)
+    d_ab = nearest_sq_dists(pred_index, gt_index)
+    d_ba = nearest_sq_dists(gt_index, pred_index)
     return float(0.5 * (np.sqrt(d_ab).mean() + np.sqrt(d_ba).mean()))
 
 
@@ -114,7 +119,14 @@ def format_report(report: EvalReport) -> str:
 
 
 def parse_report(text: str) -> EvalReport:
-    """Inverse of format_report; lines end as `cloud_io.split_lines` says."""
+    """Inverse of format_report; lines end as `cloud_io.split_lines` says.
+
+    Raises:
+        ValueError: naming the line, on a line that is not `key = value`,
+            a value that is not a finite number, a repeated key, or a
+            `voxel_iou@` resolution that is not a finite positive number;
+            also on a report without cd_m or jsd.
+    """
     values = {}
     iou = {}
     for lineno, raw in enumerate(split_lines(text), start=1):
@@ -124,15 +136,20 @@ def parse_report(text: str) -> EvalReport:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        key = key.strip()
-        try:
-            number = float(value.strip())
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: bad number {value.strip()!r}") from exc
+        key, value = key.strip(), value.strip()
+        number = _report_float(value, lineno, "bad number")
+        if not math.isfinite(number):
+            raise ValueError(f"line {lineno}: {key} is not finite: {value!r}")
+        table, name = values, key
         if key.startswith("voxel_iou@"):
-            iou[float(key[len("voxel_iou@"):])] = number
-        else:
-            values[key] = number
+            res = key[len("voxel_iou@"):]
+            table, name = iou, _report_float(res, lineno, "bad voxel_iou resolution")
+            if not 0.0 < name < math.inf:
+                raise ValueError(f"line {lineno}: voxel_iou resolution must be "
+                                 f"finite and positive, got {res!r}")
+        if name in table:
+            raise ValueError(f"line {lineno}: repeated key {key!r}")
+        table[name] = number
     missing = {"cd_m", "jsd"} - values.keys()
     if missing:
         raise ValueError(f"report missing keys: {sorted(missing)}")
@@ -142,6 +159,13 @@ def parse_report(text: str) -> EvalReport:
         voxel_iou=iou,
         wall_time_s=values.get("wall_time_s", 0.0),
     )
+
+
+def _report_float(text: str, lineno: int, what: str) -> float:
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {what} {text!r}") from exc
 
 
 def mean_report(reports) -> EvalReport:

@@ -62,9 +62,9 @@ def chamfer_loss_grad(x0, u_pred, x1) -> tuple[float, np.ndarray]:
 
     The min over neighbors is handled by the standard subgradient at the
     argmin pair; exact ties resolve to the lowest index, consistent with
-    the geometry module. x1 may be a NeighborIndex, which the moved→x1
-    direction reuses; the x1→moved direction builds a tree over the moved
-    cloud on every call.
+    the geometry module. x1 may be a NeighborIndex: moved→x1 queries its
+    tree, and x1→moved reads its rows in that tree's leaf order against a
+    tree built over the moved cloud on every call.
     """
     src = as_cloud(x0)
     tgt = as_cloud(x1)
@@ -75,8 +75,9 @@ def chamfer_loss_grad(x0, u_pred, x1) -> tuple[float, np.ndarray]:
         raise ValueError("empty cloud in chamfer")
 
     moved = src + u
-    fwd = nearest_neighbor_map(moved, neighbor_index(x1))
-    bwd = nearest_neighbor_map(tgt, moved)
+    index = neighbor_index(x1)
+    fwd = nearest_neighbor_map(moved, index)
+    bwd = nearest_neighbor_map(index, moved)
 
     diff_fwd = moved - tgt[fwd]
     diff_bwd = tgt - moved[bwd]

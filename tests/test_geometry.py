@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -262,6 +262,22 @@ class TestBevHistogram:
         with pytest.raises(ValueError, match="extent"):
             geometry.bev_histogram(np.zeros((1, 3)), 0.5, (0.0, 0.0, -1.0, 1.0))
 
+    def test_upper_edges_dropped_and_just_below_clipped(self):
+        below = np.nextafter(1.0, 0.0)
+        # x - xmin rounds up to 2.0, so the floored cell is nx and only the
+        # clip keeps the point in the last cell
+        assert np.floor((below - self.EXTENT[0]) / 0.5) == 4
+        pts = np.array([
+            [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0],  # on the edges
+            [below, 0.0, 0.0], [0.0, below, 0.0], [below, below, 0.0],
+        ])
+        h = geometry.bev_histogram(pts, 0.5, self.EXTENT)
+        counts, dropped = bev_counts_recount(pts, 0.5, self.EXTENT)
+        assert h.counts.dtype == np.int64
+        assert np.array_equal(h.counts, counts)
+        assert h.dropped == dropped == 3
+        assert (h.counts[3, 2], h.counts[2, 3], h.counts[3, 3]) == (1, 1, 1)
+
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=10 ** 6))
@@ -369,6 +385,18 @@ def test_repeat_precheck_never_misses_a_duplicate_property(cloud):
         assert geometry._may_repeat(cloud)
 
 
+@settings(max_examples=200, deadline=None)
+@given(ROW_CLOUDS, TARGETS)
+@example(np.array([[0.5, -0.0, 1.0]]), np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 1.0]]))
+def test_source_index_matches_oracle_property(src, tgt):
+    # distinct source rows are queried in leaf order, repeated ones (the
+    # lattice and tiled clouds) in row order
+    got = geometry.nearest_neighbor_map(geometry.NeighborIndex(src), tgt)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, geometry.nearest_neighbor_map(src, tgt))
+    assert np.array_equal(got, nn_map_exhaustive(src, tgt))
+
+
 class TestNeighborIndex:
     def test_array_view_and_length_are_the_original_rows(self):
         # perfbench/spans.py reads the target of every NN map this way.
@@ -449,6 +477,43 @@ class TestNeighborIndex:
                 index.query([[-1e308, 0.0, 0.0]])
         # training reports a step that moves points this far as divergence
         assert isinstance(exc.value, FloatingPointError)
+
+    def test_source_index_rows_arrive_in_leaf_order(self):
+        rng = np.random.default_rng(61)
+        distinct = random_cloud(rng, 300)
+        repeated = np.vstack([distinct, distinct[:10]])
+        target = geometry.NeighborIndex(random_cloud(rng, 200))
+        tree = target._tree
+        seen = []
+
+        class Spy:
+            def query(self, rows, k):
+                seen.append(rows.copy())
+                return tree.query(rows, k=k)
+
+        target._tree = Spy()
+        for cloud in (distinct, repeated):
+            source = geometry.NeighborIndex(cloud)
+            got = target.query(source)
+            assert np.array_equal(got, nn_map_exhaustive(cloud, np.asarray(target)))
+        leaf_order = geometry.NeighborIndex(distinct)._tree.indices
+        assert not np.array_equal(leaf_order, np.arange(len(distinct)))
+        assert seen[0].tobytes() == distinct[leaf_order].tobytes()
+        # a deduplicated tree holds other rows, so they keep row order
+        assert seen[1].tobytes() == repeated.tobytes()
+
+    @pytest.mark.parametrize("repeat", [False, True], ids=["leaf", "row"])
+    def test_overflowing_source_index_row_is_value_error(self, repeat):
+        rng = np.random.default_rng(67)
+        src = np.vstack([random_cloud(rng, 40), [[-1e308, 0.0, 0.0]]])
+        if repeat:
+            src = np.vstack([src, src[:1]])
+        tgt = np.vstack([random_cloud(rng, 20), [[1.7e308, 0.0, 0.0]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for source in (geometry.NeighborIndex(src), src):
+                with pytest.raises(geometry.DistanceOverflowError):
+                    geometry.nearest_neighbor_map(source, tgt)
 
     def test_tie_next_to_a_far_row_resolves_without_warning(self):
         # the exhaustive tie re-resolve also measures the far row, whose

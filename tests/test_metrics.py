@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from flowcomplete import metrics
 from oracles import (cell_span_product, chamfer_mean_exhaustive, jsd_direct,
+                     nn_map_exhaustive,
                      voxel_cells_recount)
 
 EXTENT = (-2.0, 2.0, -2.0, 2.0)
@@ -18,6 +19,13 @@ EXTENT = (-2.0, 2.0, -2.0, 2.0)
 
 def random_cloud(rng, n, scale=1.0):
     return rng.uniform(-scale, scale, size=(n, 3))
+
+
+def lattice_cloud(rng, n, distinct):
+    if distinct:
+        cells = rng.choice(10 ** 3, size=n, replace=False)
+        return 0.5 * (np.stack(np.unravel_index(cells, (10, 10, 10)), axis=1) - 5)
+    return 0.5 * rng.integers(-3, 4, size=(n, 3))
 
 
 class TestEvalChamfer:
@@ -58,6 +66,21 @@ class TestEvalChamfer:
         a = random_cloud(rng, 30)
         b = random_cloud(rng, 45)
         assert metrics.eval_chamfer(a, b) == metrics.eval_chamfer(b, a)
+
+    @pytest.mark.parametrize("sizes", [(200, 500), (500, 200), (333, 333)])
+    @pytest.mark.parametrize("distinct", [False, True], ids=["repeats", "distinct"])
+    def test_lattice_ties_match_oracle(self, sizes, distinct):
+        # 0.5 m lattice rows, drawn with repeats from 7**3 points or without
+        # from 10**3 (so each index is queried in leaf order); most
+        # distances tie
+        rng = np.random.default_rng(sum(sizes))
+        a, b = (lattice_cloud(rng, n, distinct) for n in sizes)
+        b[::7] += 0.25  # off-lattice rows, equidistant from lattice neighbors
+        got = metrics.eval_chamfer(a, b)
+        assert got == pytest.approx(chamfer_mean_exhaustive(a, b), rel=1e-12)
+        d_ab = ((a - b[nn_map_exhaustive(a, b)]) ** 2).sum(axis=1)
+        d_ba = ((b - a[nn_map_exhaustive(b, a)]) ** 2).sum(axis=1)
+        assert got == 0.5 * (np.sqrt(d_ab).mean() + np.sqrt(d_ba).mean())
 
 
 class TestEvalBevJsd:
@@ -244,6 +267,32 @@ print("ok")
         # a form feed does not end a line, as in every text format here
         with pytest.raises(ValueError, match="line 1: bad number"):
             metrics.parse_report("cd_m = 0.5\x0cjsd = 0.1\n")
+
+    @pytest.mark.parametrize("text, lineno", [
+        ("cd_m = nan\njsd = 0.1\n", 1),
+        ("cd_m = 0.5\njsd = inf\n", 2),
+        ("cd_m = 0.5\njsd = -inf\n", 2),
+        ("cd_m = 0.5\njsd = 0.1\nvoxel_iou@0.5 = NaN\n", 3),
+        ("cd_m = 0.5\njsd = 0.1\nwall_time_s = inf\n", 3),
+    ])
+    def test_parse_rejects_non_finite_values(self, text, lineno):
+        with pytest.raises(ValueError, match=f"line {lineno}: .* is not finite"):
+            metrics.parse_report(text)
+
+    @pytest.mark.parametrize("text", [
+        "cd_m = 0.5\njsd = 0.1\ncd_m = 0.25\n",
+        "cd_m = 0.5\njsd = 0.1\nvoxel_iou@0.5 = 0.9\nvoxel_iou@0.50 = 0.8\n",
+    ])
+    def test_parse_rejects_repeated_keys(self, text):
+        lineno = len(text.splitlines())
+        with pytest.raises(ValueError, match=f"line {lineno}: repeated key"):
+            metrics.parse_report(text)
+
+    @pytest.mark.parametrize("res", ["abc", "", "0", "-0.5", "inf", "nan"])
+    def test_parse_rejects_bad_iou_resolutions(self, res):
+        text = f"cd_m = 0.5\njsd = 0.1\nvoxel_iou@{res} = 0.9\n"
+        with pytest.raises(ValueError, match="line 3: .*resolution"):
+            metrics.parse_report(text)
 
     def test_table_contains_mean_row(self):
         rng = np.random.default_rng(11)

@@ -14,6 +14,13 @@ def random_cloud(rng, n):
     return rng.uniform(-1, 1, size=(n, 3))
 
 
+def lattice_cloud(rng, n, distinct):
+    if distinct:
+        cells = rng.choice(10 ** 3, size=n, replace=False)
+        return 0.5 * (np.stack(np.unravel_index(cells, (10, 10, 10)), axis=1) - 5)
+    return 0.5 * rng.integers(-3, 4, size=(n, 3))
+
+
 def make_sample(rng, n0=12, n1=9):
     x0 = random_cloud(rng, n0)
     x1 = random_cloud(rng, n1)
@@ -103,6 +110,29 @@ class TestChamferLoss:
         a = objective.chamfer_loss_grad(x0, u, x1)[0]
         b = objective.chamfer_loss_grad(x0, u, x1[rng.permutation(14)])[0]
         assert a == pytest.approx(b, rel=1e-12)
+
+    @pytest.mark.parametrize("sizes", [(200, 500), (500, 200), (333, 333)])
+    @pytest.mark.parametrize("distinct", [False, True], ids=["repeats", "distinct"])
+    def test_lattice_ties_match_assignments(self, sizes, distinct):
+        # 0.5 m lattice rows, drawn with repeats from 7**3 points or without
+        # from 10**3 (so x1's index is queried in leaf order); most
+        # distances tie, and the value and gradient follow from the
+        # exhaustive lowest-index maps
+        n0, n1 = sizes
+        rng = np.random.default_rng(n0 + n1)
+        x0, u, x1 = (lattice_cloud(rng, n, distinct) for n in (n0, n0, n1))
+        u[::5] = 0.25  # moved rows equidistant from lattice neighbors
+        fwd, bwd = chamfer_assignments(x0, u, x1)
+        moved = x0 + u
+        diff_bwd = x1 - moved[bwd]
+        want_grad = 2.0 * (moved - x1[fwd])
+        np.add.at(want_grad, bwd, -2.0 * diff_bwd)
+        want_grad /= n0 + n1
+        for target in (x1, geometry.NeighborIndex(x1)):
+            value, grad = objective.chamfer_loss_grad(x0, u, target)
+            assert value * (n0 + n1) == pytest.approx(
+                chamfer_sum_exhaustive(moved, x1), rel=1e-12)
+            assert grad.tobytes() == want_grad.tobytes()
 
     # "sum" checks the raw symmetric sum: the loss times |x0| + |x1|
     @pytest.mark.parametrize("reduction", ["mean", "sum"])
