@@ -83,8 +83,16 @@ def _load_dataset(data_dir: Path):
     entries = cloud_io.read_manifest(data_dir / "manifest.tsv")
     if not entries:
         raise RuntimeError(f"no cases listed in {data_dir}/manifest.tsv")
-    return [(cloud_io.read_cloud(data_dir / e.scene_path),
-             cloud_io.read_cloud(data_dir / e.scan_path)) for e in entries]
+
+    def load(path):
+        # training indexes every scene and scan, which fails on an empty one
+        cloud = cloud_io.read_cloud(path)
+        if len(cloud) == 0:
+            raise ValueError(f"{path}: empty cloud")
+        return cloud
+
+    return [(load(data_dir / e.scene_path), load(data_dir / e.scan_path))
+            for e in entries]
 
 
 def cmd_train(cfg: RunConfig, data_dir: str, out_path: str) -> int:
@@ -113,8 +121,11 @@ def cmd_complete(cfg: RunConfig, checkpoint_path: str, scan_path: str,
                  out_path: str) -> int:
     state, _ = field.load_checkpoint(checkpoint_path)
     scan = cloud_io.read_cloud(scan_path)
-    x0 = coupling.noisy_initial_cloud(scan, cfg.copies,
-                                      cfg.noise_config(seed=cfg.seed))
+    try:
+        x0 = coupling.noisy_initial_cloud(scan, cfg.copies,
+                                          cfg.noise_config(seed=cfg.seed))
+    except ValueError as exc:
+        raise ValueError(f"{scan_path}: {exc}") from exc
     traj = sampler.euler_integrate(state, x0, scan, cfg.sampler_config())
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -141,7 +152,11 @@ def cmd_eval(cfg: RunConfig, pred_paths, gt_paths, report_path=None) -> int:
     for pred_path, gt_path in zip(pred_paths, gt_paths):
         pred = cloud_io.read_cloud(pred_path)
         gt = cloud_io.read_cloud(gt_path)
-        rows.append((Path(pred_path).stem, metrics.evaluate(pred, gt, metric_cfg)))
+        try:
+            report = metrics.evaluate(pred, gt, metric_cfg)
+        except ValueError as exc:
+            raise ValueError(f"pred {pred_path} vs gt {gt_path}: {exc}") from exc
+        rows.append((Path(pred_path).stem, report))
     sys.stdout.write(metrics.format_table(rows))
     if report_path:
         mean = metrics.mean_report([report for _, report in rows])

@@ -197,8 +197,9 @@ class Overrides(dict):
 
 def read_config_file(path) -> Overrides:
     """Parse a flat UTF-8 `key = value` file into typed overrides; errors
-    are ValueErrors naming the file and the line."""
+    are ValueErrors naming the file and the line. A key may appear once."""
     overrides = Overrides()
+    first_line = {}
     for lineno, raw in enumerate(split_lines(read_utf8(path)), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -209,6 +210,10 @@ def read_config_file(path) -> Overrides:
             )
         key, _, value = line.partition("=")
         key = key.strip()
+        if key in first_line:
+            raise ValueError(f"{path}: line {lineno}: repeated config key "
+                             f"{key!r} (first on line {first_line[key]})")
+        first_line[key] = lineno
         try:
             overrides[key] = _parse_value(key, value)
         except ValueError as exc:

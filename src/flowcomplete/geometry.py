@@ -41,63 +41,17 @@ class DistanceOverflowError(ValueError, FloatingPointError):
     training step that moves points this far has diverged."""
 
 
-def _brute_nearest(source: np.ndarray, target: np.ndarray) -> np.ndarray:
-    # Exhaustive scan in chunks; np.argmin keeps the lowest index on ties.
-    out = np.empty(len(source), dtype=np.int64)
-    chunk = max(1, (1 << 22) // max(len(target), 1))
-    for start in range(0, len(source), chunk):
-        block = source[start:start + chunk]
-        d2 = ((block[:, None, :] - target[None, :, :]) ** 2).sum(axis=2)
-        out[start:start + chunk] = np.argmin(d2, axis=1)
-    return out
-
-
-def _unique_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Unique rows in lexicographic order plus, for each, the lowest index
-    # where it occurs. The sort is stable, so the first row of each run of
-    # equal rows is the earliest; -0.0 and 0.0 compare equal.
-    order = np.lexsort(points.T[::-1])
-    ordered = points[order]
-    first = np.empty(len(points), dtype=bool)
-    first[:1] = True
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
-    return ordered[first], order[first].astype(np.int64)
-
-
-# Weights of the repeat pre-check's row key: irrational-ish, so unequal
-# rows rarely share a key, and below 1 in magnitude, so no product
-# overflows and a key is never NaN.
-_KEY_WEIGHTS = (0.6180339887498949, 0.41421356237309515, 0.7320508075688772)
-
-
-def _may_repeat(points: np.ndarray) -> bool:
-    # False only if no two rows are equal. Every key is computed from its
-    # row's coordinates by the same elementwise products and sums, in the
-    # same order, so equal rows get equal keys (-0.0 and 0.0 included) and
-    # distinct keys mean distinct rows. A matrix product is avoided because BLAS may round one row
-    # differently depending on where it sits. Sums that overflow give
-    # infinite keys, which collide; any collision only costs the dedupe.
-    with np.errstate(over="ignore"):
-        keys = points[:, 0] * _KEY_WEIGHTS[0]
-        keys += points[:, 1] * _KEY_WEIGHTS[1]
-        keys += points[:, 2] * _KEY_WEIGHTS[2]
-    keys.sort()
-    return bool(np.any(keys[1:] == keys[:-1]))
-
-
 class NeighborIndex:
     """Nearest-neighbor index over a fixed target cloud, built once.
 
-    Holds a private copy of the target rows and a k-d tree over them. A
-    cheap exact test (one sorted float key per row) first rules out
-    repeated rows; only a target it cannot clear is deduplicated, and then
-    the tree holds the unique rows and the index their lowest original
-    indices. Queries follow the rules of :func:`nearest_neighbor_map`;
-    an index given as the source of another index's query is read in its
-    tree's leaf order, which keeps the other tree's nodes in cache from
-    one row to the next. Later writes to the caller's array do not reach
-    the index. `np.asarray(index)` and `len(index)` give the original rows
-    in their original order.
+    Holds a private copy of the target rows and a k-d tree over them, as
+    given: repeated rows stay in the tree, and the exact ties they make are
+    resolved in it, like every other tie. Queries follow the rules of
+    :func:`nearest_neighbor_map`; an index given as the source of another
+    index's query is read in its tree's leaf order, which keeps the other
+    tree's nodes in cache from one row to the next. Later writes to the
+    caller's array do not reach the index. `np.asarray(index)` and
+    `len(index)` give the rows in their original order.
 
     Raises:
         ValueError: on an invalid or empty target.
@@ -109,19 +63,11 @@ class NeighborIndex:
             raise ValueError("empty target cloud")
         rows.flags.writeable = False
         self._rows = rows
-        # Lowest original index of each tree row; None when the tree is
-        # built over the rows themselves, which have no duplicates.
-        self._lowest = None
-        tree_rows = rows
-        if _may_repeat(rows):
-            uniq, lowest = _unique_rows(rows)
-            if len(uniq) < len(rows):
-                self._lowest, tree_rows = lowest, uniq
         # Imported here, at its one use, so that importing the package or
         # running make-data never loads scipy.spatial, most of the CLI's
         # import time.
         from scipy.spatial import cKDTree
-        self._tree = cKDTree(tree_rows)
+        self._tree = cKDTree(rows)
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -134,28 +80,21 @@ class NeighborIndex:
             raise ValueError("a copy is needed to convert the index rows")
         return rows
 
-    def _leaf_ordered_rows(self):
-        # The rows in the tree's leaf order, where consecutive rows are
-        # near each other, so a query of them in turn walks the same paths
-        # of the other tree; also that order. A deduplicated tree holds
-        # other rows than the index, so those keep plain row order (None).
-        if self._lowest is not None:
-            return self._rows, None
-        order = self._tree.indices
-        return self._rows[order], order
-
     def query(self, source) -> np.ndarray:
         """Index of the nearest target row for each source row; see
         :func:`nearest_neighbor_map`. A NeighborIndex as the source is
         queried in its tree's leaf order and answered in row order."""
         if isinstance(source, NeighborIndex):
-            src, order = source._leaf_ordered_rows()
+            # In leaf order consecutive rows are near each other, so a query
+            # of them in turn walks the same paths of this tree.
+            order = source._tree.indices
+            src = source._rows[order]
         else:
             src, order = as_cloud(source), None
         if len(src) == 0:
             return np.empty(0, dtype=np.int64)
         # A one-row tree reports its missing second neighbor at infinite
-        # distance, so a target of one repeated point needs no special case.
+        # distance, so its answers never tie.
         dist, idx = self._tree.query(src, k=2)
         if not np.all(np.isfinite(dist[:, 0])):
             # the squared distance overflowed, so every candidate compares
@@ -163,21 +102,51 @@ class NeighborIndex:
             raise DistanceOverflowError(
                 "nearest-neighbor distance overflows float64: source and "
                 "target points are too far apart")
-        nearest = idx[:, 0]
-        result = (nearest.astype(np.int64) if self._lowest is None
-                  else self._lowest[nearest])
+        result = idx[:, 0].astype(np.int64)
+        # Exact ties, repeated rows included: the tree may report any of the
+        # tied rows, so the lowest-index rule is applied to them here.
         tied = dist[:, 0] == dist[:, 1]
         if np.any(tied):
-            # Rare exact ties between distinct rows: re-resolve exhaustively
-            # so the lowest-original-index rule holds. Rows far enough away
-            # for their squared distance to overflow are not the nearest.
-            with np.errstate(over="ignore"):
-                result[tied] = _brute_nearest(src[tied], self._rows)
+            result[tied] = self._resolve_ties(src[tied], dist[tied, 0])
         if order is None:
             return result
         in_row_order = np.empty_like(result)
         in_row_order[order] = result
         return in_row_order
+
+    def _resolve_ties(self, src: np.ndarray, nearest: np.ndarray) -> np.ndarray:
+        # Lowest index among the rows at the least squared distance from
+        # each source row, which the tree reports at distance `nearest`.
+        # For p=2 the tree returns the root of the same left-to-right sum of
+        # squares that the exhaustive scan computes, so every row at the
+        # least squared distance reports exactly `nearest`, and all of them
+        # are among the k nearest once the k-th lies farther: k doubles
+        # until it does, or reaches the row count. Rows whose squared
+        # distance overflows come back missing, with index len(rows).
+        n = len(self._rows)
+        out = np.empty(len(src), dtype=np.int64)
+        todo = np.arange(len(src))
+        k = 2
+        while len(todo):
+            k = min(2 * k, n)
+            # at most 2**22 candidates per query bounds its memory
+            chunk = max(1, (1 << 22) // k)
+            wider = []
+            for start in range(0, len(todo), chunk):
+                part = todo[start:start + chunk]
+                dist, idx = self._tree.query(src[part], k=k)
+                done = (dist[:, -1] > nearest[part]) | (k == n)
+                wider.append(part[~done])
+                part, idx = part[done], idx[done]
+                missing = idx == n
+                with np.errstate(over="ignore"):
+                    d2 = ((self._rows[np.where(missing, 0, idx)]
+                           - src[part, None, :]) ** 2).sum(axis=2)
+                d2[missing] = np.inf
+                at_min = d2 == d2.min(axis=1, keepdims=True)
+                out[part] = np.where(at_min, idx, n).min(axis=1)
+            todo = np.concatenate(wider)
+        return out
 
 
 def neighbor_index(target) -> NeighborIndex:
@@ -188,9 +157,10 @@ def neighbor_index(target) -> NeighborIndex:
 def nearest_neighbor_map(source, target) -> np.ndarray:
     """Map each source point to the index of its nearest target point.
 
-    Distances are Euclidean; ties are broken toward the lowest target
-    index, so the result is deterministic even when the target contains
-    duplicate points.
+    Distances are Euclidean; exact ties, repeated target rows included,
+    are broken toward the lowest target index, so the result is
+    deterministic. The target's k-d tree resolves them by widening its
+    query until every tied row is among the candidates.
 
     Args:
         source: (n, 3) cloud, or a :class:`NeighborIndex` over one, whose

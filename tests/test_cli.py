@@ -133,6 +133,18 @@ class TestTrain:
         assert code == 2
         assert "nope" in err
 
+    def test_empty_scan_names_the_file(self, dataset, tmp_path, monkeypatch,
+                                       capsys):
+        scan = dataset / cloud_io.read_manifest(dataset / "manifest.tsv")[1].scan_path
+        cloud_io.write_cloud(np.empty((0, 3)), scan)
+        code, _, err = run_cli(
+            ["train", *FAST, "--data", str(dataset),
+             "--out", str(tmp_path / "m.ckpt")],
+            monkeypatch, capsys,
+        )
+        assert code == 2
+        assert err == f"error: {scan}: empty cloud\n"
+
 
 class TestComplete:
     @pytest.fixture
@@ -227,6 +239,18 @@ class TestComplete:
         assert code == 2
         assert "ghost.ply" in err
 
+    def test_empty_scan_names_the_file(self, zero_checkpoint, tmp_path,
+                                       monkeypatch, capsys):
+        scan = tmp_path / "empty.ply"
+        cloud_io.write_cloud(np.empty((0, 3)), scan)
+        code, _, err = run_cli(
+            ["complete", "--checkpoint", str(zero_checkpoint),
+             "--scan", str(scan), "--out", str(tmp_path / "o.ply")],
+            monkeypatch, capsys,
+        )
+        assert code == 2
+        assert err == f"error: {scan}: empty scan\n"
+
 
 class TestEval:
     def test_identical_files_perfect_scores(self, dataset, tmp_path,
@@ -267,6 +291,23 @@ class TestEval:
                                monkeypatch, capsys)
         assert code == 2
         assert "gone.ply" in err
+
+    @pytest.mark.parametrize("pred, reason", [
+        (np.empty((0, 3)), "empty cloud in chamfer"),
+        # FAST's BEV extent is 5 m either side of the origin
+        (np.array([[100.0, 100.0, 0.0]]), "no pred points inside evaluation extent"),
+    ], ids=["empty", "outside_extent"])
+    def test_content_error_names_the_pair(self, dataset, tmp_path, monkeypatch,
+                                          capsys, pred, reason):
+        gt = dataset / cloud_io.read_manifest(dataset / "manifest.tsv")[0].scene_path
+        pred_path = tmp_path / "pred.ply"
+        cloud_io.write_cloud(pred, pred_path)
+        code, _, err = run_cli(
+            ["eval", *FAST, "--pred", str(pred_path), "--gt", str(gt)],
+            monkeypatch, capsys,
+        )
+        assert code == 2
+        assert err == f"error: pred {pred_path} vs gt {gt}: {reason}\n"
 
 
 class TestUsage:
@@ -331,6 +372,19 @@ class TestUsage:
                                monkeypatch, capsys)
         assert code == 1
         assert err == f"usage error: {source.format(cfg=cfgfile)}\n"
+
+    def test_repeated_config_key_is_usage_error(self, tmp_path, monkeypatch,
+                                                capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("cases = 1\ncases = 2\n")
+        data = tmp_path / "data"
+        code, _, err = run_cli(
+            ["make-data", "--config", str(cfgfile), "--out", str(data)],
+            monkeypatch, capsys)
+        assert code == 1
+        assert err == (f"usage error: {cfgfile}: line 2: repeated config key "
+                       f"'cases' (first on line 1)\n")
+        assert not data.exists()
 
     def test_flag_replaces_out_of_range_file_value(self, tmp_path, monkeypatch,
                                                    capsys):

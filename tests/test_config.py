@@ -64,6 +64,14 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="line 2"):
             config.read_config_file(path)
 
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("cases = 1\n# again\n  cases=2\n")
+        with pytest.raises(ValueError) as info:
+            config.read_config_file(path)
+        assert str(info.value) == (
+            f"{path}: line 3: repeated config key 'cases' (first on line 1)")
+
     def test_missing_equals(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("just some words\n")

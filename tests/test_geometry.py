@@ -358,6 +358,47 @@ def test_neighbor_index_ignores_later_writes_property(tgt, src):
     assert np.asarray(index).tobytes() == original.tobytes()
 
 
+def repeated_row_target(lattice, count, seed):
+    # the lattice rows with one of them repeated `count` more times, shuffled
+    rng = np.random.default_rng(seed)
+    row = lattice[rng.integers(len(lattice))]
+    rows = np.vstack([lattice, np.tile(row, (count, 1))])
+    return rows[rng.permutation(len(rows))], row, count
+
+
+REPEATED_ROW_TARGETS = st.builds(repeated_row_target,
+                                 lattice_cloud(st.integers(1, 60)),
+                                 st.integers(2, 100), st.integers(0, 2 ** 32 - 1))
+
+
+class QuerySpy:
+    """Stands in for an index's tree and records the rows and k of each query."""
+
+    def __init__(self, tree):
+        self.tree = tree
+        self.calls = []
+
+    def query(self, rows, k):
+        self.calls.append((rows.copy(), k))
+        return self.tree.query(rows, k=k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(REPEATED_ROW_TARGETS, SOURCES)
+def test_repeated_rows_resolve_in_the_tree_property(case, src):
+    tgt, row, count = case
+    # a source row on the repeated row ties with every copy of it
+    src = np.vstack([src, row])
+    want = nn_map_exhaustive(src, tgt)
+    index = geometry.NeighborIndex(tgt)
+    spy = index._tree = QuerySpy(index._tree)
+    for source in (src, geometry.NeighborIndex(src)):
+        assert np.array_equal(geometry.nearest_neighbor_map(source, index), want)
+    if count >= 8:
+        # still tied at k = 8, so the tie query widens at least three times
+        assert len({k for _, k in spy.calls if k > 2}) >= 3
+
+
 ROW_CLOUDS = st.one_of(
     random_or_lattice_cloud(st.integers(1, 300)), one_point_cloud(),
     # 8 copies of each row, interleaved
@@ -368,29 +409,11 @@ ROW_CLOUDS = st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(ROW_CLOUDS)
-def test_unique_rows_matches_numpy_unique_property(cloud):
-    rows, lowest = geometry._unique_rows(cloud)
-    want_rows, want_lowest = np.unique(cloud, axis=0, return_index=True)
-    assert rows.tobytes() == want_rows.tobytes()
-    assert lowest.dtype == np.int64
-    assert np.array_equal(lowest, want_lowest)
-
-
-@settings(max_examples=200, deadline=None)
-@given(ROW_CLOUDS)
-def test_repeat_precheck_never_misses_a_duplicate_property(cloud):
-    # NeighborIndex skips the dedupe when the pre-check clears the rows
-    if len(geometry._unique_rows(cloud)[0]) < len(cloud):
-        assert geometry._may_repeat(cloud)
-
-
-@settings(max_examples=200, deadline=None)
 @given(ROW_CLOUDS, TARGETS)
 @example(np.array([[0.5, -0.0, 1.0]]), np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 1.0]]))
 def test_source_index_matches_oracle_property(src, tgt):
-    # distinct source rows are queried in leaf order, repeated ones (the
-    # lattice and tiled clouds) in row order
+    # every source index is read in its tree's leaf order, repeated rows
+    # (the lattice and tiled clouds) included
     got = geometry.nearest_neighbor_map(geometry.NeighborIndex(src), tgt)
     assert got.dtype == np.int64
     assert np.array_equal(got, geometry.nearest_neighbor_map(src, tgt))
@@ -431,20 +454,10 @@ class TestNeighborIndex:
         assert out.shape == (0,)
         assert out.dtype == np.int64
 
-    def test_distinct_rows_skip_the_dedupe(self, monkeypatch):
-        def dedupe(points):
-            raise AssertionError("distinct rows were deduplicated")
-
-        monkeypatch.setattr(geometry, "_unique_rows", dedupe)
-        rng = np.random.default_rng(59)
-        tgt = random_cloud(rng, 2000)
-        src = random_cloud(rng, 300)
-        got = geometry.NeighborIndex(tgt).query(src)
-        assert np.array_equal(got, nn_map_exhaustive(src, tgt))
-
     @pytest.mark.parametrize("tgt, src", [
-        # keys that overflow to +-inf, with and without a repeated row;
-        # each source is a target row, so no query distance overflows
+        # rows whose squared distances to each other overflow, with and
+        # without a repeated row; each source is a target row, so no query
+        # distance overflows
         ([[1.7e308, 1.7e308, 1.7e308], [-1.7e308, -1.7e308, -1.7e308],
           [1.7e308, 1.7e308, 1.6e308], [1.7e308, -1.7e308, 1.7e308]],
          [[1.7e308, 1.7e308, 1.6e308], [-1.7e308, -1.7e308, -1.7e308],
@@ -483,24 +496,18 @@ class TestNeighborIndex:
         distinct = random_cloud(rng, 300)
         repeated = np.vstack([distinct, distinct[:10]])
         target = geometry.NeighborIndex(random_cloud(rng, 200))
-        tree = target._tree
-        seen = []
-
-        class Spy:
-            def query(self, rows, k):
-                seen.append(rows.copy())
-                return tree.query(rows, k=k)
-
-        target._tree = Spy()
+        spy = target._tree = QuerySpy(target._tree)
         for cloud in (distinct, repeated):
             source = geometry.NeighborIndex(cloud)
             got = target.query(source)
             assert np.array_equal(got, nn_map_exhaustive(cloud, np.asarray(target)))
-        leaf_order = geometry.NeighborIndex(distinct)._tree.indices
-        assert not np.array_equal(leaf_order, np.arange(len(distinct)))
-        assert seen[0].tobytes() == distinct[leaf_order].tobytes()
-        # a deduplicated tree holds other rows, so they keep row order
-        assert seen[1].tobytes() == repeated.tobytes()
+        # no source row ties, so each map is one query
+        seen = [rows for rows, _ in spy.calls]
+        assert len(seen) == 2
+        for cloud, rows in zip((distinct, repeated), seen):
+            leaf_order = geometry.NeighborIndex(cloud)._tree.indices
+            assert not np.array_equal(leaf_order, np.arange(len(cloud)))
+            assert rows.tobytes() == cloud[leaf_order].tobytes()
 
     @pytest.mark.parametrize("repeat", [False, True], ids=["leaf", "row"])
     def test_overflowing_source_index_row_is_value_error(self, repeat):
@@ -516,14 +523,25 @@ class TestNeighborIndex:
                     geometry.nearest_neighbor_map(source, tgt)
 
     def test_tie_next_to_a_far_row_resolves_without_warning(self):
-        # the exhaustive tie re-resolve also measures the far row, whose
-        # squared distance overflows
+        # the widened tie query reaches the far row, whose squared distance
+        # overflows, so the tree reports it missing
         index = geometry.NeighborIndex([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0],
                                         [1.7e308, 0.0, 0.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = index.query([[1.0, 0.0, 0.0], [1.9, 0.0, 0.0]])
         assert got.tolist() == [0, 1]
+
+    def test_tie_queries_stay_within_the_candidate_bound(self):
+        # every source row ties with all 5000 copies of the one point, so
+        # the tie query widens to k = 5000 and takes the rows in chunks
+        target = np.tile([0.5, -1.0, 2.0], (5000, 1))
+        index = geometry.NeighborIndex(target)
+        spy = index._tree = QuerySpy(index._tree)
+        src = random_cloud(np.random.default_rng(71), 5000)
+        assert np.array_equal(index.query(src), nn_map_exhaustive(src, target))
+        assert max(k for _, k in spy.calls) == 5000
+        assert max(len(rows) * k for rows, k in spy.calls) <= 2 ** 22
 
 
 # Added to a cloud near the origin, this offset makes the cell span of the
