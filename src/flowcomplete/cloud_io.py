@@ -32,6 +32,11 @@ def write_cloud(cloud, path) -> None:
 
     Binary PLY stores float32 coordinates, so a float64 cloud is rounded
     once on write and stable thereafter.
+
+    Raises:
+        ValueError: on an invalid cloud or an unknown extension, and,
+            naming the file before it is opened, on a PLY coordinate
+            beyond the float32 range.
     """
     cloud = as_cloud(cloud)
     if _is_text(path):
@@ -78,6 +83,13 @@ def _read_xyz(path) -> np.ndarray:
 
 
 def _write_ply(cloud: np.ndarray, path) -> None:
+    # a coordinate beyond the float32 range would be written as inf, which
+    # read_cloud rejects, so it fails here, before the file is opened
+    with np.errstate(over="ignore"):
+        body = np.ascontiguousarray(cloud, dtype="<f4")
+    if not np.all(np.isfinite(body)):
+        raise ValueError(f"{path}: coordinates beyond the float32 range "
+                         "of binary PLY")
     header = (
         "ply\n"
         "format binary_little_endian 1.0\n"
@@ -89,7 +101,7 @@ def _write_ply(cloud: np.ndarray, path) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(np.ascontiguousarray(cloud, dtype="<f4").tobytes())
+        fh.write(body.tobytes())
 
 
 def _read_ply(path) -> np.ndarray:

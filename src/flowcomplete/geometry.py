@@ -91,8 +91,20 @@ class NeighborIndex:
             src = source._rows[order]
         else:
             src, order = as_cloud(source), None
+        result, _ = self._nearest_two(src)
+        if order is None:
+            return result
+        in_row_order = np.empty_like(result)
+        in_row_order[order] = result
+        return in_row_order
+
+    def _nearest_two(self, src: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # The nearest row of each source row, lowest index on ties, and the
+        # tree's distance to the second-nearest row: -inf where the two
+        # nearest tie or the second distance is not finite, since then it
+        # bounds nothing.
         if len(src) == 0:
-            return np.empty(0, dtype=np.int64)
+            return np.empty(0, dtype=np.int64), np.empty(0)
         # A one-row tree reports its missing second neighbor at infinite
         # distance, so its answers never tie.
         dist, idx = self._tree.query(src, k=2)
@@ -108,11 +120,9 @@ class NeighborIndex:
         tied = dist[:, 0] == dist[:, 1]
         if np.any(tied):
             result[tied] = self._resolve_ties(src[tied], dist[tied, 0])
-        if order is None:
-            return result
-        in_row_order = np.empty_like(result)
-        in_row_order[order] = result
-        return in_row_order
+        second = dist[:, 1]
+        second[tied | ~np.isfinite(second)] = -np.inf
+        return result, second
 
     def _resolve_ties(self, src: np.ndarray, nearest: np.ndarray) -> np.ndarray:
         # Lowest index among the rows at the least squared distance from
@@ -147,6 +157,61 @@ class NeighborIndex:
                 out[part] = np.where(at_min, idx, n).min(axis=1)
             todo = np.concatenate(wider)
         return out
+
+
+class TrackingNeighborIndex(NeighborIndex):
+    """NeighborIndex for a source whose rows move a little between queries,
+    like the points of an integration step by step.
+
+    Keeps, for each source row, its anchor a (where the tree last answered
+    for it), that answer j, and the distance s to the second-nearest row
+    that came with it, -inf when the two nearest tie. A query at x returns
+    j again when |x - rows[j]| + |x - a| + 2*tau < s: by the triangle
+    inequality every other row lies at least s - |x - a| from x, so j is
+    strictly the nearest, with margin, and no tie rule applies. tau bounds
+    the float error of the distances. Every other row is queried in the
+    tree as :meth:`NeighborIndex.query` does, and its anchor, answer and s
+    refreshed; a non-finite distance fails the bound, so an overflow still
+    raises from the tree. A source with a new row count starts afresh.
+    Answers equal :meth:`NeighborIndex.query`'s for any source, which is
+    read in row order. Queries update the kept state, so an instance
+    serves one caller at a time.
+    """
+
+    def __init__(self, target):
+        super().__init__(target)
+        self._row_bound = float(np.abs(self._rows).max())
+        self._anchors = np.empty((0, 3))
+        self._nearest = np.empty(0, dtype=np.int64)
+        self._second = np.empty(0)
+
+    def query(self, source) -> np.ndarray:
+        src = as_cloud(source)
+        if len(src) != len(self._anchors):
+            self._nearest, self._second = self._nearest_two(src)
+            self._anchors = np.array(src)
+        elif len(src):
+            stale = ~self._holds(src)
+            if np.any(stale):
+                moved = src[stale]
+                self._nearest[stale], self._second[stale] = self._nearest_two(moved)
+                self._anchors[stale] = moved
+        return self._nearest.copy()
+
+    def _holds(self, src: np.ndarray) -> np.ndarray:
+        # Where the stored answer is provably the nearest row of src. Each
+        # distance is off by at most a few 2**-53 times the largest
+        # coordinate, far inside tau.
+        bound = max(self._row_bound, float(np.abs(src).max()),
+                    float(np.abs(self._anchors).max()))
+        tau = 2.0 ** -40 * (1.0 + bound)
+        with np.errstate(over="ignore", invalid="ignore"):
+            to_row = src - self._rows[self._nearest]
+            to_anchor = src - self._anchors
+            reach = np.sqrt(np.einsum("ij,ij->i", to_row, to_row))
+            reach += np.sqrt(np.einsum("ij,ij->i", to_anchor, to_anchor))
+            reach += 2.0 * tau
+        return reach < self._second
 
 
 def neighbor_index(target) -> NeighborIndex:

@@ -86,8 +86,13 @@ def chamfer_loss_grad(x0, u_pred, x1) -> tuple[float, np.ndarray]:
         + np.einsum("ij,ij->", diff_bwd, diff_bwd)
     )
     grad = 2.0 * diff_fwd
-    # Each target's nearest moved point also feels the backward term.
-    np.add.at(grad, bwd, -2.0 * diff_bwd)
+    # Each target's nearest moved point also feels the backward term. One
+    # np.add.at per 1-D column takes numpy's fast path, which an (n, 3)
+    # operand misses; each element sees the same additions in the same
+    # order, so the bytes are those of the 2-D call.
+    pull = -2.0 * diff_bwd
+    for axis in range(3):
+        np.add.at(grad[:, axis], bwd, pull[:, axis])
     scale = len(src) + len(tgt)
     value /= scale
     grad /= scale

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -251,6 +252,26 @@ class TestComplete:
         assert code == 2
         assert err == f"error: {scan}: empty scan\n"
 
+    def test_completion_beyond_float32_range_is_not_written(
+            self, zero_checkpoint, tmp_path, monkeypatch, capsys):
+        # the text scan holds the far coordinates; the binary PLY output
+        # cannot, and a file read_cloud rejects must not be left behind
+        scan = tmp_path / "far.xyz"
+        cloud = np.random.default_rng(23).uniform(-1, 1, size=(50, 3)) * 1e160
+        cloud_io.write_cloud(cloud, scan)
+        out = tmp_path / "far.ply"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(
+                ["complete", *FAST, "--checkpoint", str(zero_checkpoint),
+                 "--scan", str(scan), "--out", str(out)],
+                monkeypatch, capsys,
+            )
+        assert code == 2
+        assert err == (f"error: {out}: coordinates beyond the float32 range "
+                       "of binary PLY\n")
+        assert not out.exists()
+
 
 class TestEval:
     def test_identical_files_perfect_scores(self, dataset, tmp_path,
@@ -433,6 +454,7 @@ def test_help_lists_config_then_own_flags(command, monkeypatch, capsys):
 
 STARTUP_SCRIPT = """
 import sys
+import warnings
 from flowcomplete import cli
 
 def scipy_modules():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,27 @@ class TestPlyBinary:
         back = cloud_io.read_cloud(path)
         # storage is float32; the read must match that rounding exactly
         assert np.array_equal(back, cloud.astype("<f4").astype(np.float64))
+
+    @pytest.mark.parametrize("value", [1e160, -3.5e38, np.finfo(np.float64).max])
+    def test_coordinate_beyond_float32_range(self, tmp_path, value):
+        path = tmp_path / "far.ply"
+        cloud = np.zeros((5, 3))
+        cloud[3, 1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                cloud_io.write_cloud(cloud, path)
+        assert str(err.value) == (f"{path}: coordinates beyond the float32 "
+                                  "range of binary PLY")
+        assert not path.exists()
+
+    def test_float32_extremes_round_trip(self, tmp_path):
+        # the largest float32, and a float64 just above it that rounds to it
+        top = float(np.finfo(np.float32).max)
+        cloud = np.array([[top, -top, 0.0], [np.nextafter(top, np.inf), 1.0, 2.0]])
+        path = tmp_path / "edge.ply"
+        cloud_io.write_cloud(cloud, path)
+        assert cloud_io.read_cloud(path).tolist() == [[top, -top, 0.0], [top, 1.0, 2.0]]
 
     def test_empty_cloud(self, tmp_path):
         path = tmp_path / "empty.ply"

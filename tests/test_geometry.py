@@ -420,6 +420,59 @@ def test_source_index_matches_oracle_property(src, tgt):
     assert np.array_equal(got, nn_map_exhaustive(src, tgt))
 
 
+def walk_step(x, kind, seed, scale):
+    """The next source of a random walk over a target of coordinates of
+    size `scale`: a small move, a jump past any reuse bound, a snap to the
+    lattice (exact ties, both signed zeros), a new row count, or a move so
+    far that the squared distances overflow."""
+    rng = np.random.default_rng(seed)
+    if kind == "small":
+        # a common drift plus a spread, as the points of a flow move
+        drift = rng.normal(scale=0.02 * scale, size=3)
+        return x + drift + rng.normal(scale=0.01 * scale, size=x.shape)
+    if kind == "jump":
+        return x + rng.normal(scale=0.5 * scale, size=x.shape)
+    if kind == "snap":
+        return np.round(2.0 * x / scale) / 2.0 * scale
+    if kind == "resize":
+        count = int(rng.integers(0, 41))
+        count += count == len(x)
+        return rng.uniform(-scale, scale, size=(count, 3))
+    return x + rng.uniform(-2.0 ** 600, 2.0 ** 600, size=x.shape)
+
+
+WALKS = st.lists(st.tuples(st.sampled_from(["small", "jump", "snap", "resize", "far"]),
+                           st.integers(0, 2 ** 32 - 1)), max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(TARGETS, REPEATED_ROW_TARGETS.map(lambda case: case[0])),
+       random_or_lattice_cloud(st.integers(0, 40)), WALKS,
+       st.sampled_from([1.0, 2.0 ** 500]))
+@example(np.array([[0.5, -0.0, 1.0]]), np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 1.0]]),
+         [("small", 1), ("far", 2), ("small", 3), ("resize", 4), ("jump", 5)], 1.0)
+def test_tracking_index_matches_oracle_along_a_walk_property(tgt, x, walk, scale):
+    # every answer along the walk equals a fresh plain index's and the
+    # exhaustive scan's, and an overflow raises as the plain index does;
+    # at scale 2**500 the distances are near, not beyond, the overflow
+    tgt, x = tgt * scale, x * scale
+    tracking = geometry.TrackingNeighborIndex(tgt)
+    plain = geometry.NeighborIndex(tgt)
+    for kind, seed in [*walk, (None, None)]:
+        try:
+            want = plain.query(x)
+        except geometry.DistanceOverflowError:
+            with pytest.raises(geometry.DistanceOverflowError):
+                tracking.query(x)
+        else:
+            got = tracking.query(x)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+            assert np.array_equal(got, nn_map_exhaustive(x, tgt))
+        if kind is not None:
+            x = walk_step(x, kind, seed, scale)
+
+
 class TestNeighborIndex:
     def test_array_view_and_length_are_the_original_rows(self):
         # perfbench/spans.py reads the target of every NN map this way.
@@ -531,6 +584,23 @@ class TestNeighborIndex:
             warnings.simplefilter("error")
             got = index.query([[1.0, 0.0, 0.0], [1.9, 0.0, 0.0]])
         assert got.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("tgt, walk", [
+        # from the anchor the second row's squared distance overflows, so
+        # the stored second distance bounds nothing; at the next x the
+        # point is nearer that row, with both squared distances finite
+        ([[0.0, 0.0, 0.0], [1.5 * 2.0 ** 512, 0.0, 0.0]],
+         [(1.0, 0), (0.9 * 2.0 ** 512, 1), (1.0, 0)]),
+        # each move to the other row overflows the bound's own differences
+        ([[-1.7e308, 0.0, 0.0], [1.7e308, 0.0, 0.0]],
+         [(-1.7e308, 0), (1.7e308, 1), (-1.7e308, 0)]),
+    ], ids=["overflowing_second", "overflowing_difference"])
+    def test_tracking_index_past_overflowing_distances(self, tgt, walk):
+        index = geometry.TrackingNeighborIndex(tgt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x, want in walk:
+                assert index.query([[x, 0.0, 0.0]]).tolist() == [want]
 
     def test_tie_queries_stay_within_the_candidate_bound(self):
         # every source row ties with all 5000 copies of the one point, so

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from flowcomplete import coupling, geometry, objective
 from oracles import (
@@ -19,6 +22,11 @@ def lattice_cloud(rng, n, distinct):
         cells = rng.choice(10 ** 3, size=n, replace=False)
         return 0.5 * (np.stack(np.unravel_index(cells, (10, 10, 10)), axis=1) - 5)
     return 0.5 * rng.integers(-3, 4, size=(n, 3))
+
+
+# Lattice coordinates and displacements, with both signed zeros.
+LATTICE = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+STEPS = st.sampled_from([-0.25, -0.0, 0.0, 0.25])
 
 
 def make_sample(rng, n0=12, n1=9):
@@ -133,6 +141,25 @@ class TestChamferLoss:
             assert value * (n0 + n1) == pytest.approx(
                 chamfer_sum_exhaustive(moved, x1), rel=1e-12)
             assert grad.tobytes() == want_grad.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 30).flatmap(lambda n: st.tuples(
+               arrays(np.float64, (n, 3), elements=LATTICE),
+               arrays(np.float64, (n, 3), elements=STEPS))),
+           st.integers(1, 60).flatmap(
+               lambda n: arrays(np.float64, (n, 3), elements=LATTICE)))
+    def test_gradient_bytes_match_the_2d_scatter_property(self, x0_u, x1):
+        # lattice rows with both signed zeros: targets share their nearest
+        # moved row, so the scatter repeats indices and adds signed zeros
+        x0, u = x0_u
+        fwd, bwd = chamfer_assignments(x0, u, x1)
+        moved = x0 + u
+        want_grad = 2.0 * (moved - x1[fwd])
+        np.add.at(want_grad, bwd, -2.0 * (x1 - moved[bwd]))
+        want_grad /= len(x0) + len(x1)
+        _, grad = objective.chamfer_loss_grad(x0, u, x1)
+        assert grad.flags.c_contiguous
+        assert grad.tobytes() == want_grad.tobytes()
 
     # "sum" checks the raw symmetric sum: the loss times |x0| + |x1|
     @pytest.mark.parametrize("reduction", ["mean", "sum"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flowcomplete import coupling, field, sampler
+from flowcomplete import coupling, field, geometry, sampler
 from oracles import nn_map_exhaustive
 
 
@@ -29,6 +29,27 @@ def wide_model(seed):
     state.weights[:] += np.random.default_rng(seed + 1).normal(
         scale=0.05, size=state.weights.shape)
     return state
+
+
+def tree_rows_per_query(monkeypatch):
+    """Per query of any TrackingNeighborIndex, the rows it sent to its
+    tree; the others kept their stored nearest row."""
+    counts = []
+    query = geometry.TrackingNeighborIndex.query
+    nearest_two = geometry.NeighborIndex._nearest_two
+
+    def counted_query(index, source):
+        counts.append(0)
+        return query(index, source)
+
+    def counted_nearest_two(index, src):
+        if isinstance(index, geometry.TrackingNeighborIndex):
+            counts[-1] += len(src)
+        return nearest_two(index, src)
+
+    monkeypatch.setattr(geometry.TrackingNeighborIndex, "query", counted_query)
+    monkeypatch.setattr(geometry.NeighborIndex, "_nearest_two", counted_nearest_two)
+    return counts
 
 
 class TestSamplerConfig:
@@ -190,16 +211,19 @@ class TestEulerIntegrate:
 class TestCompleteScene:
     """A completion: the jittered scan integrated to t=1, as `complete` runs it."""
 
-    def test_zero_field_returns_noisy_initial(self):
+    def test_zero_field_returns_noisy_initial(self, monkeypatch):
         rng = np.random.default_rng(13)
         scan = random_cloud(rng, 16)
         noise = coupling.NoiseConfig(scale=0.25, seed=77)
         state = random_model(14, zero_output=True)
         x0 = coupling.noisy_initial_cloud(scan, 10, noise)
+        tree_rows = tree_rows_per_query(monkeypatch)
         out = sampler.euler_integrate(state, x0, scan,
                                       sampler.SamplerConfig()).final
         want = coupling.noisy_initial_cloud(scan, 10, noise)
         assert np.array_equal(out, want)
+        # no point moves, so after the first step every point keeps its row
+        assert tree_rows == [160] + [0] * 9
 
     def test_output_size(self):
         rng = np.random.default_rng(14)
@@ -212,16 +236,24 @@ class TestCompleteScene:
         assert out.shape == (210, 3)
 
 
-    def test_matches_guided_steps_on_the_scan_array(self):
-        # The completion's build-once scan index must not change any bit.
+    def test_matches_guided_steps_on_the_scan_array(self, monkeypatch):
+        # The completion's build-once scan index, which keeps a point's
+        # nearest row while a bound proves it, must not change any bit
+        # against a fresh index over the scan array at every step.
         rng = np.random.default_rng(15)
         scan = random_cloud(rng, 40)
         noise = coupling.NoiseConfig(scale=0.1, seed=6)
         state = random_model(16)
-        cfg = sampler.SamplerConfig(steps=3, guidance_weight=2.5)
+        cfg = sampler.SamplerConfig(steps=10, guidance_weight=2.5)
         x = coupling.noisy_initial_cloud(scan, 4, noise)
+        tree_rows = tree_rows_per_query(monkeypatch)
         out = sampler.euler_integrate(state, x, scan, cfg).final
         for k in range(cfg.steps):
             x = x + (1.0 / cfg.steps) * sampler.guided_field(
                 state, k / cfg.steps, x, scan, cfg.guidance_weight, use_ema=True)
         assert out.tobytes() == x.tobytes()
+        # the first step queries every point; the later ones re-query some
+        # points and keep the rows of others
+        assert tree_rows[0] == 160
+        requeried = sum(tree_rows[1:])
+        assert 0 < requeried < 160 * (cfg.steps - 1)
