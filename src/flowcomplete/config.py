@@ -133,6 +133,10 @@ class RunConfig:
             raise ValueError("scan budget must be >= 1")
         # the module constructors check their own invariants
         self.noise_config()
+        if self.noise_scale == 0:
+            # NoiseConfig allows 0, an exact tiling of the scan; but then the
+            # copies of a scan point start at one place and never separate
+            raise ValueError("noise_scale must be > 0")
         self.field_config()
         self.loss_weights()
         self.sampler_config()

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cloud_io import split_lines
-from .geometry import (NeighborIndex, as_cloud, bev_histogram, nearest_sq_dists,
+from .geometry import (as_cloud, bev_histogram, nearest_sq_dists, neighbor_index,
                        voxel_keys)
 
 DEFAULT_BEV_RESOLUTION = 0.5
@@ -44,15 +44,16 @@ def eval_chamfer(pred, gt) -> float:
 
     Mean (non-squared) nearest-neighbor distance per direction, averaged
     over both directions. Equals a uniform offset d for two well-separated
-    copies of the same cloud shifted by d. Each cloud gets one neighbor
-    index, which serves as the target of one direction and, queried in
-    its tree's leaf order, as the source of the other.
+    copies of the same cloud shifted by d. Each cloud gets one single-use
+    index from :func:`~.geometry.neighbor_index`, which serves as the
+    target of one direction and, queried in its tree's leaf order, as the
+    source of the other.
     """
     pa = as_cloud(pred)
     pb = as_cloud(gt)
     if len(pa) == 0 or len(pb) == 0:
         raise ValueError("empty cloud in chamfer")
-    pred_index, gt_index = NeighborIndex(pa), NeighborIndex(pb)
+    pred_index, gt_index = neighbor_index(pa), neighbor_index(pb)
     d_ab = nearest_sq_dists(pred_index, gt_index)
     d_ba = nearest_sq_dists(gt_index, pred_index)
     return float(0.5 * (np.sqrt(d_ab).mean() + np.sqrt(d_ba).mean()))

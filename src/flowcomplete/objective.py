@@ -64,7 +64,8 @@ def chamfer_loss_grad(x0, u_pred, x1) -> tuple[float, np.ndarray]:
     argmin pair; exact ties resolve to the lowest index, consistent with
     the geometry module. x1 may be a NeighborIndex: moved→x1 queries its
     tree, and x1→moved reads its rows in that tree's leaf order against a
-    tree built over the moved cloud on every call.
+    single-use tree (see :func:`~.geometry.neighbor_index`) built over the
+    moved cloud on every call.
     """
     src = as_cloud(x0)
     tgt = as_cloud(x1)

@@ -383,8 +383,14 @@ class TestUsage:
         # neither weight is out of range alone; the one applied last is named
         ("flow_weight = 0\n", ["--chamfer-weight", "0"],
          "flag --chamfer-weight: at least one loss weight must be positive"),
+        # at 0 the copies of each scan point never separate
+        ("cases = 2\nnoise_scale = 0\n", [],
+         "{cfg}: line 2: config key 'noise_scale': noise_scale must be > 0"),
+        ("noise_scale = 0.25\n", ["--noise-scale", "0"],
+         "flag --noise-scale: noise_scale must be > 0"),
     ], ids=["file_learning_rate", "file_hidden_widths", "flag_learning_rate",
-            "flag_unparsable", "flag_completes_bad_pair"])
+            "flag_unparsable", "flag_completes_bad_pair", "file_noise_scale",
+            "flag_noise_scale"])
     def test_range_error_names_its_source(self, tmp_path, monkeypatch, capsys,
                                           body, flags, source):
         cfgfile = tmp_path / "run.cfg"

@@ -128,6 +128,9 @@ class TestBuildConfig:
             config.build_config({}, {"learning_rate": -1.0})
         with pytest.raises(ValueError, match=">= 0"):
             config.build_config({}, {"noise_scale": -0.1})
+        for zero in (0.0, -0.0):
+            with pytest.raises(ValueError, match="noise_scale must be > 0"):
+                config.build_config({}, {"noise_scale": zero})
         with pytest.raises(ValueError, match="copies"):
             config.build_config({}, {"copies": 0})
         with pytest.raises(ValueError, match="ema decay"):
@@ -154,6 +157,16 @@ class TestBuildConfig:
         with pytest.raises(ValueError) as err:
             config.build_config({}, {"steps": 0})
         assert str(err.value) == "steps must be >= 1"
+
+    def test_zero_noise_scale_names_its_file_line(self, tmp_path):
+        # at 0 every copy of a scan point starts at one place, so a
+        # completion keeps only the scan's distinct rows
+        path = tmp_path / "run.cfg"
+        path.write_text("copies = 4\nnoise_scale = 0\n")
+        with pytest.raises(ValueError) as err:
+            config.build_config(config.read_config_file(path), {})
+        assert str(err.value) == (
+            f"{path}: line 2: config key 'noise_scale': noise_scale must be > 0")
 
     @pytest.mark.parametrize("name", FLOAT_KEYS)
     def test_validate_rejects_non_finite_float(self, name):

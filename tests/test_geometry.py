@@ -328,13 +328,19 @@ def one_point_cloud():
 TARGETS = st.one_of(random_or_lattice_cloud(TARGET_SIZES), one_point_cloud())
 SOURCES = lattice_cloud(st.integers(0, 40))
 
+# Both ways an index is built: a kept NeighborIndex's balanced tree, and the
+# single-use sliding-midpoint tree of neighbor_index over a cloud, whose
+# (max + min) / 2 splits meet the +-1.7e308 rows of the extreme cases.
+BUILDS = (geometry.NeighborIndex, geometry.neighbor_index)
+
 
 @settings(max_examples=200, deadline=None)
 @given(TARGETS, SOURCES)
 def test_neighbor_index_matches_oracle_property(tgt, src):
-    got = geometry.NeighborIndex(tgt).query(src)
-    assert got.dtype == np.int64
-    assert np.array_equal(got, nn_map_exhaustive(src, tgt))
+    for build in BUILDS:
+        got = build(tgt).query(src)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, nn_map_exhaustive(src, tgt)), build
 
 
 @settings(max_examples=50, deadline=None)
@@ -390,13 +396,15 @@ def test_repeated_rows_resolve_in_the_tree_property(case, src):
     # a source row on the repeated row ties with every copy of it
     src = np.vstack([src, row])
     want = nn_map_exhaustive(src, tgt)
-    index = geometry.NeighborIndex(tgt)
-    spy = index._tree = QuerySpy(index._tree)
-    for source in (src, geometry.NeighborIndex(src)):
-        assert np.array_equal(geometry.nearest_neighbor_map(source, index), want)
-    if count >= 8:
-        # still tied at k = 8, so the tie query widens at least three times
-        assert len({k for _, k in spy.calls if k > 2}) >= 3
+    for build in BUILDS:
+        index = build(tgt)
+        spy = index._tree = QuerySpy(index._tree)
+        for source in (src, build(src)):
+            assert np.array_equal(geometry.nearest_neighbor_map(source, index),
+                                  want), build
+        if count >= 8:
+            # still tied at k = 8, so the tie query widens at least three times
+            assert len({k for _, k in spy.calls if k > 2}) >= 3
 
 
 ROW_CLOUDS = st.one_of(
@@ -414,10 +422,12 @@ ROW_CLOUDS = st.one_of(
 def test_source_index_matches_oracle_property(src, tgt):
     # every source index is read in its tree's leaf order, repeated rows
     # (the lattice and tiled clouds) included
-    got = geometry.nearest_neighbor_map(geometry.NeighborIndex(src), tgt)
-    assert got.dtype == np.int64
-    assert np.array_equal(got, geometry.nearest_neighbor_map(src, tgt))
-    assert np.array_equal(got, nn_map_exhaustive(src, tgt))
+    want = nn_map_exhaustive(src, tgt)
+    for build in BUILDS:
+        got = geometry.nearest_neighbor_map(build(src), build(tgt))
+        assert got.dtype == np.int64
+        assert np.array_equal(got, geometry.nearest_neighbor_map(src, tgt)), build
+        assert np.array_equal(got, want), build
 
 
 def walk_step(x, kind, seed, scale):
@@ -526,23 +536,26 @@ class TestNeighborIndex:
     def test_extreme_and_signed_zero_rows_match_oracle(self, tgt, src):
         tgt = np.array(tgt)
         src = np.array(src)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = geometry.NeighborIndex(tgt).query(src)
         with np.errstate(over="ignore"):  # the oracle's differences overflow
             want = nn_map_exhaustive(src, tgt)
-        assert np.array_equal(got, want)
+        for build in BUILDS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = build(tgt).query(src)
+            assert np.array_equal(got, want), build
 
     def test_overflowing_nearest_distance_is_value_error(self):
         # both squared distances overflow to inf, so the tree cannot tell
         # that row 1 is nearer
-        index = geometry.NeighborIndex([[1.7e308, 0.0, 0.0], [-1.7e308, 0.0, 0.0]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="distance overflows float64") as exc:
-                index.query([[-1e308, 0.0, 0.0]])
-        # training reports a step that moves points this far as divergence
-        assert isinstance(exc.value, FloatingPointError)
+        for build in BUILDS:
+            index = build([[1.7e308, 0.0, 0.0], [-1.7e308, 0.0, 0.0]])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError,
+                                   match="distance overflows float64") as exc:
+                    index.query([[-1e308, 0.0, 0.0]])
+            # training reports a step that moves points this far as divergence
+            assert isinstance(exc.value, FloatingPointError)
 
     def test_source_index_rows_arrive_in_leaf_order(self):
         rng = np.random.default_rng(61)
@@ -571,19 +584,20 @@ class TestNeighborIndex:
         tgt = np.vstack([random_cloud(rng, 20), [[1.7e308, 0.0, 0.0]]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for source in (geometry.NeighborIndex(src), src):
-                with pytest.raises(geometry.DistanceOverflowError):
-                    geometry.nearest_neighbor_map(source, tgt)
+            for build in BUILDS:
+                for source in (build(src), src):
+                    with pytest.raises(geometry.DistanceOverflowError):
+                        geometry.nearest_neighbor_map(source, build(tgt))
 
     def test_tie_next_to_a_far_row_resolves_without_warning(self):
         # the widened tie query reaches the far row, whose squared distance
         # overflows, so the tree reports it missing
-        index = geometry.NeighborIndex([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0],
-                                        [1.7e308, 0.0, 0.0]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = index.query([[1.0, 0.0, 0.0], [1.9, 0.0, 0.0]])
-        assert got.tolist() == [0, 1]
+        for build in BUILDS:
+            index = build([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.7e308, 0.0, 0.0]])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = index.query([[1.0, 0.0, 0.0], [1.9, 0.0, 0.0]])
+            assert got.tolist() == [0, 1]
 
     @pytest.mark.parametrize("tgt, walk", [
         # from the anchor the second row's squared distance overflows, so
@@ -612,6 +626,50 @@ class TestNeighborIndex:
         assert np.array_equal(index.query(src), nn_map_exhaustive(src, target))
         assert max(k for _, k in spy.calls) == 5000
         assert max(len(rows) * k for rows, k in spy.calls) <= 2 ** 22
+
+
+def test_each_site_builds_the_tree_its_use_needs(monkeypatch):
+    # An index queried for one call gets the single-use tree; an index its
+    # owner keeps and queries many times gets scipy's balanced build.
+    import scipy.spatial
+
+    from flowcomplete import config, field, metrics, objective, sampler, train
+
+    single_use = {"balanced_tree": False, "compact_nodes": False}
+    balanced = {}
+    builds = []
+    tree = scipy.spatial.cKDTree
+
+    def spy(rows, **options):
+        builds.append((len(rows), options))
+        return tree(rows, **options)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", spy)
+    rng = np.random.default_rng(73)
+    scene, scan, x0 = (random_cloud(rng, n) for n in (300, 40, 80))
+
+    geometry.nearest_neighbor_map(x0, scene)
+    assert builds == [(300, single_use)]
+    builds.clear()
+    metrics.eval_chamfer(x0, scene)
+    assert builds == [(80, single_use), (300, single_use)]
+    index = geometry.NeighborIndex(scene)
+    builds.clear()
+    objective.chamfer_loss_grad(x0, np.zeros_like(x0), index)
+    assert builds == [(80, single_use)]
+
+    builds.clear()
+    cfg = config.build_config({}, {"epochs": 1, "batch_size": 2, "copies": 2,
+                                   "hidden_widths": (8,), "noise_scale": 0.25})
+    train.fit([(scene, scan)] * 2, cfg)
+    # the case indexes, then one moved cloud per sample for the chamfer term
+    assert builds == [(300, balanced), (40, balanced)] * 2 + [(80, single_use)] * 2
+
+    builds.clear()
+    state = field.init_model(field.FieldConfig(hidden_widths=(8,), seed=0))
+    sampler.euler_integrate(state, x0, scan,
+                            sampler.SamplerConfig(steps=3, guidance_weight=3.0))
+    assert builds == [(40, balanced)]
 
 
 # Added to a cloud near the origin, this offset makes the cell span of the
