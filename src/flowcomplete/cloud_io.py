@@ -127,6 +127,7 @@ def _read_ply(path) -> np.ndarray:
     properties = []
     types = []
     in_vertex = False
+    vertex_last = True  # no element declared after vertex
     for line in header_lines[1:]:
         words = line.split()
         if not words or words[0] == "comment":
@@ -139,6 +140,7 @@ def _read_ply(path) -> np.ndarray:
             if len(words) < 3:
                 raise ValueError(f"{path}: PLY element line needs a name and a count")
             in_vertex = words[1] == "vertex"
+            vertex_last = in_vertex
             if not in_vertex and vertex_count is None:
                 # the body's first rows or bytes are read as the vertices
                 raise ValueError(f"{path}: PLY element {words[1]!r} comes "
@@ -178,6 +180,9 @@ def _read_ply(path) -> np.ndarray:
             raise ValueError(
                 f"{path}: truncated PLY body: {len(body)} bytes, expected {want}"
             )
+        if vertex_last and len(body) > want:
+            raise ValueError(f"{path}: {len(body) - want} bytes after the "
+                             f"{vertex_count} PLY vertices, the last element")
         flat = np.frombuffer(body[:want], dtype="<f4").astype(np.float64)
         return _checked_cloud(flat.reshape(vertex_count, 3), path)
 
@@ -190,6 +195,10 @@ def _read_ply(path) -> np.ndarray:
         )
     # the last of header_lines is the line that end_header stands on
     first = len(header_lines) + 1
+    extra = [line for line in rows[vertex_count:] if line.strip()]
+    if vertex_last and extra:
+        raise ValueError(f"{path}: {len(extra)} rows after the {vertex_count} "
+                         "PLY vertices, the last element")
     points = [_parse_row(line, path, lineno)
               for lineno, line in enumerate(rows[:vertex_count], start=first)]
     return _checked_cloud(points, path)

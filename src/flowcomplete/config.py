@@ -133,10 +133,6 @@ class RunConfig:
             raise ValueError("scan budget must be >= 1")
         # the module constructors check their own invariants
         self.noise_config()
-        if self.noise_scale == 0:
-            # NoiseConfig allows 0, an exact tiling of the scan; but then the
-            # copies of a scan point start at one place and never separate
-            raise ValueError("noise_scale must be > 0")
         self.field_config()
         self.loss_weights()
         self.sampler_config()
@@ -180,9 +176,9 @@ def _parse_value(name: str, text: str):
                 f"config key {name!r}: expected a finite number, got {text!r}"
             )
         return value
-    if isinstance(default, tuple):  # hidden_widths: comma-separated ints
+    if isinstance(default, tuple):  # hidden_widths: comma-separated ints, none empty
         try:
-            return tuple(int(part) for part in text.split(",") if part.strip())
+            return tuple(int(part) for part in text.split(","))
         except ValueError:
             raise ValueError(
                 f"config key {name!r}: expected comma-separated integers, got {text!r}"

@@ -20,15 +20,16 @@ from .geometry import (NeighborIndex, as_cloud, nearest_neighbor_map,
 class NoiseConfig:
     """Per-axis Gaussian jitter applied to the tiled scan.
 
-    scale is the standard deviation in meters per axis; 0 disables the
-    jitter entirely so the initial cloud equals the tiled scan.
+    scale is the standard deviation in meters per axis. It must be
+    positive: at 0 the copies of a scan point start at one place and never
+    separate. The run config's `noise_scale` is checked here alone.
     """
     scale: float = 1.0
     seed: int | None = None
 
     def __post_init__(self):
-        if self.scale < 0:
-            raise ValueError("noise scale must be >= 0")
+        if not self.scale > 0:
+            raise ValueError("noise_scale must be > 0")
 
 
 @dataclass(frozen=True)
@@ -38,31 +39,17 @@ class FlowSample:
     x_t is the interpolated cloud, v_target the per-point velocity the
     field should regress. x0/x1 are the path endpoints, kept so the
     chamfer term of the objective can be evaluated without recomputing
-    the coupling; x1_index is the neighbor index over x1, which that term
-    queries again. condition is the scan (a cloud or a NeighborIndex over
-    one) or None when dropped.
+    the coupling; x1 is the NeighborIndex over the target that the
+    coupling queried, which that term queries again (`np.asarray(x1)`
+    gives its rows). condition is the scan (a cloud or a NeighborIndex
+    over one) or None when dropped.
     """
     t: float
     x_t: np.ndarray
     v_target: np.ndarray
     condition: np.ndarray | NeighborIndex | None
     x0: np.ndarray
-    x1: np.ndarray
-    x1_index: NeighborIndex
-
-
-@dataclass(frozen=True)
-class ConditionDraw:
-    """Outcome of one Bernoulli condition draw.
-
-    outcome is the caller's scan, as given, when kept, or None for the
-    null token.
-    """
-    outcome: np.ndarray | NeighborIndex | None
-
-    @property
-    def is_null(self) -> bool:
-        return self.outcome is None
+    x1: NeighborIndex
 
 
 def noisy_initial_cloud(scan, copies: int, noise: NoiseConfig) -> np.ndarray:
@@ -78,8 +65,6 @@ def noisy_initial_cloud(scan, copies: int, noise: NoiseConfig) -> np.ndarray:
     if len(pts) == 0:
         raise ValueError("empty scan")
     tiled = np.tile(pts, (copies, 1))
-    if noise.scale == 0:
-        return tiled
     rng = np.random.default_rng(noise.seed)
     return tiled + rng.normal(scale=noise.scale, size=tiled.shape)
 
@@ -107,11 +92,10 @@ def nearest_neighbor_flow(x0, x1, t: float, condition=None) -> FlowSample:
     index = neighbor_index(x1)
     if len(src) == 0:
         raise ValueError("empty initial cloud")
-    tgt = np.asarray(index)
-    matched = tgt[nearest_neighbor_map(src, index)]
+    matched = np.asarray(index)[nearest_neighbor_map(src, index)]
     x_t, v = straight_flow(src, matched, t)
     return FlowSample(t=t, x_t=x_t, v_target=v, condition=condition, x0=src,
-                      x1=tgt, x1_index=index)
+                      x1=index)
 
 
 def sample_time(rng: np.random.Generator) -> float:
@@ -119,10 +103,10 @@ def sample_time(rng: np.random.Generator) -> float:
     return float(rng.uniform(0.0, 1.0))
 
 
-def draw_condition(scan, p_null: float, rng: np.random.Generator) -> ConditionDraw:
-    """Drop the scan condition with probability p_null, else keep it.
+def draw_condition(scan, p_null: float, rng: np.random.Generator):
+    """The scan, as given, or None (the null condition) with probability p_null.
 
     A kept scan is passed on as given, so an index over it is not rebuilt.
     """
     keep = float(rng.uniform()) >= p_null
-    return ConditionDraw(outcome=scan if keep else None)
+    return scan if keep else None

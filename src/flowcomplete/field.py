@@ -177,20 +177,28 @@ def _input_features(config: FieldConfig, t: float, x_t, condition) -> np.ndarray
                            feats[:, :4] * COORD_SCALE, feats[:, 4:]], axis=1)
 
 
-def hidden_buffers(config: FieldConfig, n: int) -> list:
-    """One (n, width) float64 array per hidden layer, written in place."""
-    return [np.empty((n, width)) for width in config.hidden_widths]
+def _workspace(config: FieldConfig, n: int, buffers: list) -> list:
+    """(n, width) views of the hidden layers' flat arrays in `buffers`.
+
+    `buffers` holds one flat float64 array per hidden layer plus a scratch
+    array as wide as the widest layer. Views are `flat[:n * width]`, so one
+    list serves every n; it is refilled in place only when n points do not fit.
+    """
+    widths = config.hidden_widths
+    if not buffers or buffers[0].size < n * widths[0]:
+        buffers[:] = [np.empty(n * w) for w in (*widths, max(widths))]
+    return [flat[:n * w].reshape(n, w) for flat, w in zip(buffers, widths)]
 
 
-def _run_layers(layers, activation: str, feats: np.ndarray, buffers) -> np.ndarray:
-    """The network on `feats`: hidden layers in place in `buffers`, fresh output.
+def _run_layers(layers, activation: str, feats: np.ndarray, hidden) -> np.ndarray:
+    """The network on `feats`: hidden layers in place in `hidden`, fresh output.
 
-    Afterwards buffers[i] holds hidden layer i's activations.
+    Afterwards hidden[i] holds hidden layer i's activations.
     """
     h = feats
     # finiteness is checked on the output; silence numpy's own warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for (w, b), buf in zip(layers[:-1], buffers, strict=True):
+        for (w, b), buf in zip(layers[:-1], hidden, strict=True):
             np.matmul(h, w, out=buf)
             buf += b
             if activation == "tanh":
@@ -209,18 +217,16 @@ def forward(state: ModelState, t: float, x_t, condition, use_ema: bool = False,
             *, buffers=None) -> np.ndarray:
     """Per-point velocity prediction u(t, x_t, condition), shape (n, 3).
 
-    Each hidden layer is computed in place in its array of `buffers`
-    (`hidden_buffers(config, n)`; allocated here when None), which the
-    next call may overwrite. Training runs the same layer loop, so the
-    result is bit-identical to the training forward, and it is always a
-    fresh array.
+    The hidden layers run in place in `buffers`, `loss_and_grad`'s list
+    (see `_workspace`; None allocates one for this call), which the next
+    call may overwrite. Training runs the same layer loop, so the result is
+    bit-identical to the training forward, and it is always a fresh array.
     """
     config = state.config
     feats = _input_features(config, t, x_t, condition)
-    if buffers is None:
-        buffers = hidden_buffers(config, len(feats))
+    hidden = _workspace(config, len(feats), [] if buffers is None else buffers)
     layers = _unpack(state.ema_weights if use_ema else state.weights, config)
-    return _run_layers(layers, config.activation, feats, buffers)
+    return _run_layers(layers, config.activation, feats, hidden)
 
 
 def loss_and_grad(state: ModelState, sample: FlowSample, weights: LossWeights,
@@ -228,26 +234,14 @@ def loss_and_grad(state: ModelState, sample: FlowSample, weights: LossWeights,
     """Blended loss on one sample plus its gradient wrt all parameters.
 
     The forward pass is `forward`'s layer loop. Both passes work in place
-    in `buffers`, a list holding one flat float64 array per hidden layer
-    plus one scratch array as wide as the widest layer. A sample of n
-    points uses the views `flat[:n * width].reshape(n, width)`, so one set
-    serves every sample size; the list is refilled with larger arrays only
-    when a sample has more points than they hold. None allocates them for
-    this call alone. The gradient is a fresh array.
+    in `buffers`, the list of flat layer arrays described in `_workspace`;
+    the backward pass forms `delta @ w.T` in its scratch array. None
+    allocates it for this call alone. The gradient is a fresh array.
     """
     config = state.config
     feats = _input_features(config, sample.t, sample.x_t, sample.condition)
-    n = len(feats)
-    widths = config.hidden_widths
-    if buffers is None:
-        buffers = []
-    if not buffers or buffers[0].size < n * widths[0]:
-        buffers[:] = [np.empty(n * w) for w in (*widths, max(widths))]
-
-    def view(flat, width):
-        return flat[:n * width].reshape(n, width)
-
-    activations = [view(flat, w) for flat, w in zip(buffers, widths)]
+    buffers = [] if buffers is None else buffers
+    activations = _workspace(config, len(feats), buffers)
     layers = _unpack(state.weights, config)
     u_pred = _run_layers(layers, config.activation, feats, activations)
     report, delta = total_loss_grad(sample, u_pred, weights)
@@ -267,8 +261,8 @@ def loss_and_grad(state: ModelState, sample: FlowSample, weights: LossWeights,
                 np.greater(slope, 0.0, out=slope)
             # the next delta replaces the slope; an IEEE product is the same
             # in either operand order, so this is `delta @ w.T * slope`
-            product = np.matmul(delta, layers[i][0].T,
-                                out=view(buffers[-1], widths[i - 1]))
+            scratch = buffers[-1][:slope.size].reshape(slope.shape)
+            product = np.matmul(delta, layers[i][0].T, out=scratch)
             delta = np.multiply(product, slope, out=slope)
     return report, grad
 

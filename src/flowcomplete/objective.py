@@ -109,7 +109,7 @@ def total_loss_grad(sample: FlowSample, u_pred,
     """
     flow_val, flow_grad = flow_matching_loss_grad(u_pred, sample.v_target)
     if weights.chamfer != 0.0:
-        cd_val, cd_grad = chamfer_loss_grad(sample.x0, u_pred, sample.x1_index)
+        cd_val, cd_grad = chamfer_loss_grad(sample.x0, u_pred, sample.x1)
     else:
         cd_val, cd_grad = 0.0, 0.0
     total = weights.flow * flow_val + weights.chamfer * cd_val

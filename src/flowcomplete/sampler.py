@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import ModelState, forward, hidden_buffers
+from .field import ModelState, forward
 from .geometry import TrackingNeighborIndex, as_cloud
 
 
@@ -51,8 +51,8 @@ def guided_field(state: ModelState, t: float, x_t, scan, w: float,
                  use_ema: bool = False, *, buffers=None) -> np.ndarray:
     """Guided velocity: unconditioned + w * (conditioned - unconditioned).
 
-    Exactly two forward evaluations, which share the hidden-layer
-    `buffers` when given (see `field.forward`). w = 1 returns the
+    Exactly two forward evaluations, which share the layer `buffers`
+    when given (see `field.forward`). w = 1 returns the
     conditioned prediction itself and w = 0 the unconditioned one,
     bit-for-bit.
     """
@@ -79,7 +79,7 @@ def euler_integrate(state: ModelState, x0, scan, config: SamplerConfig,
     without a tree query while a distance bound proves that row still
     nearest, which holds for most points of a step. The answers, and so the
     states, are bit-identical to querying a fresh index at every step. One
-    set of hidden-layer buffers serves every forward.
+    list of layer buffers serves every forward.
 
     Raises:
         FloatingPointError: if the state leaves the finite range, naming
@@ -88,7 +88,7 @@ def euler_integrate(state: ModelState, x0, scan, config: SamplerConfig,
     x = as_cloud(x0).copy()
     if field_fn is None:
         condition = None if scan is None else TrackingNeighborIndex(scan)
-        buffers = hidden_buffers(state.config, len(x))
+        buffers = []
 
         def field_fn(t, current):
             return guided_field(state, t, current, condition,

@@ -59,9 +59,9 @@ def fit(cases, cfg: RunConfig, on_step=None):
                 noise = cfg.noise_config(seed=int(rng.integers(2 ** 32)))
                 x0 = coupling.noisy_initial_cloud(scan, cfg.copies, noise)
                 t = coupling.sample_time(rng)
-                draw = coupling.draw_condition(scan, cfg.p_null, rng)
+                condition = coupling.draw_condition(scan, cfg.p_null, rng)
                 samples.append(coupling.nearest_neighbor_flow(
-                    x0, scene, t, condition=draw.outcome))
+                    x0, scene, t, condition=condition))
             try:
                 # A diverging step overflows on its way to the finiteness
                 # checks that raise; numpy's warnings would only repeat them.

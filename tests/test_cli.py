@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flowcomplete import cli, cloud_io, coupling, field, sampler
+from flowcomplete import cli, cloud_io, coupling, field, metrics, sampler
 from flowcomplete.config import RunConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -388,9 +388,20 @@ class TestUsage:
          "{cfg}: line 2: config key 'noise_scale': noise_scale must be > 0"),
         ("noise_scale = 0.25\n", ["--noise-scale", "0"],
          "flag --noise-scale: noise_scale must be > 0"),
+        # an empty part is not dropped: "64," is not one layer
+        ("hidden_widths = 64,,64\n", [],
+         "{cfg}: line 1: config key 'hidden_widths': expected comma-separated "
+         "integers, got '64,,64'"),
+        ("cases = 2\n", ["--hidden-widths", "64,"],
+         "flag --hidden-widths: config key 'hidden_widths': expected "
+         "comma-separated integers, got '64,'"),
+        ("cases = 2\n", ["--hidden-widths", ",64"],
+         "flag --hidden-widths: config key 'hidden_widths': expected "
+         "comma-separated integers, got ',64'"),
     ], ids=["file_learning_rate", "file_hidden_widths", "flag_learning_rate",
             "flag_unparsable", "flag_completes_bad_pair", "file_noise_scale",
-            "flag_noise_scale"])
+            "flag_noise_scale", "file_empty_width", "flag_trailing_comma",
+            "flag_leading_comma"])
     def test_range_error_names_its_source(self, tmp_path, monkeypatch, capsys,
                                           body, flags, source):
         cfgfile = tmp_path / "run.cfg"
@@ -501,3 +512,20 @@ def test_make_data_help_and_errors_never_load_scipy(tmp_path):
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "startup ok"
     assert len(cloud_io.read_manifest(tmp_path / "data" / "manifest.tsv")) == 1
+
+
+def test_readme_library_use_runs(tmp_path, monkeypatch, capsys):
+    # README's "Library use" block, run where the CLI left its files
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(["make-data", *FAST, "--cases", "1", "--out", "data"],
+                           monkeypatch, capsys)
+    assert code == 0, err
+    code, _, err = run_cli(["train", *FAST, "--max-steps", "1", "--data", "data",
+                            "--out", "out/model.ckpt"], monkeypatch, capsys)
+    assert code == 0, err
+    exec(compile(block, "README.md", "exec"), {})
+    report = metrics.parse_report(capsys.readouterr().out)
+    assert report.cd_m > 0

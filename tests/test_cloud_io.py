@@ -130,6 +130,16 @@ class TestPlyBinary:
         with pytest.raises(ValueError, match="truncated"):
             cloud_io.read_cloud(path)
 
+    def test_bytes_after_the_last_element(self, tmp_path):
+        # 12 stray bytes used to load as the 2 declared points
+        path = tmp_path / "cloud.ply"
+        cloud_io.write_cloud(np.zeros((2, 3)), path)
+        path.write_bytes(path.read_bytes() + bytes(12))
+        with pytest.raises(ValueError) as err:
+            cloud_io.read_cloud(path)
+        assert str(err.value) == (
+            f"{path}: 12 bytes after the 2 PLY vertices, the last element")
+
     def test_missing_vertex_element(self, tmp_path):
         path = tmp_path / "bad.ply"
         path.write_text("ply\nformat ascii 1.0\nend_header\n")
@@ -222,6 +232,18 @@ class TestPlyAscii:
         with pytest.raises(ValueError) as err:
             cloud_io.read_cloud(path)
         assert str(err.value) == f"{path}: line 8: bad coordinate in {shown!r}"
+
+
+    def test_rows_after_the_last_element(self, tmp_path):
+        path = tmp_path / "cloud.ply"
+        path.write_text(ascii_ply(np.ones((2, 3))) + "\n  \n")
+        assert cloud_io.read_cloud(path).tolist() == [[1, 1, 1], [1, 1, 1]]
+        # a third row and a word used to load as the 2 declared points
+        path.write_text(ascii_ply(np.zeros((2, 3))) + "1 2 3\n\nhello\n")
+        with pytest.raises(ValueError) as err:
+            cloud_io.read_cloud(path)
+        assert str(err.value) == (
+            f"{path}: 2 rows after the 2 PLY vertices, the last element")
 
 
 class TestPlyLimits:

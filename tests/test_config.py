@@ -21,6 +21,12 @@ class TestParseValue:
 
     def test_widths_tuple(self):
         assert config._parse_value("hidden_widths", "32,16") == (32, 16)
+        assert config._parse_value("hidden_widths", " 32 , 16 ") == (32, 16)
+
+    @pytest.mark.parametrize("text", ["64,,64", "64,", ",64", ""])
+    def test_widths_with_an_empty_part_rejected(self, text):
+        with pytest.raises(ValueError, match="expected comma-separated integers"):
+            config._parse_value("hidden_widths", text)
 
     def test_string(self):
         assert config._parse_value("activation", "relu") == "relu"
@@ -126,7 +132,7 @@ class TestBuildConfig:
             config.build_config({}, {"p_null": 1.5})
         with pytest.raises(ValueError, match="positive"):
             config.build_config({}, {"learning_rate": -1.0})
-        with pytest.raises(ValueError, match=">= 0"):
+        with pytest.raises(ValueError, match="> 0"):
             config.build_config({}, {"noise_scale": -0.1})
         for zero in (0.0, -0.0):
             with pytest.raises(ValueError, match="noise_scale must be > 0"):

@@ -9,31 +9,42 @@ def random_cloud(rng, n):
     return rng.uniform(-1, 1, size=(n, 3))
 
 
+def seeded_tiling(scan, copies, scale, seed):
+    """The tiled scan plus one seeded normal draw of the same shape."""
+    offsets = np.random.default_rng(seed).normal(
+        scale=scale, size=(copies * len(scan), 3))
+    return np.tile(scan, (copies, 1)) + offsets
+
+
 class TestNoisyInitialCloud:
-    def test_zero_noise_equals_tiling(self):
+    def test_equals_seeded_tiling(self):
         rng = np.random.default_rng(0)
         scan = random_cloud(rng, 20)
-        out = coupling.noisy_initial_cloud(scan, 3, coupling.NoiseConfig(0.0))
-        assert np.array_equal(out, np.tile(scan, (3, 1)))
+        out = coupling.noisy_initial_cloud(scan, 3, coupling.NoiseConfig(0.25, seed=1))
+        assert out.tobytes() == seeded_tiling(scan, 3, 0.25, 1).tobytes()
 
-    def test_zero_noise_single_copy_identity(self):
+    def test_single_copy_is_one_seeded_offset(self):
         cloud = np.array([[1.0, 2.0, 3.0]])
-        out = coupling.noisy_initial_cloud(cloud, 1, coupling.NoiseConfig(0.0))
-        assert np.array_equal(out, cloud)
+        out = coupling.noisy_initial_cloud(cloud, 1, coupling.NoiseConfig(0.1, seed=2))
+        assert out.tobytes() == seeded_tiling(cloud, 1, 0.1, 2).tobytes()
 
-    def test_zero_noise_block_pattern(self):
+    def test_block_pattern(self):
+        # before the offsets, point i*n + j is scan point j
         cloud = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-        out = coupling.noisy_initial_cloud(cloud, 3, coupling.NoiseConfig(0.0))
+        out = coupling.noisy_initial_cloud(cloud, 3, coupling.NoiseConfig(0.5, seed=3))
         assert out.shape == (6, 3)
+        offsets = np.random.default_rng(3).normal(scale=0.5, size=(6, 3))
         for i in range(3):
-            assert np.array_equal(out[2 * i:2 * i + 2], cloud)
+            block = slice(2 * i, 2 * i + 2)
+            assert out[block].tobytes() == (cloud + offsets[block]).tobytes()
 
-    def test_zero_noise_scaled_size_product(self):
+    def test_scaled_size_product(self):
         # N scans tiled K times give M = K*N points (reduced-size check).
         rng = np.random.default_rng(37)
         scan = random_cloud(rng, 180)
-        out = coupling.noisy_initial_cloud(scan, 10, coupling.NoiseConfig(0.0))
+        out = coupling.noisy_initial_cloud(scan, 10, coupling.NoiseConfig(0.25, seed=4))
         assert out.shape == (1800, 3)
+        assert out.tobytes() == seeded_tiling(scan, 10, 0.25, 4).tobytes()
 
     def test_size_is_copies_times_scan(self):
         rng = np.random.default_rng(1)
@@ -66,8 +77,10 @@ class TestNoisyInitialCloud:
             coupling.noisy_initial_cloud(np.empty((0, 3)), 2, coupling.NoiseConfig())
 
     def test_negative_scale_rejected(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            coupling.NoiseConfig(scale=-0.1)
+        # zero too: the copies of a scan point would start at one place
+        for scale in (-0.1, 0.0, -0.0):
+            with pytest.raises(ValueError, match="noise_scale must be > 0"):
+                coupling.NoiseConfig(scale=scale)
 
 
 class TestStraightFlow:
@@ -145,7 +158,7 @@ class TestNearestNeighborFlow:
         scan = random_cloud(rng, 5)
         s = coupling.nearest_neighbor_flow(x0, x1, 0.5, condition=scan)
         assert np.array_equal(s.x0, x0)
-        assert np.array_equal(s.x1, x1)
+        assert np.array_equal(np.asarray(s.x1), x1)
         assert np.array_equal(s.condition, scan)
 
     def test_index_input_matches_array_input(self):
@@ -160,15 +173,15 @@ class TestNearestNeighborFlow:
             index = geometry.NeighborIndex(x1)
             a = coupling.nearest_neighbor_flow(x0, x1, t, condition=scan)
             b = coupling.nearest_neighbor_flow(x0, index, t, condition=scan)
-            assert b.x1_index is index
+            assert b.x1 is index
             assert a.t == b.t
             assert a.condition is b.condition
-            for name in ("x_t", "v_target", "x0", "x1"):
+            for name in ("x_t", "v_target", "x0"):
                 got, want = getattr(b, name), getattr(a, name)
                 assert type(got) is np.ndarray
                 assert (got.shape, got.dtype) == (want.shape, want.dtype)
                 assert got.tobytes() == want.tobytes(), name
-            assert np.asarray(a.x1_index).tobytes() == x1.tobytes()
+            assert np.asarray(a.x1).tobytes() == x1.tobytes()
 
 
 class TestSampleTime:
@@ -197,19 +210,17 @@ class TestDrawCondition:
     def test_never_null(self):
         rng = np.random.default_rng(12)
         for _ in range(200):
-            d = coupling.draw_condition(self.SCAN, 0.0, rng)
-            assert not d.is_null
-            assert np.array_equal(d.outcome, self.SCAN)
+            assert coupling.draw_condition(self.SCAN, 0.0, rng) is self.SCAN
 
     def test_always_null(self):
         rng = np.random.default_rng(13)
         for _ in range(200):
-            assert coupling.draw_condition(self.SCAN, 1.0, rng).is_null
+            assert coupling.draw_condition(self.SCAN, 1.0, rng) is None
 
     def test_null_frequency_near_p(self):
         rng = np.random.default_rng(14)
         nulls = sum(
-            coupling.draw_condition(self.SCAN, 0.1, rng).is_null
+            coupling.draw_condition(self.SCAN, 0.1, rng) is None
             for _ in range(10 ** 4)
         )
         assert abs(nulls / 10 ** 4 - 0.1) <= 0.01

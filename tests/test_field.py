@@ -179,8 +179,7 @@ class TestForward:
                     field.forward(state, 0.5, np.ones((3, 3)), None)
                 with pytest.raises(FloatingPointError,
                                    match="numeric overflow in field"):
-                    field.forward(state, 0.5, np.ones((3, 3)), None,
-                                  buffers=field.hidden_buffers(cfg, 3))
+                    field.forward(state, 0.5, np.ones((3, 3)), None, buffers=[])
 
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     @pytest.mark.parametrize("widths", [(5,), (128, 128), (16, 24, 8)])
@@ -195,7 +194,7 @@ class TestForward:
         state.weights[:] += rng.normal(scale=0.05, size=state.weights.shape)
         flat = state.ema_weights if use_ema else state.weights
         pts, scan = random_cloud(rng, n), random_cloud(rng, 9)
-        buffers = field.hidden_buffers(cfg, n)
+        buffers = []
         for condition in (scan, None):
             feats = field._input_features(cfg, 0.35, pts, condition)
             want = reference_forward(flat, cfg, feats)[0]
@@ -204,6 +203,10 @@ class TestForward:
                                    use_ema=use_ema, buffers=buffers)
             assert got.tobytes() == want.tobytes()
             assert reused.tobytes() == want.tobytes()
+        # the list `loss_and_grad` takes: one flat array per hidden layer
+        # plus the widest-layer scratch
+        assert [b.shape for b in buffers] == [
+            (n * w,) for w in (*widths, max(widths))]
 
     def test_ema_weights_selectable(self):
         cfg = field.FieldConfig(hidden_widths=(8,), seed=11, zero_init_output=False)
@@ -399,6 +402,22 @@ class TestOptimizer:
         field.loss_and_grad(shared[0], batches[0][0], weights, buffers=buffers)
         assert len(buffers) == len(kept)
         assert all(got is want for got, want in zip(buffers, kept))
+        # one list shared by forward and loss_and_grad over n = 7, 300, 7
+        # grows for 300, then serves 7 again, and changes no byte
+        buffers = []
+        for n in (7, 300, 7):
+            sample = make_sample(rng, n0=n)
+            args = (shared[0], sample.t, sample.x_t, sample.condition)
+            for use_ema in (False, True):
+                want = field.forward(*args, use_ema=use_ema)
+                got = field.forward(*args, use_ema=use_ema, buffers=buffers)
+                assert got.tobytes() == want.tobytes()
+            want_report, want_grad = field.loss_and_grad(shared[0], sample, weights)
+            report, grad = field.loss_and_grad(shared[0], sample, weights,
+                                               buffers=buffers)
+            assert report == want_report
+            assert grad.tobytes() == want_grad.tobytes()
+        assert [b.shape for b in buffers] == [(300 * 12,), (300 * 9,), (300 * 12,)]
 
 
 class TestEma:
