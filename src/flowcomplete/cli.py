@@ -119,6 +119,7 @@ def cmd_train(cfg: RunConfig, data_dir: str, out_path: str) -> int:
 
 def cmd_complete(cfg: RunConfig, checkpoint_path: str, scan_path: str,
                  out_path: str) -> int:
+    cloud_io._is_text(out_path)  # an unknown output format fails before any work
     state, _ = field.load_checkpoint(checkpoint_path)
     scan = cloud_io.read_cloud(scan_path)
     try:
@@ -126,18 +127,21 @@ def cmd_complete(cfg: RunConfig, checkpoint_path: str, scan_path: str,
                                           cfg.noise_config(seed=cfg.seed))
     except ValueError as exc:
         raise ValueError(f"{scan_path}: {exc}") from exc
-    traj = sampler.euler_integrate(state, x0, scan, cfg.sampler_config())
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
+    on_step = None
     if cfg.record_trajectory:
         # two decimals up to 100 steps, more above, so that every time
         # k / steps gets its own file
         digits = max(2, len(str(cfg.steps - 1)))
-        for t, cloud in zip(traj.times, traj.states):
+
+        def on_step(t, cloud):
             step_path = out.with_name(f"{out.stem}-t{t:.{digits}f}{out.suffix}")
             cloud_io.write_cloud(cloud, step_path)
-    cloud_io.write_cloud(traj.final, out)
-    print(f"wrote {len(traj.final)} points to {out}")
+    completed = sampler.euler_integrate(state, x0, scan, cfg.sampler_config(),
+                                        on_step=on_step)
+    cloud_io.write_cloud(completed, out)
+    print(f"wrote {len(completed)} points to {out}")
     return 0
 
 

@@ -59,7 +59,7 @@ class RunConfig:
     steps: int = 10
     guidance: float = 6.0
     use_ema: bool = True
-    record_trajectory: bool = False
+    record_trajectory: bool = False  # `complete` writes every Euler state
 
     # evaluation
     bev_resolution: float = 0.5
@@ -84,8 +84,7 @@ class RunConfig:
 
     def sampler_config(self) -> SamplerConfig:
         return SamplerConfig(steps=self.steps, guidance_weight=self.guidance,
-                             use_ema=self.use_ema,
-                             record_trajectory=self.record_trajectory)
+                             use_ema=self.use_ema)
 
     def scene_spec(self, seed: int) -> SceneSpec:
         return random_scene_spec(seed, self.ground_half_extent, self.density)
@@ -125,6 +124,10 @@ class RunConfig:
             raise ValueError("p_null must be in [0, 1]")
         if not 0.0 <= self.ema_decay <= 1.0:
             raise ValueError("ema decay must be in [0, 1]")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.scene_seed < 0:
+            raise ValueError("scene_seed must be >= 0")
         if self.max_steps < 0:
             raise ValueError("max_steps must be >= 0")
         if self.bev_resolution <= 0 or self.bev_half_extent <= 0:

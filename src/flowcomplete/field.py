@@ -182,11 +182,14 @@ def _workspace(config: FieldConfig, n: int, buffers: list) -> list:
 
     `buffers` holds one flat float64 array per hidden layer plus a scratch
     array as wide as the widest layer. Views are `flat[:n * width]`, so one
-    list serves every n; it is refilled in place only when n points do not fit.
+    list serves every n; it is refilled in place only when n points do not
+    fit, or when it was shaped for other widths.
     """
     widths = config.hidden_widths
-    if not buffers or buffers[0].size < n * widths[0]:
-        buffers[:] = [np.empty(n * w) for w in (*widths, max(widths))]
+    sizes = [n * w for w in (*widths, max(widths))]
+    if (len(buffers) != len(sizes)
+            or any(flat.size < size for flat, size in zip(buffers, sizes))):
+        buffers[:] = [np.empty(size) for size in sizes]
     return [flat[:n * w].reshape(n, w) for flat, w in zip(buffers, widths)]
 
 

@@ -17,34 +17,15 @@ from .geometry import TrackingNeighborIndex, as_cloud
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Euler step count, guidance strength, and weight selection."""
+    """Euler step count, guidance strength, and weight selection; the
+    states stream through `euler_integrate`'s `on_step`, none is kept."""
     steps: int = 10
     guidance_weight: float = 6.0
     use_ema: bool = True
-    record_trajectory: bool = False
 
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Integration states; full per-step history only when recorded.
-
-    With recording on, times are (0, h, ..., 1) and states has steps + 1
-    entries; with recording off only the two endpoints are kept.
-    """
-    times: tuple
-    states: tuple
-
-    @property
-    def initial(self) -> np.ndarray:
-        return self.states[0]
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.states[-1]
 
 
 def guided_field(state: ModelState, t: float, x_t, scan, w: float,
@@ -66,12 +47,16 @@ def guided_field(state: ModelState, t: float, x_t, scan, w: float,
 
 
 def euler_integrate(state: ModelState, x0, scan, config: SamplerConfig,
-                    field_fn=None) -> Trajectory:
-    """Integrate X' = u(t, X) from the initial cloud over [0, 1].
+                    field_fn=None, on_step=None) -> np.ndarray:
+    """Integrate X' = u(t, X) over [0, 1] from x0; returns the final cloud.
 
     Left-endpoint Euler with step 1/steps; the point count never changes.
     `field_fn(t, X) -> (n, 3)` overrides the model's guided field, which
     lets tests drive the integrator with analytic fields.
+
+    `on_step(t, X)`, when given, sees each state as it is produced, at
+    t = 0, 1/steps, ..., 1; the last is the returned array. No state is
+    kept beyond the current one, nor written after `on_step` has seen it.
 
     The model's field finds each point's nearest scan row for its condition
     features through one :class:`~.geometry.TrackingNeighborIndex` over the
@@ -83,9 +68,9 @@ def euler_integrate(state: ModelState, x0, scan, config: SamplerConfig,
 
     Raises:
         FloatingPointError: if the state leaves the finite range, naming
-            the failing step.
+            the failing step; `on_step` has then seen the states before it.
     """
-    x = as_cloud(x0).copy()
+    x = as_cloud(x0)
     if field_fn is None:
         condition = None if scan is None else TrackingNeighborIndex(scan)
         buffers = []
@@ -94,18 +79,13 @@ def euler_integrate(state: ModelState, x0, scan, config: SamplerConfig,
             return guided_field(state, t, current, condition,
                                 config.guidance_weight, use_ema=config.use_ema,
                                 buffers=buffers)
+    if on_step is not None:
+        on_step(0.0, x)
     h = 1.0 / config.steps
-    initial = x.copy()
-    times, recorded = [0.0], [initial]
     for k in range(config.steps):
-        t = k / config.steps
-        x = x + h * field_fn(t, x)
+        x = x + h * field_fn(k / config.steps, x)
         if not np.all(np.isfinite(x)):
             raise FloatingPointError(f"non-finite state at integration step {k}")
-        if config.record_trajectory:
-            times.append((k + 1) / config.steps)
-            recorded.append(x.copy())
-    if not config.record_trajectory:
-        times.append(1.0)
-        recorded.append(x)
-    return Trajectory(times=tuple(times), states=tuple(recorded))
+        if on_step is not None:
+            on_step((k + 1) / config.steps, x)
+    return x

@@ -118,8 +118,7 @@ def _train_toy(cases, chamfer_weight):
 def _complete_and_score(state, world):
     cds, ious = [], []
     for x0, case in zip(world["inits"], world["held_out"]):
-        pred = sampler.euler_integrate(state, x0, case.scan,
-                                       SAMPLE_CONFIG).final
+        pred = sampler.euler_integrate(state, x0, case.scan, SAMPLE_CONFIG)
         cds.append(metrics.eval_chamfer(pred, case.scene))
         ious.append(metrics.eval_voxel_iou(pred, case.scene, IOU_RESOLUTION,
                                            origin=IOU_ORIGIN))
@@ -234,9 +233,8 @@ def test_euler_exactness():
     finals = []
     for steps in (1, 2, 5, 10):
         config = sampler.SamplerConfig(steps=steps, guidance_weight=1.0)
-        trajectory = sampler.euler_integrate(
-            None, x0, None, config, field_fn=lambda t, state: frozen)
-        finals.append(trajectory.final)
+        finals.append(sampler.euler_integrate(
+            None, x0, None, config, field_fn=lambda t, state: frozen))
     landing = max(float(np.abs(f - targets).max()) for f in finals)
     spread = max(float(np.abs(f - finals[0]).max()) for f in finals[1:])
     _verdict(3, "Euler exactness", landing <= 1e-10 and spread <= 1e-12,

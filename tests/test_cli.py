@@ -208,6 +208,45 @@ class TestComplete:
         assert "traj-t0.004.ply" in steps
         assert steps[-1] == "traj-t1.000.ply"
 
+    def test_failed_step_leaves_the_states_before_it(
+            self, dataset, zero_checkpoint, tmp_path, monkeypatch, capsys):
+        # each state is written as it is produced, so a run that fails
+        # part way leaves the steps so far and no final cloud
+        def exploding(state, t, x_t, scan, w, use_ema=False, *, buffers=None):
+            return np.full_like(x_t, np.inf) if t >= 0.5 else np.zeros_like(x_t)
+
+        monkeypatch.setattr(sampler, "guided_field", exploding)
+        entries = cloud_io.read_manifest(dataset / "manifest.tsv")
+        out = tmp_path / "traj.ply"
+        code, _, err = run_cli(
+            ["complete", *FAST, "--checkpoint", str(zero_checkpoint),
+             "--scan", str(dataset / entries[0].scan_path), "--out", str(out),
+             "--record-trajectory", "true", "--steps", "4"],
+            monkeypatch, capsys,
+        )
+        assert code == 2
+        assert err == "error: non-finite state at integration step 2\n"
+        assert sorted(p.name for p in tmp_path.glob("traj*")) == [
+            "traj-t0.00.ply", "traj-t0.25.ply", "traj-t0.50.ply"]
+
+    def test_unknown_output_format_fails_before_any_work(
+            self, dataset, zero_checkpoint, tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("integrated before checking the output format")
+
+        monkeypatch.setattr(sampler, "euler_integrate", never)
+        monkeypatch.chdir(tmp_path)
+        entries = cloud_io.read_manifest(dataset / "manifest.tsv")
+        code, _, err = run_cli(
+            ["complete", *FAST, "--checkpoint", str(zero_checkpoint),
+             "--scan", str(dataset / entries[0].scan_path),
+             "--out", "out/c.bin", "--steps", "50"],
+            monkeypatch, capsys,
+        )
+        assert code == 2
+        assert err == "error: cannot guess cloud format from 'out/c.bin'\n"
+        assert not (tmp_path / "out").exists()
+
     def test_text_output_evaluates(self, dataset, zero_checkpoint, tmp_path,
                                    monkeypatch, capsys):
         # the extension picks the format, so `eval` reads back what
@@ -398,10 +437,16 @@ class TestUsage:
         ("cases = 2\n", ["--hidden-widths", ",64"],
          "flag --hidden-widths: config key 'hidden_widths': expected "
          "comma-separated integers, got ',64'"),
+        # numpy's generators take no negative seed; caught before the
+        # dataset is read
+        ("cases = 2\nseed = -1\n", [],
+         "{cfg}: line 2: config key 'seed': seed must be >= 0"),
+        ("cases = 2\n", ["--scene-seed", "-3"],
+         "flag --scene-seed: scene_seed must be >= 0"),
     ], ids=["file_learning_rate", "file_hidden_widths", "flag_learning_rate",
             "flag_unparsable", "flag_completes_bad_pair", "file_noise_scale",
             "flag_noise_scale", "file_empty_width", "flag_trailing_comma",
-            "flag_leading_comma"])
+            "flag_leading_comma", "file_seed", "flag_scene_seed"])
     def test_range_error_names_its_source(self, tmp_path, monkeypatch, capsys,
                                           body, flags, source):
         cfgfile = tmp_path / "run.cfg"

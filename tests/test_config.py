@@ -145,6 +145,11 @@ class TestBuildConfig:
             config.build_config({}, {"ground_half_extent": 2.0})
         with pytest.raises(ValueError, match="density"):
             config.build_config({}, {"density": -1.0})
+        # numpy's generators take no negative seed
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            config.build_config({}, {"seed": -1})
+        with pytest.raises(ValueError, match="scene_seed must be >= 0"):
+            config.build_config({}, {"scene_seed": -3})
 
     def test_range_error_names_the_value_that_stands(self, tmp_path):
         path = tmp_path / "run.cfg"

@@ -418,6 +418,24 @@ class TestOptimizer:
             assert report == want_report
             assert grad.tobytes() == want_grad.tobytes()
         assert [b.shape for b in buffers] == [(300 * 12,), (300 * 9,), (300 * 12,)]
+        # one list shared by models of other widths: a layer more, or a
+        # wider layer behind a narrower one, regrows the list
+        sample = make_sample(rng, n0=10)
+        for sequence in (((16,), (16, 32)), ((32, 16), (16, 64))):
+            buffers = []
+            for widths in sequence:
+                model = field.init_model(field.FieldConfig(
+                    hidden_widths=widths, time_embed_dim=4, seed=26,
+                    zero_init_output=False))
+                args = (model, sample.t, sample.x_t, sample.condition)
+                got = field.forward(*args, buffers=buffers)
+                assert got.tobytes() == field.forward(*args).tobytes()
+                want_report, want_grad = field.loss_and_grad(model, sample,
+                                                             weights)
+                report, grad = field.loss_and_grad(model, sample, weights,
+                                                   buffers=buffers)
+                assert report == want_report
+                assert grad.tobytes() == want_grad.tobytes()
 
 
 class TestEma:

@@ -58,7 +58,6 @@ class TestSamplerConfig:
         assert cfg.steps == 10
         assert cfg.guidance_weight == 6.0
         assert cfg.use_ema
-        assert not cfg.record_trajectory
 
     def test_bad_steps(self):
         with pytest.raises(ValueError, match="steps"):
@@ -100,8 +99,8 @@ class TestEulerIntegrate:
         x0 = random_cloud(rng, 30)
         scan = random_cloud(rng, 10)
         state = random_model(4, zero_output=True)
-        traj = sampler.euler_integrate(state, x0, scan, sampler.SamplerConfig())
-        assert np.array_equal(traj.final, x0)
+        out = sampler.euler_integrate(state, x0, scan, sampler.SamplerConfig())
+        assert np.array_equal(out, x0)
 
     def test_constant_field_exactness(self):
         # A field frozen to the t=0 NN displacements is constant, so Euler
@@ -115,11 +114,11 @@ class TestEulerIntegrate:
         finals = []
         for steps in (1, 2, 5, 10):
             cfg = sampler.SamplerConfig(steps=steps)
-            traj = sampler.euler_integrate(
+            final = sampler.euler_integrate(
                 state, x0, None, cfg, field_fn=lambda t, x: v
             )
-            assert np.max(np.abs(traj.final - targets)) < 1e-10
-            finals.append(traj.final)
+            assert np.max(np.abs(final - targets)) < 1e-10
+            finals.append(final)
         for other in finals[1:]:
             assert np.max(np.abs(finals[0] - other)) < 1e-12
 
@@ -128,28 +127,25 @@ class TestEulerIntegrate:
         x0 = random_cloud(rng, 23)
         scan = random_cloud(rng, 9)
         state = random_model(8)
-        cfg = sampler.SamplerConfig(steps=4, record_trajectory=True)
-        traj = sampler.euler_integrate(state, x0, scan, cfg)
-        assert all(len(s) == 23 for s in traj.states)
+        states = []
+        sampler.euler_integrate(state, x0, scan, sampler.SamplerConfig(steps=4),
+                                on_step=lambda t, x: states.append(x))
+        assert len(states) == 5
+        assert all(len(s) == 23 for s in states)
 
     def test_trajectory_recording(self):
         rng = np.random.default_rng(9)
         x0 = random_cloud(rng, 8)
-        state = random_model(10, zero_output=True)
-        cfg = sampler.SamplerConfig(steps=5, record_trajectory=True)
-        traj = sampler.euler_integrate(state, x0, None, cfg)
-        assert len(traj.states) == 6
-        assert traj.times == (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
-        assert np.array_equal(traj.states[0], x0)
-
-    def test_endpoints_only_without_recording(self):
-        rng = np.random.default_rng(10)
-        x0 = random_cloud(rng, 8)
-        state = random_model(11)
-        traj = sampler.euler_integrate(state, x0, None, sampler.SamplerConfig(steps=5))
-        assert traj.times == (0.0, 1.0)
-        assert len(traj.states) == 2
-        assert np.array_equal(traj.initial, x0)
+        state = random_model(10)
+        seen = []
+        out = sampler.euler_integrate(
+            state, x0, None, sampler.SamplerConfig(steps=5),
+            on_step=lambda t, x: seen.append((t, x.tobytes())))
+        assert [t for t, _ in seen] == [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
+        assert seen[0][1] == x0.tobytes()
+        assert seen[-1][1] == out.tobytes()
+        # the field moved the cloud, so each step saw a state of its own
+        assert len({x for _, x in seen}) == 6
 
     def test_deterministic_given_checkpoint(self):
         rng = np.random.default_rng(11)
@@ -159,7 +155,7 @@ class TestEulerIntegrate:
         cfg = sampler.SamplerConfig()
         a = sampler.euler_integrate(state, x0, scan, cfg)
         b = sampler.euler_integrate(state, x0, scan, cfg)
-        assert np.array_equal(a.final, b.final)
+        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("w", [0.0, 1.0, 3.0])
     @pytest.mark.parametrize("record", [False, True])
@@ -168,17 +164,17 @@ class TestEulerIntegrate:
         rng = np.random.default_rng(17)
         x0, scan = random_cloud(rng, 150), random_cloud(rng, 30)
         state = wide_model(18)
-        cfg = sampler.SamplerConfig(steps=4, guidance_weight=w,
-                                    record_trajectory=record)
-        traj = sampler.euler_integrate(state, x0, scan, cfg)
-        x, want = x0.copy(), [x0.copy()]
+        cfg = sampler.SamplerConfig(steps=4, guidance_weight=w)
+        seen = []
+        on_step = (lambda t, x: seen.append(x.tobytes())) if record else None
+        out = sampler.euler_integrate(state, x0, scan, cfg, on_step=on_step)
+        x, want = x0.copy(), [x0.tobytes()]
         for k in range(cfg.steps):
             x = x + (1.0 / cfg.steps) * sampler.guided_field(
                 state, k / cfg.steps, x, scan, w, use_ema=True)
-            want.append(x)
-        if not record:
-            want = [want[0], want[-1]]
-        assert [s.tobytes() for s in traj.states] == [s.tobytes() for s in want]
+            want.append(x.tobytes())
+        assert out.tobytes() == want[-1]
+        assert seen == (want if record else [])
 
     def test_integrations_of_different_sizes_match_solo_runs(self):
         rng = np.random.default_rng(19)
@@ -186,11 +182,11 @@ class TestEulerIntegrate:
         scan = random_cloud(rng, 25)
         state = wide_model(20)
         cfg = sampler.SamplerConfig(steps=3, guidance_weight=3.0)
-        solo_small = sampler.euler_integrate(state, small, scan, cfg).final
-        solo_large = sampler.euler_integrate(state, large, scan, cfg).final
+        solo_small = sampler.euler_integrate(state, small, scan, cfg)
+        solo_large = sampler.euler_integrate(state, large, scan, cfg)
         for _ in range(2):
-            again_large = sampler.euler_integrate(state, large, scan, cfg).final
-            again_small = sampler.euler_integrate(state, small, scan, cfg).final
+            again_large = sampler.euler_integrate(state, large, scan, cfg)
+            again_small = sampler.euler_integrate(state, small, scan, cfg)
             assert again_large.tobytes() == solo_large.tobytes()
             assert again_small.tobytes() == solo_small.tobytes()
 
@@ -202,10 +198,14 @@ class TestEulerIntegrate:
         def exploding(t, x):
             return np.full_like(x, np.inf) if t >= 0.5 else np.zeros_like(x)
 
+        seen = []
         with pytest.raises(FloatingPointError, match="step 5"):
             sampler.euler_integrate(state, x0, None,
                                     sampler.SamplerConfig(steps=10),
-                                    field_fn=exploding)
+                                    field_fn=exploding,
+                                    on_step=lambda t, x: seen.append(t))
+        # the states up to t = 5/10 were handed on; the non-finite one was not
+        assert seen == [k / 10 for k in range(6)]
 
 
 class TestCompleteScene:
@@ -218,8 +218,7 @@ class TestCompleteScene:
         state = random_model(14, zero_output=True)
         x0 = coupling.noisy_initial_cloud(scan, 10, noise)
         tree_rows = tree_rows_per_query(monkeypatch)
-        out = sampler.euler_integrate(state, x0, scan,
-                                      sampler.SamplerConfig()).final
+        out = sampler.euler_integrate(state, x0, scan, sampler.SamplerConfig())
         want = coupling.noisy_initial_cloud(scan, 10, noise)
         assert np.array_equal(out, want)
         # no point moves, so after the first step every point keeps its row
@@ -232,7 +231,7 @@ class TestCompleteScene:
         x0 = coupling.noisy_initial_cloud(
             scan, 10, coupling.NoiseConfig(scale=0.1, seed=5))
         out = sampler.euler_integrate(state, x0, scan,
-                                      sampler.SamplerConfig(steps=2)).final
+                                      sampler.SamplerConfig(steps=2))
         assert out.shape == (210, 3)
 
 
@@ -247,7 +246,7 @@ class TestCompleteScene:
         cfg = sampler.SamplerConfig(steps=10, guidance_weight=2.5)
         x = coupling.noisy_initial_cloud(scan, 4, noise)
         tree_rows = tree_rows_per_query(monkeypatch)
-        out = sampler.euler_integrate(state, x, scan, cfg).final
+        out = sampler.euler_integrate(state, x, scan, cfg)
         for k in range(cfg.steps):
             x = x + (1.0 / cfg.steps) * sampler.guided_field(
                 state, k / cfg.steps, x, scan, cfg.guidance_weight, use_ema=True)
