@@ -151,13 +151,13 @@ def cmd_eval(cfg: RunConfig, pred_paths, gt_paths, report_path=None) -> int:
             f"mismatched pair counts: {len(pred_paths)} predictions "
             f"vs {len(gt_paths)} ground truths"
         )
-    metric_cfg = cfg.metric_config()
     rows = []
     for pred_path, gt_path in zip(pred_paths, gt_paths):
         pred = cloud_io.read_cloud(pred_path)
         gt = cloud_io.read_cloud(gt_path)
         try:
-            report = metrics.evaluate(pred, gt, metric_cfg)
+            report = metrics.evaluate(pred, gt, cfg.bev_resolution,
+                                      cfg.bev_extent)
         except ValueError as exc:
             raise ValueError(f"pred {pred_path} vs gt {gt_path}: {exc}") from exc
         rows.append((Path(pred_path).stem, report))
@@ -177,22 +177,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("make-data", help="generate synthetic scene/scan pairs",
                        parents=config)
-    p.add_argument("--out", metavar="DIR", default=None,
-                   help="dataset directory (default: the data_dir config key)")
+    p.add_argument("--out", metavar="DIR", default="data",
+                   help="dataset directory (default: %(default)s)")
 
     p = sub.add_parser("train", help="train a field checkpoint on a dataset",
                        parents=config)
-    p.add_argument("--data", metavar="DIR", default=None,
-                   help="dataset directory (default: the data_dir config key)")
-    p.add_argument("--out", metavar="FILE", default=None,
-                   help="checkpoint path (default: <output_dir>/model.ckpt)")
+    p.add_argument("--data", metavar="DIR", default="data",
+                   help="dataset directory (default: %(default)s)")
+    p.add_argument("--out", metavar="FILE", default="out/model.ckpt",
+                   help="checkpoint path (default: %(default)s)")
 
     p = sub.add_parser("complete", help="complete one scan with a checkpoint",
                        parents=config)
     p.add_argument("--checkpoint", metavar="FILE", required=True)
     p.add_argument("--scan", metavar="FILE", required=True)
-    p.add_argument("--out", metavar="FILE", default=None,
-                   help="output cloud (default: <output_dir>/completed.ply)")
+    p.add_argument("--out", metavar="FILE", default="out/completed.ply",
+                   help="output cloud (default: %(default)s)")
 
     p = sub.add_parser("eval", help="evaluate completions against ground truth",
                        parents=config)
@@ -209,13 +209,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     cfg = _config_from_args(args)
     if args.command == "make-data":
-        return cmd_make_data(cfg, args.out or cfg.data_dir)
+        return cmd_make_data(cfg, args.out)
     if args.command == "train":
-        out = args.out or str(Path(cfg.output_dir) / "model.ckpt")
-        return cmd_train(cfg, args.data or cfg.data_dir, out)
+        return cmd_train(cfg, args.data, args.out)
     if args.command == "complete":
-        out = args.out or str(Path(cfg.output_dir) / "completed.ply")
-        return cmd_complete(cfg, args.checkpoint, args.scan, out)
+        return cmd_complete(cfg, args.checkpoint, args.scan, args.out)
     if args.command == "eval":
         return cmd_eval(cfg, args.pred, args.gt, args.report)
     raise UsageError(f"unknown command {args.command!r}")

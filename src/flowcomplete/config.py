@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .cloud_io import read_utf8, split_lines
 from .coupling import NoiseConfig
 from .field import FieldConfig
-from .metrics import MetricConfig
+from .geometry import bev_grid_shape
 from .objective import LossWeights
 from .sampler import SamplerConfig
 from .scenes import ScanSpec, SceneSpec, random_scene_spec
@@ -49,7 +49,6 @@ class RunConfig:
     batch_size: int = 4
     learning_rate: float = 1e-3
     p_null: float = 0.1
-    flow_weight: float = 1.0
     chamfer_weight: float = 0.1
     ema_decay: float = 0.9999
     max_steps: int = 0  # 0 = no cap
@@ -65,10 +64,6 @@ class RunConfig:
     bev_resolution: float = 0.5
     bev_half_extent: float = 50.0
 
-    # paths
-    data_dir: str = "data"
-    output_dir: str = "out"
-
     # ---- derived module configs (constructing them validates ranges) ----
 
     def noise_config(self, seed=None) -> NoiseConfig:
@@ -80,7 +75,7 @@ class RunConfig:
                            activation=self.activation, seed=self.seed)
 
     def loss_weights(self) -> LossWeights:
-        return LossWeights(flow=self.flow_weight, chamfer=self.chamfer_weight)
+        return LossWeights(chamfer=self.chamfer_weight)
 
     def sampler_config(self) -> SamplerConfig:
         return SamplerConfig(steps=self.steps, guidance_weight=self.guidance,
@@ -97,10 +92,10 @@ class RunConfig:
                         dropout=self.scan_dropout,
                         budget=self.scan_budget, seed=seed)
 
-    def metric_config(self) -> MetricConfig:
+    @property
+    def bev_extent(self) -> tuple:
         h = self.bev_half_extent
-        return MetricConfig(bev_resolution=self.bev_resolution,
-                            bev_extent=(-h, h, -h, h))
+        return (-h, h, -h, h)
 
     def validate(self) -> "RunConfig":
         # NaN fails no comparison, so the range checks below need finite values
@@ -130,8 +125,7 @@ class RunConfig:
             raise ValueError("scene_seed must be >= 0")
         if self.max_steps < 0:
             raise ValueError("max_steps must be >= 0")
-        if self.bev_resolution <= 0 or self.bev_half_extent <= 0:
-            raise ValueError("evaluation grid sizes must be positive")
+        bev_grid_shape(self.bev_resolution, self.bev_extent)
         if self.scan_budget < 1:
             raise ValueError("scan budget must be >= 1")
         # the module constructors check their own invariants

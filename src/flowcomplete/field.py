@@ -314,7 +314,7 @@ def train_batch(state: ModelState, opt: OptimizerState, samples,
     return new_state, new_opt, mean
 
 
-def ema_update(state: ModelState, decay: float = 0.9999) -> ModelState:
+def ema_update(state: ModelState, decay: float) -> ModelState:
     """Shadow update ema <- decay * ema + (1 - decay) * weights."""
     ema = decay * state.ema_weights + (1.0 - decay) * state.weights
     return dataclasses.replace(state, ema_weights=ema)

@@ -432,6 +432,22 @@ class BevHistogram:
     dropped: int
 
 
+def bev_grid_shape(resolution: float, extent) -> tuple[int, int]:
+    """(nx, ny) cells of the grid over extent (xmin, xmax, ymin, ymax).
+    ValueError unless 1 <= nx * ny <= int64 max, the bound of voxel cells."""
+    if not resolution > 0:
+        raise ValueError("histogram resolution must be positive")
+    xmin, xmax, ymin, ymax = (float(v) for v in extent)
+    if not (xmax > xmin and ymax > ymin):
+        raise ValueError("degenerate histogram extent")
+    spans = ((xmax - xmin) / resolution, (ymax - ymin) / resolution)
+    if not all(0 < n < math.inf for n in spans) or (
+            math.prod(map(math.ceil, spans)) > np.iinfo(np.int64).max):
+        raise ValueError(f"histogram grid at resolution {resolution!r} over "
+                         f"{tuple(extent)} has no cells or more than int64 holds")
+    return math.ceil(spans[0]), math.ceil(spans[1])
+
+
 def bev_histogram(cloud, resolution: float, extent) -> BevHistogram:
     """Histogram of the cloud's (x, y) projection; z is ignored.
 
@@ -439,13 +455,8 @@ def bev_histogram(cloud, resolution: float, extent) -> BevHistogram:
     their floored cell; all others are dropped and reported.
     """
     pts = as_cloud(cloud)
-    if resolution <= 0:
-        raise ValueError("histogram resolution must be positive")
+    nx, ny = bev_grid_shape(resolution, extent)
     xmin, xmax, ymin, ymax = (float(v) for v in extent)
-    if xmax <= xmin or ymax <= ymin:
-        raise ValueError("degenerate histogram extent")
-    nx = math.ceil((xmax - xmin) / resolution)
-    ny = math.ceil((ymax - ymin) / resolution)
     inside = (
         (pts[:, 0] >= xmin) & (pts[:, 0] < xmax)
         & (pts[:, 1] >= ymin) & (pts[:, 1] < ymax)

@@ -25,12 +25,6 @@ IOU_RESOLUTIONS = (0.5, 0.2, 0.1)
 
 
 @dataclass(frozen=True)
-class MetricConfig:
-    bev_resolution: float = DEFAULT_BEV_RESOLUTION
-    bev_extent: tuple = DEFAULT_BEV_EXTENT
-
-
-@dataclass(frozen=True)
 class EvalReport:
     """One prediction/ground-truth comparison."""
     cd_m: float
@@ -92,8 +86,10 @@ def eval_voxel_iou(pred, gt, resolution: float,
     return inter / (len(pred_keys) + len(gt_keys) - inter)
 
 
-def evaluate(pred, gt, config: MetricConfig = MetricConfig()) -> EvalReport:
-    """All metrics for one (pred, gt) pair, plus the wall time spent."""
+def evaluate(pred, gt, bev_resolution: float = DEFAULT_BEV_RESOLUTION,
+             bev_extent=DEFAULT_BEV_EXTENT) -> EvalReport:
+    """All metrics for one (pred, gt) pair, plus the wall time spent.
+    The JSD grid is bev_extent (xmin, xmax, ymin, ymax) at bev_resolution."""
     pred = as_cloud(pred)
     gt = as_cloud(gt)
     # The chamfer's neighbor index loads scipy.spatial on first use; load it
@@ -101,7 +97,7 @@ def evaluate(pred, gt, config: MetricConfig = MetricConfig()) -> EvalReport:
     import scipy.spatial  # noqa: F401
     start = time.perf_counter()
     cd = eval_chamfer(pred, gt)
-    jsd = eval_bev_jsd(pred, gt, config.bev_resolution, config.bev_extent)
+    jsd = eval_bev_jsd(pred, gt, bev_resolution, bev_extent)
     iou = {res: eval_voxel_iou(pred, gt, res) for res in IOU_RESOLUTIONS}
     return EvalReport(cd_m=cd, jsd=jsd, voxel_iou=iou,
                       wall_time_s=time.perf_counter() - start)

@@ -18,15 +18,12 @@ from .geometry import as_cloud, nearest_neighbor_map, neighbor_index
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Relative weights of the velocity and chamfer terms."""
-    flow: float = 1.0
+    """Weight of the chamfer term; the velocity term's weight is 1."""
     chamfer: float = 0.1
 
     def __post_init__(self):
-        if self.flow < 0 or self.chamfer < 0:
-            raise ValueError("loss weights must be non-negative")
-        if self.flow == 0 and self.chamfer == 0:
-            raise ValueError("at least one loss weight must be positive")
+        if not self.chamfer >= 0:  # NaN fails too
+            raise ValueError("chamfer weight must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -102,7 +99,7 @@ def chamfer_loss_grad(x0, u_pred, x1) -> tuple[float, np.ndarray]:
 
 def total_loss_grad(sample: FlowSample, u_pred,
                     weights: LossWeights) -> tuple[LossReport, np.ndarray]:
-    """Blended loss plus its gradient with respect to u_pred.
+    """L_flow + chamfer * L_chamfer and its gradient with respect to u_pred.
 
     The chamfer term (and its geometry work) is skipped entirely when its
     weight is zero.
@@ -112,6 +109,6 @@ def total_loss_grad(sample: FlowSample, u_pred,
         cd_val, cd_grad = chamfer_loss_grad(sample.x0, u_pred, sample.x1)
     else:
         cd_val, cd_grad = 0.0, 0.0
-    total = weights.flow * flow_val + weights.chamfer * cd_val
-    grad = weights.flow * flow_grad + weights.chamfer * cd_grad
+    total = flow_val + weights.chamfer * cd_val
+    grad = flow_grad + weights.chamfer * cd_grad
     return LossReport(flow=flow_val, chamfer=cd_val, total=total), grad

@@ -280,7 +280,7 @@ def test_guidance_identities():
 # ---------------------------------------------------------------------------
 
 def test_gradient_correctness():
-    weights = objective.LossWeights(flow=1.0, chamfer=0.1)
+    weights = objective.LossWeights(chamfer=0.1)
     start = time.perf_counter()
     for instance in range(20):
         rng = np.random.default_rng(500 + instance)

@@ -398,9 +398,15 @@ class TestUsage:
         (["make-data", "--ground-half-extent", "-4"], "ground_half_extent"),
         (["make-data", "--density", "-1"], "density"),
         (["make-data", "--density", "0"], "density"),
+        # the BEV grid would need more cells than int64 can count: caught
+        # before the clouds are read, not by a failed cast
+        (["eval", "--bev-half-extent", "1e308", "--pred", "p.ply", "--gt",
+          "g.ply"], "bev-half-extent"),
+        (["eval", "--bev-resolution", "1e-300", "--pred", "p.ply", "--gt",
+          "g.ply"], "bev-resolution"),
     ], ids=["learning_rate", "bev_resolution", "density", "cases",
             "extent_2", "extent_1", "extent_negative", "density_negative",
-            "density_zero"])
+            "density_zero", "bev_half_extent_huge", "bev_resolution_tiny"])
     def test_unparsable_value_is_usage_error(self, tmp_path, monkeypatch,
                                              capsys, argv, key):
         monkeypatch.chdir(tmp_path)
@@ -419,9 +425,6 @@ class TestUsage:
         ("cases = 2\n", ["--learning-rate", "nan"],
          "flag --learning-rate: config key 'learning_rate': expected a finite "
          "number, got 'nan'"),
-        # neither weight is out of range alone; the one applied last is named
-        ("flow_weight = 0\n", ["--chamfer-weight", "0"],
-         "flag --chamfer-weight: at least one loss weight must be positive"),
         # at 0 the copies of each scan point never separate
         ("cases = 2\nnoise_scale = 0\n", [],
          "{cfg}: line 2: config key 'noise_scale': noise_scale must be > 0"),
@@ -444,7 +447,7 @@ class TestUsage:
         ("cases = 2\n", ["--scene-seed", "-3"],
          "flag --scene-seed: scene_seed must be >= 0"),
     ], ids=["file_learning_rate", "file_hidden_widths", "flag_learning_rate",
-            "flag_unparsable", "flag_completes_bad_pair", "file_noise_scale",
+            "flag_unparsable", "file_noise_scale",
             "flag_noise_scale", "file_empty_width", "flag_trailing_comma",
             "flag_leading_comma", "file_seed", "flag_scene_seed"])
     def test_range_error_names_its_source(self, tmp_path, monkeypatch, capsys,
@@ -492,6 +495,48 @@ class TestUsage:
         )
         assert code == 0
         assert len(cloud_io.read_manifest(data / "manifest.tsv")) == 1
+
+    @pytest.mark.parametrize("flag", ["--flow-weight", "--data-dir",
+                                      "--output-dir"])
+    def test_removed_flag_is_usage_error(self, tmp_path, monkeypatch, capsys,
+                                         flag):
+        # paths are set by --data and --out alone; the velocity term's
+        # weight is 1, so only --chamfer-weight sets the loss
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(["train", flag, "1"], monkeypatch, capsys)
+        assert code == 1
+        assert flag in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("key", ["data_dir", "output_dir", "flow_weight"])
+    def test_removed_config_key_names_its_file_line(self, tmp_path,
+                                                    monkeypatch, capsys, key):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"cases = 1\n{key} = 1\n")
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(["make-data", "--config", str(cfgfile)],
+                               monkeypatch, capsys)
+        assert code == 1
+        assert err == (f"usage error: {cfgfile}: line 2: unknown config key "
+                       f"{key!r}\n")
+        assert list(tmp_path.iterdir()) == [cfgfile]
+
+
+def test_default_paths(tmp_path, monkeypatch, capsys):
+    # with no --data or --out, a run reads and writes under the working
+    # directory: data/ for the dataset, out/ for the checkpoint and cloud
+    monkeypatch.chdir(tmp_path)
+    for argv in (["make-data", *FAST],
+                 ["train", *FAST, "--epochs", "1"],
+                 ["complete", *FAST, "--checkpoint", "out/model.ckpt",
+                  "--scan", "data/scans/case-000.ply"]):
+        code, _, err = run_cli(argv, monkeypatch, capsys)
+        assert code == 0, err
+    assert len(cloud_io.read_manifest(tmp_path / "data" / "manifest.tsv")) == 2
+    field.load_checkpoint(tmp_path / "out" / "model.ckpt")
+    assert len(cloud_io.read_cloud(tmp_path / "out" / "completed.ply")) > 0
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "completed.ply", "model.ckpt"]
 
 
 # Each subcommand's own flags, listed after --config and the RunConfig flags.

@@ -111,7 +111,7 @@ class TestBuildConfig:
         assert cfg.guidance == 6.0
         assert cfg.p_null == 0.1
         assert cfg.ema_decay == 0.9999
-        assert (cfg.flow_weight, cfg.chamfer_weight) == (1.0, 0.1)
+        assert cfg.chamfer_weight == 0.1
 
     def test_flags_beat_file(self):
         cfg = config.build_config({"cases": 4}, {"cases": 7})
@@ -189,7 +189,7 @@ class TestBuildConfig:
 
     def test_derived_configs(self):
         cfg = config.build_config({}, {"bev_half_extent": 5.0})
-        assert cfg.metric_config().bev_extent == (-5.0, 5.0, -5.0, 5.0)
+        assert cfg.bev_extent == (-5.0, 5.0, -5.0, 5.0)
         assert cfg.sampler_config().steps == 10
         assert cfg.field_config().hidden_widths == (64, 64)
         assert cfg.scan_spec(3).seed == 3

@@ -225,7 +225,7 @@ class TestGradient:
         rng = np.random.default_rng(6)
         cfg = field.FieldConfig(hidden_widths=(6,), time_embed_dim=4,
                                 seed=7, zero_init_output=False)
-        weights = objective.LossWeights(1.0, 0.0)
+        weights = objective.LossWeights(chamfer=0.0)
         for _ in range(3):
             sample = make_sample(rng)
             state = field.init_model(cfg)
@@ -242,7 +242,7 @@ class TestGradient:
         rng = np.random.default_rng(7)
         cfg = field.FieldConfig(hidden_widths=(6,), time_embed_dim=4,
                                 seed=13, zero_init_output=False)
-        weights = objective.LossWeights(1.0, 0.1)
+        weights = objective.LossWeights(chamfer=0.1)
         sample = make_sample(rng, n0=8, n1=6)
         state = field.init_model(cfg)
         _, grad = field.loss_and_grad(state, sample, weights)
@@ -263,7 +263,7 @@ class TestGradient:
         rng = np.random.default_rng(8)
         cfg = field.FieldConfig(hidden_widths=(6,), time_embed_dim=4, seed=15,
                                 activation="relu", zero_init_output=False)
-        weights = objective.LossWeights(1.0, 0.0)
+        weights = objective.LossWeights(chamfer=0.0)
         sample = make_sample(rng)
         state = field.init_model(cfg)
         _, grad = field.loss_and_grad(state, sample, weights)
@@ -285,7 +285,7 @@ class TestGradient:
         cfg = field.FieldConfig(hidden_widths=widths, activation=activation,
                                 seed=n + len(widths), zero_init_output=False)
         state = field.init_model(cfg)
-        weights = objective.LossWeights(1.0, 0.1)
+        weights = objective.LossWeights(chamfer=0.1)
         buffers = []
         for with_scan in (True, False):
             sample = make_sample(rng, n0=n, n1=max(n // 2, 1),
@@ -340,7 +340,7 @@ class TestOptimizer:
         cfg = field.FieldConfig(hidden_widths=(16, 16), seed=21)
         state = field.init_model(cfg)
         opt = field.init_optimizer(state)
-        weights = objective.LossWeights(1.0, 0.1)
+        weights = objective.LossWeights(chamfer=0.1)
         losses = []
         for step in range(200):
             sample = coupling.nearest_neighbor_flow(
@@ -357,7 +357,7 @@ class TestOptimizer:
         rng = np.random.default_rng(10)
         cfg = field.FieldConfig(hidden_widths=(6,), time_embed_dim=4,
                                 seed=23, zero_init_output=False)
-        weights = objective.LossWeights(1.0, 0.0)
+        weights = objective.LossWeights(chamfer=0.0)
         samples = [make_sample(rng) for _ in range(4)]
         state = field.init_model(cfg)
         grads = [field.loss_and_grad(state, s, weights)[1] for s in samples]
@@ -373,7 +373,7 @@ class TestOptimizer:
         rng = np.random.default_rng(11)
         cfg = field.FieldConfig(hidden_widths=(12, 9), time_embed_dim=4,
                                 seed=25, zero_init_output=False)
-        weights = objective.LossWeights(1.0, 0.1)
+        weights = objective.LossWeights(chamfer=0.1)
         # two point counts, interleaved, so each size's arrays are reused
         # after the other size has run
         batches = [[make_sample(rng, n0=n) for n in (10, 17, 10, 17)]

@@ -262,6 +262,24 @@ class TestBevHistogram:
         with pytest.raises(ValueError, match="extent"):
             geometry.bev_histogram(np.zeros((1, 3)), 0.5, (0.0, 0.0, -1.0, 1.0))
 
+    @pytest.mark.parametrize("resolution, extent", [
+        (0.5, (-1e308, 1e308, -1.0, 1.0)),  # width overflows to inf
+        (1e-300, (-50.0, 50.0, -50.0, 50.0)),  # 1e302 cells per axis
+        (1e-9, (0.0, 1e5, 0.0, 1e5)),  # 1e28 cells in all
+        (1e300, (0.0, 1e-300, 0.0, 1.0)),  # width / resolution underflows to 0
+    ], ids=["width_overflows", "resolution_tiny", "cells_beyond_int64",
+            "cells_underflow"])
+    def test_grid_beyond_int64_is_rejected_before_any_cast(self, resolution,
+                                                           extent):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no cells or more than int64"):
+                geometry.bev_histogram(np.zeros((1, 3)), resolution, extent)
+
+    def test_grid_shape(self):
+        assert geometry.bev_grid_shape(0.5, self.EXTENT) == (4, 4)
+        assert geometry.bev_grid_shape(0.3, (0.0, 1.0, 0.0, 0.5)) == (4, 2)
+
     def test_upper_edges_dropped_and_just_below_clipped(self):
         below = np.nextafter(1.0, 0.0)
         # x - xmin rounds up to 2.0, so the floored cell is nx and only the

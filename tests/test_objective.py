@@ -37,16 +37,15 @@ def make_sample(rng, n0=12, n1=9):
 
 class TestLossWeights:
     def test_defaults(self):
-        w = objective.LossWeights()
-        assert (w.flow, w.chamfer) == (1.0, 0.1)
-
-    def test_both_zero_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            objective.LossWeights(0.0, 0.0)
+        assert objective.LossWeights().chamfer == 0.1
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            objective.LossWeights(-1.0, 0.1)
+        with pytest.raises(ValueError, match="chamfer weight must be >= 0"):
+            objective.LossWeights(chamfer=-0.1)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="chamfer weight must be >= 0"):
+            objective.LossWeights(chamfer=float("nan"))
 
 
 class TestFlowMatchingLoss:
@@ -187,29 +186,38 @@ class TestTotalLoss:
         rng = np.random.default_rng(7)
         s = make_sample(rng)
         u = random_cloud(rng, len(s.x0))
-        report = objective.total_loss_grad(s, u, objective.LossWeights(1.0, 0.0))[0]
+        weights = objective.LossWeights(chamfer=0.0)
+        report = objective.total_loss_grad(s, u, weights)[0]
         assert report.total == report.flow
         assert report.chamfer == 0.0
 
-    def test_chamfer_only(self):
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    def test_bytes_are_flow_plus_weighted_chamfer(self, lam):
+        # the blend is flow + lam * chamfer, term by term, with no factor
+        # on the flow term
         rng = np.random.default_rng(8)
         s = make_sample(rng)
         u = random_cloud(rng, len(s.x0))
-        report = objective.total_loss_grad(s, u, objective.LossWeights(0.0, 1.0))[0]
-        assert report.total == report.chamfer
+        report, grad = objective.total_loss_grad(
+            s, u, objective.LossWeights(chamfer=lam))
+        flow_val, flow_grad = objective.flow_matching_loss_grad(u, s.v_target)
+        cd_val, cd_grad = objective.chamfer_loss_grad(s.x0, u, s.x1)
+        assert np.float64(report.total).tobytes() == np.float64(
+            flow_val + lam * cd_val).tobytes()
+        assert grad.tobytes() == (flow_grad + lam * cd_grad).tobytes()
 
     def test_weighted_combination_identity(self):
         rng = np.random.default_rng(9)
         s = make_sample(rng)
         u = random_cloud(rng, len(s.x0))
-        w = objective.LossWeights(1.0, 0.1)
+        w = objective.LossWeights(chamfer=0.1)
         report = objective.total_loss_grad(s, u, w)[0]
-        want = w.flow * report.flow + w.chamfer * report.chamfer
+        want = report.flow + w.chamfer * report.chamfer
         assert report.total == pytest.approx(want, rel=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(10)
-        w = objective.LossWeights(1.0, 0.1)
+        w = objective.LossWeights(chamfer=0.1)
         for trial in range(5):
             s = make_sample(rng, n0=int(rng.integers(4, 10)), n1=int(rng.integers(4, 10)))
             n = len(s.x0)
@@ -247,7 +255,7 @@ class TestNeighborIndexInput:
 
     def test_total_loss_grad(self):
         rng = np.random.default_rng(32)
-        weights = objective.LossWeights(flow=1.0, chamfer=0.5)
+        weights = objective.LossWeights(chamfer=0.5)
         for n1 in self.SIZES:
             x0 = random_cloud(rng, 24)
             x1 = random_cloud(rng, n1)
