@@ -111,9 +111,11 @@ def _read_ply(path) -> np.ndarray:
     # written with Windows line ends has them. A \r-only rule would make
     # the end of the header ambiguous in front of a binary body.
     eol = b"\r\n" if data.startswith(b"ply\r\n") else b"\n"
-    end = data.find(b"end_header" + eol)
-    if not data.startswith(b"ply" + eol) or end < 0:
+    # only a whole line ends the header, not a comment ending in end_header
+    found = data.find(eol + b"end_header" + eol)
+    if not data.startswith(b"ply" + eol) or found < 0:
         raise ValueError(f"{path}: not a PLY file (missing header)")
+    end = found + len(eol)  # where the end_header line starts
     if eol == b"\r\n":
         stray = data[:end].replace(eol, b"")
         if b"\r" in stray or b"\n" in stray:

@@ -66,7 +66,7 @@ class RunConfig:
 
     # ---- derived module configs (constructing them validates ranges) ----
 
-    def noise_config(self, seed=None) -> NoiseConfig:
+    def noise_config(self, seed: int) -> NoiseConfig:
         return NoiseConfig(scale=self.noise_scale, seed=seed)
 
     def field_config(self) -> FieldConfig:
@@ -129,7 +129,7 @@ class RunConfig:
         if self.scan_budget < 1:
             raise ValueError("scan budget must be >= 1")
         # the module constructors check their own invariants
-        self.noise_config()
+        self.noise_config(self.seed)
         self.field_config()
         self.loss_weights()
         self.sampler_config()

@@ -18,14 +18,14 @@ from .geometry import (NeighborIndex, as_cloud, nearest_neighbor_map,
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Per-axis Gaussian jitter applied to the tiled scan.
+    """Per-axis Gaussian jitter on the tiled scan (`RunConfig.noise_config`).
 
     scale is the standard deviation in meters per axis. It must be
     positive: at 0 the copies of a scan point start at one place and never
     separate. The run config's `noise_scale` is checked here alone.
     """
-    scale: float = 1.0
-    seed: int | None = None
+    scale: float
+    seed: int
 
     def __post_init__(self):
         if not self.scale > 0:

@@ -43,11 +43,11 @@ _ACTIVATIONS = ("tanh", "relu")
 
 @dataclass(frozen=True)
 class FieldConfig:
-    """Architecture and initialization of the field network."""
-    hidden_widths: tuple = (64, 64)
-    time_embed_dim: int = 8
-    activation: str = "tanh"
-    seed: int = 0
+    """Field network architecture and init (`RunConfig.field_config`)."""
+    hidden_widths: tuple
+    time_embed_dim: int
+    activation: str
+    seed: int
     # Zero output weights make the untrained field identically zero, so
     # inference from a fresh model is the identity flow. Gradient-check
     # fixtures disable this to get signal into the hidden layers.
@@ -86,9 +86,9 @@ class ModelState:
 @dataclass
 class OptimizerState:
     """Adam moment accumulators and the learning rate."""
-    learning_rate: float = 1e-3
-    m: np.ndarray = None
-    v: np.ndarray = None
+    learning_rate: float
+    m: np.ndarray
+    v: np.ndarray
 
 
 def _layer_shapes(config: FieldConfig):
@@ -126,7 +126,7 @@ def init_model(config: FieldConfig) -> ModelState:
     return ModelState(config=config, weights=flat, ema_weights=flat.copy(), step_count=0)
 
 
-def init_optimizer(state: ModelState, learning_rate: float = 1e-3) -> OptimizerState:
+def init_optimizer(state: ModelState, learning_rate: float) -> OptimizerState:
     """Zero Adam moments."""
     zeros = np.zeros_like(state.weights)
     return OptimizerState(learning_rate, m=zeros, v=zeros.copy())
@@ -216,8 +216,8 @@ def _run_layers(layers, activation: str, feats: np.ndarray, hidden) -> np.ndarra
     return out
 
 
-def forward(state: ModelState, t: float, x_t, condition, use_ema: bool = False,
-            *, buffers=None) -> np.ndarray:
+def forward(state: ModelState, t: float, x_t, condition, *, use_ema: bool,
+            buffers=None) -> np.ndarray:
     """Per-point velocity prediction u(t, x_t, condition), shape (n, 3).
 
     The hidden layers run in place in `buffers`, `loss_and_grad`'s list

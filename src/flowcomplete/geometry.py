@@ -284,7 +284,7 @@ def chamfer_distance(a, b) -> float:
     return float(nearest_sq_dists(pa, pb).sum() + nearest_sq_dists(pb, pa).sum())
 
 
-def farthest_point_sample(cloud, count: int, seed=None) -> np.ndarray:
+def farthest_point_sample(cloud, count: int, seed: int) -> np.ndarray:
     """Select `count` well-dispersed points of `cloud` via farthest point sampling.
 
     The first point is a seeded uniform draw; every subsequent point

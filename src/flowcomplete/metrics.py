@@ -18,8 +18,6 @@ from .cloud_io import split_lines
 from .geometry import (as_cloud, bev_histogram, nearest_sq_dists, neighbor_index,
                        voxel_keys)
 
-DEFAULT_BEV_RESOLUTION = 0.5
-DEFAULT_BEV_EXTENT = (-50.0, 50.0, -50.0, 50.0)
 # Voxel IoU is reported on grids anchored at the world origin.
 IOU_RESOLUTIONS = (0.5, 0.2, 0.1)
 
@@ -53,8 +51,7 @@ def eval_chamfer(pred, gt) -> float:
     return float(0.5 * (np.sqrt(d_ab).mean() + np.sqrt(d_ba).mean()))
 
 
-def eval_bev_jsd(pred, gt, resolution: float = DEFAULT_BEV_RESOLUTION,
-                 extent=DEFAULT_BEV_EXTENT) -> float:
+def eval_bev_jsd(pred, gt, resolution: float, extent) -> float:
     """Jensen-Shannon divergence of the two BEV occupancy histograms.
 
     Natural log; empty bins contribute nothing (0 * log 0 := 0). Raises if
@@ -86,8 +83,7 @@ def eval_voxel_iou(pred, gt, resolution: float,
     return inter / (len(pred_keys) + len(gt_keys) - inter)
 
 
-def evaluate(pred, gt, bev_resolution: float = DEFAULT_BEV_RESOLUTION,
-             bev_extent=DEFAULT_BEV_EXTENT) -> EvalReport:
+def evaluate(pred, gt, bev_resolution: float, bev_extent) -> EvalReport:
     """All metrics for one (pred, gt) pair, plus the wall time spent.
     The JSD grid is bev_extent (xmin, xmax, ymin, ymax) at bev_resolution."""
     pred = as_cloud(pred)

@@ -18,8 +18,8 @@ from .geometry import as_cloud, nearest_neighbor_map, neighbor_index
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Weight of the chamfer term; the velocity term's weight is 1."""
-    chamfer: float = 0.1
+    """Chamfer term weight (`RunConfig.loss_weights`); the velocity's is 1."""
+    chamfer: float
 
     def __post_init__(self):
         if not self.chamfer >= 0:  # NaN fails too

@@ -2,8 +2,8 @@
 
 Fixed-step Euler integration of the guided velocity field, starting from
 the tiled-and-jittered scan (`coupling.noisy_initial_cloud`). Guidance
-blends the conditioned and unconditioned predictions; the EMA weights are
-used by default.
+blends the conditioned and unconditioned predictions of the weights that
+`use_ema` selects.
 """
 from __future__ import annotations
 
@@ -17,19 +17,19 @@ from .geometry import TrackingNeighborIndex, as_cloud
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Euler step count, guidance strength, and weight selection; the
+    """Euler steps, guidance and weights (`RunConfig.sampler_config`); the
     states stream through `euler_integrate`'s `on_step`, none is kept."""
-    steps: int = 10
-    guidance_weight: float = 6.0
-    use_ema: bool = True
+    steps: int
+    guidance_weight: float
+    use_ema: bool
 
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
 
 
-def guided_field(state: ModelState, t: float, x_t, scan, w: float,
-                 use_ema: bool = False, *, buffers=None) -> np.ndarray:
+def guided_field(state: ModelState, t: float, x_t, scan, w: float, *,
+                 use_ema: bool, buffers=None) -> np.ndarray:
     """Guided velocity: unconditioned + w * (conditioned - unconditioned).
 
     Exactly two forward evaluations, which share the layer `buffers`

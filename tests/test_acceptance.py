@@ -232,7 +232,8 @@ def test_euler_exactness():
 
     finals = []
     for steps in (1, 2, 5, 10):
-        config = sampler.SamplerConfig(steps=steps, guidance_weight=1.0)
+        config = sampler.SamplerConfig(steps=steps, guidance_weight=1.0,
+                                        use_ema=True)
         finals.append(sampler.euler_integrate(
             None, x0, None, config, field_fn=lambda t, state: frozen))
     landing = max(float(np.abs(f - targets).max()) for f in finals)
@@ -252,6 +253,7 @@ def test_guidance_identities():
         config = field.FieldConfig(
             hidden_widths=(int(rng.integers(4, 24)),) * int(rng.integers(1, 3)),
             time_embed_dim=2 * int(rng.integers(2, 6)),
+            activation="tanh",
             seed=int(rng.integers(2 ** 31)),
             zero_init_output=False,
         )
@@ -285,7 +287,7 @@ def test_gradient_correctness():
     for instance in range(20):
         rng = np.random.default_rng(500 + instance)
         config = field.FieldConfig(hidden_widths=(16, 16), time_embed_dim=4,
-                                   seed=900 + instance,
+                                   activation="tanh", seed=900 + instance,
                                    zero_init_output=False)
         state = field.init_model(config)
         x0 = rng.uniform(-1.0, 1.0, size=(int(rng.integers(33, 65)), 3))
@@ -303,7 +305,8 @@ def test_gradient_correctness():
 
         def assignments(flat, sample=sample):
             trial = field.ModelState(config, flat, flat, 0)
-            u = field.forward(trial, sample.t, sample.x_t, sample.condition)
+            u = field.forward(trial, sample.t, sample.x_t, sample.condition,
+                              use_ema=False)
             return chamfer_assignments(sample.x0, u, sample.x1)
 
         assert_grad_matches_fd(scalar, grad, state.weights, assignments,

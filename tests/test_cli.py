@@ -150,10 +150,11 @@ class TestTrain:
 class TestComplete:
     @pytest.fixture
     def zero_checkpoint(self, tmp_path):
-        cfg = field.FieldConfig(hidden_widths=(16, 16))
+        cfg = field.FieldConfig(hidden_widths=(16, 16), time_embed_dim=8,
+                                activation="tanh", seed=0)
         state = field.init_model(cfg)
         path = tmp_path / "zero.ckpt"
-        field.save_checkpoint(path, state, field.init_optimizer(state))
+        field.save_checkpoint(path, state, field.init_optimizer(state, 1e-3))
         return path
 
     def test_untrained_checkpoint_outputs_noisy_initial(self, dataset,
@@ -212,7 +213,7 @@ class TestComplete:
             self, dataset, zero_checkpoint, tmp_path, monkeypatch, capsys):
         # each state is written as it is produced, so a run that fails
         # part way leaves the steps so far and no final cloud
-        def exploding(state, t, x_t, scan, w, use_ema=False, *, buffers=None):
+        def exploding(state, t, x_t, scan, w, *, use_ema, buffers=None):
             return np.full_like(x_t, np.inf) if t >= 0.5 else np.zeros_like(x_t)
 
         monkeypatch.setattr(sampler, "guided_field", exploding)

@@ -313,6 +313,22 @@ class TestPlyLimits:
                         "end_header\n1 2 3\n3 0 0 0\n")
         assert cloud_io.read_cloud(path).tolist() == [[1, 2, 3]]
 
+    @pytest.mark.parametrize("fmt, eol", [
+        ("binary_little_endian", "\n"), ("ascii", "\n"), ("ascii", "\r\n"),
+    ], ids=["binary", "ascii", "ascii-crlf"])
+    def test_end_header_ends_only_a_whole_line(self, tmp_path, fmt, eol):
+        # a comment line ending in end_header does not end the header;
+        # if it did, a binary body would start inside the header text
+        vertex = (np.array([[1, 2, 3]], "<f4").tobytes() if fmt != "ascii"
+                  else b"1 2 3\n")
+        header = ["ply", f"format {fmt} 1.0", "element vertex 1",
+                  "property float x", "property float y", "property float z",
+                  "element face 0", "comment faces follow end_header",
+                  "end_header", ""]
+        path = tmp_path / "comment.ply"
+        path.write_bytes(eol.join(header).encode("ascii") + vertex)
+        assert cloud_io.read_cloud(path).tolist() == [[1, 2, 3]]
+
     @pytest.mark.parametrize("name, text, reason", [
         ("cloud.xyz", "1 2 3\x0c4 5 6\n", "line 1: expected 3 coordinates, got 6"),
         ("cloud.ply", ascii_ply(np.zeros((2, 3)))[:-len("0 0 0\n0 0 0\n")]

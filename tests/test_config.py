@@ -1,11 +1,35 @@
 import dataclasses
+import inspect
 
 import pytest
 
-from flowcomplete import config
+from flowcomplete import (config, coupling, field, geometry, metrics,
+                          objective, sampler)
 
 FLOAT_KEYS = [f.name for f in dataclasses.fields(config.RunConfig)
               if isinstance(f.default, float)]
+
+# Values that RunConfig (or a caller's own seed) supplies: the classes and
+# functions that take them keep no default of their own.
+REQUIRED_FIELDS = [
+    (coupling.NoiseConfig, "scale"), (coupling.NoiseConfig, "seed"),
+    (field.FieldConfig, "hidden_widths"), (field.FieldConfig, "time_embed_dim"),
+    (field.FieldConfig, "activation"), (field.FieldConfig, "seed"),
+    (field.OptimizerState, "learning_rate"), (field.OptimizerState, "m"),
+    (field.OptimizerState, "v"),
+    (objective.LossWeights, "chamfer"),
+    (sampler.SamplerConfig, "steps"), (sampler.SamplerConfig, "guidance_weight"),
+    (sampler.SamplerConfig, "use_ema"),
+]
+REQUIRED_PARAMETERS = [
+    (field.init_optimizer, "learning_rate"),
+    (field.forward, "use_ema"),
+    (sampler.guided_field, "use_ema"),
+    (metrics.eval_bev_jsd, "resolution"), (metrics.eval_bev_jsd, "extent"),
+    (metrics.evaluate, "bev_resolution"), (metrics.evaluate, "bev_extent"),
+    (config.RunConfig.noise_config, "seed"),
+    (geometry.farthest_point_sample, "seed"),
+]
 
 
 class TestParseValue:
@@ -112,6 +136,7 @@ class TestBuildConfig:
         assert cfg.p_null == 0.1
         assert cfg.ema_decay == 0.9999
         assert cfg.chamfer_weight == 0.1
+        assert cfg.use_ema
 
     def test_flags_beat_file(self):
         cfg = config.build_config({"cases": 4}, {"cases": 7})
@@ -194,3 +219,36 @@ class TestBuildConfig:
         assert cfg.field_config().hidden_widths == (64, 64)
         assert cfg.scan_spec(3).seed == 3
         assert cfg.scene_spec(3).seed == 3
+
+
+class TestOneCopyOfEachDefault:
+    @pytest.mark.parametrize("cls, name", REQUIRED_FIELDS,
+                             ids=[f"{c.__name__}.{n}" for c, n in REQUIRED_FIELDS])
+    def test_field_has_no_default(self, cls, name):
+        (f,) = [f for f in dataclasses.fields(cls) if f.name == name]
+        assert f.default is dataclasses.MISSING
+        assert f.default_factory is dataclasses.MISSING
+
+    @pytest.mark.parametrize("fn, name", REQUIRED_PARAMETERS,
+                             ids=[f"{f.__qualname__}.{n}"
+                                  for f, n in REQUIRED_PARAMETERS])
+    def test_parameter_has_no_default(self, fn, name):
+        parameter = inspect.signature(fn).parameters[name]
+        assert parameter.default is inspect.Parameter.empty
+        if name == "use_ema":
+            assert parameter.kind is inspect.Parameter.KEYWORD_ONLY
+
+    def test_metrics_keeps_no_grid_constants(self):
+        assert [n for n in dir(metrics) if n.startswith("DEFAULT_BEV")] == []
+
+    def test_run_values_reach_the_module_configs(self):
+        cfg = config.RunConfig(
+            noise_scale=0.3, hidden_widths=(7, 5), time_embed_dim=4,
+            activation="relu", seed=9, chamfer_weight=0.7, steps=3,
+            guidance=1.5, use_ema=False).validate()
+        assert cfg.noise_config(seed=5) == coupling.NoiseConfig(scale=0.3, seed=5)
+        assert cfg.field_config() == field.FieldConfig(
+            hidden_widths=(7, 5), time_embed_dim=4, activation="relu", seed=9)
+        assert cfg.loss_weights() == objective.LossWeights(chamfer=0.7)
+        assert cfg.sampler_config() == sampler.SamplerConfig(
+            steps=3, guidance_weight=1.5, use_ema=False)

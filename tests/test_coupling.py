@@ -74,13 +74,14 @@ class TestNoisyInitialCloud:
 
     def test_empty_scan_error(self):
         with pytest.raises(ValueError, match="empty scan"):
-            coupling.noisy_initial_cloud(np.empty((0, 3)), 2, coupling.NoiseConfig())
+            coupling.noisy_initial_cloud(np.empty((0, 3)), 2,
+                                         coupling.NoiseConfig(1.0, seed=0))
 
     def test_negative_scale_rejected(self):
         # zero too: the copies of a scan point would start at one place
         for scale in (-0.1, 0.0, -0.0):
             with pytest.raises(ValueError, match="noise_scale must be > 0"):
-                coupling.NoiseConfig(scale=scale)
+                coupling.NoiseConfig(scale=scale, seed=0)
 
 
 class TestStraightFlow:

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from flowcomplete import coupling, field, geometry, objective
 from oracles import assert_grad_matches_fd, chamfer_assignments, nn_map_exhaustive
 
-SMALL = field.FieldConfig(hidden_widths=(8,), time_embed_dim=4, seed=3)
+SMALL = field.FieldConfig(hidden_widths=(8,), time_embed_dim=4,
+                          activation="tanh", seed=3)
 
 
 def reference_forward(flat, config, feats):
@@ -70,18 +71,22 @@ def make_sample(rng, n0=10, n1=8, with_scan=True):
 class TestFieldConfig:
     def test_odd_time_dim_rejected(self):
         with pytest.raises(ValueError, match="even"):
-            field.FieldConfig(time_embed_dim=7)
+            field.FieldConfig(hidden_widths=(64, 64), time_embed_dim=7,
+                              activation="tanh", seed=0)
 
     def test_unknown_activation(self):
         with pytest.raises(ValueError, match="activation"):
-            field.FieldConfig(activation="swish")
+            field.FieldConfig(hidden_widths=(64, 64), time_embed_dim=8,
+                              activation="swish", seed=0)
 
     def test_empty_widths(self):
         with pytest.raises(ValueError, match="widths"):
-            field.FieldConfig(hidden_widths=())
+            field.FieldConfig(hidden_widths=(), time_embed_dim=8,
+                              activation="tanh", seed=0)
 
     def test_input_dim(self):
-        cfg = field.FieldConfig(time_embed_dim=8)
+        cfg = field.FieldConfig(hidden_widths=(64, 64), time_embed_dim=8,
+                                activation="tanh", seed=0)
         assert cfg.input_dim == 3 + 8 + 5
 
 
@@ -141,34 +146,38 @@ class TestForward:
     def test_zero_init_gives_zero_field(self):
         rng = np.random.default_rng(2)
         state = field.init_model(SMALL)
-        out = field.forward(state, 0.5, random_cloud(rng, 15), random_cloud(rng, 6))
+        out = field.forward(state, 0.5, random_cloud(rng, 15), random_cloud(rng, 6),
+                            use_ema=False)
         assert np.array_equal(out, np.zeros((15, 3)))
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(3)
         cfg = field.FieldConfig(hidden_widths=(8,), time_embed_dim=4,
-                                seed=5, zero_init_output=False)
+                                activation="tanh", seed=5,
+                                zero_init_output=False)
         state = field.init_model(cfg)
         pts = random_cloud(rng, 20)
         scan = random_cloud(rng, 7)
         perm = rng.permutation(20)
-        out = field.forward(state, 0.3, pts, scan)
-        out_perm = field.forward(state, 0.3, pts[perm], scan)
+        out = field.forward(state, 0.3, pts, scan, use_ema=False)
+        out_perm = field.forward(state, 0.3, pts[perm], scan, use_ema=False)
         assert np.array_equal(out[perm], out_perm)
 
     def test_bit_identical_across_runs(self):
         rng = np.random.default_rng(4)
         pts = random_cloud(rng, 12)
         scan = random_cloud(rng, 5)
-        cfg = field.FieldConfig(hidden_widths=(16, 16), seed=9, zero_init_output=False)
-        a = field.forward(field.init_model(cfg), 0.7, pts, scan)
-        b = field.forward(field.init_model(cfg), 0.7, pts, scan)
+        cfg = field.FieldConfig(hidden_widths=(16, 16), time_embed_dim=8,
+                                activation="tanh", seed=9, zero_init_output=False)
+        a = field.forward(field.init_model(cfg), 0.7, pts, scan, use_ema=False)
+        b = field.forward(field.init_model(cfg), 0.7, pts, scan, use_ema=False)
         assert np.array_equal(a, b)
 
     def test_overflow_reported(self):
         for activation in ("relu", "tanh"):
             cfg = field.FieldConfig(hidden_widths=(4, 4), activation=activation,
-                                    time_embed_dim=4, zero_init_output=False)
+                                    time_embed_dim=4, seed=0,
+                                    zero_init_output=False)
             state = field.init_model(cfg)
             # tanh saturates, so only the output layer's sum can overflow
             state.weights[:] = 1e308
@@ -176,10 +185,12 @@ class TestForward:
                 warnings.simplefilter("error")
                 with pytest.raises(FloatingPointError,
                                    match="numeric overflow in field"):
-                    field.forward(state, 0.5, np.ones((3, 3)), None)
+                    field.forward(state, 0.5, np.ones((3, 3)), None,
+                                  use_ema=False)
                 with pytest.raises(FloatingPointError,
                                    match="numeric overflow in field"):
-                    field.forward(state, 0.5, np.ones((3, 3)), None, buffers=[])
+                    field.forward(state, 0.5, np.ones((3, 3)), None,
+                                  use_ema=False, buffers=[])
 
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     @pytest.mark.parametrize("widths", [(5,), (128, 128), (16, 24, 8)])
@@ -188,8 +199,9 @@ class TestForward:
     def test_matches_training_forward_bit_for_bit(self, activation, widths, n,
                                                   use_ema):
         rng = np.random.default_rng(n)
-        cfg = field.FieldConfig(hidden_widths=widths, activation=activation,
-                                seed=n + len(widths), zero_init_output=False)
+        cfg = field.FieldConfig(hidden_widths=widths, time_embed_dim=8,
+                                activation=activation, seed=n + len(widths),
+                                zero_init_output=False)
         state = field.init_model(cfg)
         state.weights[:] += rng.normal(scale=0.05, size=state.weights.shape)
         flat = state.ema_weights if use_ema else state.weights
@@ -209,13 +221,14 @@ class TestForward:
             (n * w,) for w in (*widths, max(widths))]
 
     def test_ema_weights_selectable(self):
-        cfg = field.FieldConfig(hidden_widths=(8,), seed=11, zero_init_output=False)
+        cfg = field.FieldConfig(hidden_widths=(8,), time_embed_dim=8,
+                                activation="tanh", seed=11, zero_init_output=False)
         state = field.init_model(cfg)
         state = field.ema_update(state, decay=0.0)  # ema == weights now
         rng = np.random.default_rng(5)
         pts = random_cloud(rng, 9)
         assert np.array_equal(
-            field.forward(state, 0.2, pts, None),
+            field.forward(state, 0.2, pts, None, use_ema=False),
             field.forward(state, 0.2, pts, None, use_ema=True),
         )
 
@@ -224,7 +237,8 @@ class TestGradient:
     def test_matches_finite_differences_flow_only(self):
         rng = np.random.default_rng(6)
         cfg = field.FieldConfig(hidden_widths=(6,), time_embed_dim=4,
-                                seed=7, zero_init_output=False)
+                                activation="tanh", seed=7,
+                                zero_init_output=False)
         weights = objective.LossWeights(chamfer=0.0)
         for _ in range(3):
             sample = make_sample(rng)
@@ -241,7 +255,8 @@ class TestGradient:
     def test_matches_finite_differences_blended(self):
         rng = np.random.default_rng(7)
         cfg = field.FieldConfig(hidden_widths=(6,), time_embed_dim=4,
-                                seed=13, zero_init_output=False)
+                                activation="tanh", seed=13,
+                                zero_init_output=False)
         weights = objective.LossWeights(chamfer=0.1)
         sample = make_sample(rng, n0=8, n1=6)
         state = field.init_model(cfg)
@@ -254,7 +269,8 @@ class TestGradient:
 
         def assignments(flat):
             trial = field.ModelState(cfg, flat, flat, 0)
-            u = field.forward(trial, sample.t, sample.x_t, sample.condition)
+            u = field.forward(trial, sample.t, sample.x_t, sample.condition,
+                              use_ema=False)
             return chamfer_assignments(sample.x0, u, sample.x1)
 
         assert_grad_matches_fd(scalar, grad, state.weights, assignments)
@@ -282,8 +298,9 @@ class TestGradient:
     @pytest.mark.parametrize("n", [1, 7, 33, 300])
     def test_in_place_matches_reference_bit_for_bit(self, activation, widths, n):
         rng = np.random.default_rng(100 + n)
-        cfg = field.FieldConfig(hidden_widths=widths, activation=activation,
-                                seed=n + len(widths), zero_init_output=False)
+        cfg = field.FieldConfig(hidden_widths=widths, time_embed_dim=8,
+                                activation=activation, seed=n + len(widths),
+                                zero_init_output=False)
         state = field.init_model(cfg)
         weights = objective.LossWeights(chamfer=0.1)
         buffers = []
@@ -314,7 +331,7 @@ class TestGradient:
 class TestOptimizer:
     def test_zero_gradient_no_motion(self):
         state = field.init_model(SMALL)
-        opt = field.init_optimizer(state)
+        opt = field.init_optimizer(state, learning_rate=1e-3)
         before = state.weights.copy()
         state, opt = field.apply_gradient(state, opt, np.zeros_like(state.weights))
         assert np.array_equal(state.weights, before)
@@ -322,7 +339,7 @@ class TestOptimizer:
 
     def test_nonfinite_gradient_rejected(self):
         state = field.init_model(SMALL)
-        opt = field.init_optimizer(state)
+        opt = field.init_optimizer(state, learning_rate=1e-3)
         bad = np.zeros_like(state.weights)
         bad[0] = np.nan
         before = state.weights.copy()
@@ -337,9 +354,10 @@ class TestOptimizer:
         x0 = random_cloud(rng, 24)
         x1 = random_cloud(rng, 24)
         scan = random_cloud(rng, 12)
-        cfg = field.FieldConfig(hidden_widths=(16, 16), seed=21)
+        cfg = field.FieldConfig(hidden_widths=(16, 16), time_embed_dim=8,
+                                activation="tanh", seed=21)
         state = field.init_model(cfg)
-        opt = field.init_optimizer(state)
+        opt = field.init_optimizer(state, learning_rate=1e-3)
         weights = objective.LossWeights(chamfer=0.1)
         losses = []
         for step in range(200):
@@ -356,23 +374,25 @@ class TestOptimizer:
     def test_batch_averages_gradients(self):
         rng = np.random.default_rng(10)
         cfg = field.FieldConfig(hidden_widths=(6,), time_embed_dim=4,
-                                seed=23, zero_init_output=False)
+                                activation="tanh", seed=23,
+                                zero_init_output=False)
         weights = objective.LossWeights(chamfer=0.0)
         samples = [make_sample(rng) for _ in range(4)]
         state = field.init_model(cfg)
         grads = [field.loss_and_grad(state, s, weights)[1] for s in samples]
         want = np.mean(grads, axis=0)
-        opt = field.init_optimizer(state)
+        opt = field.init_optimizer(state, learning_rate=1e-3)
         stepped, _ = field.apply_gradient(state, opt, want)
         batched, _, _ = field.train_batch(
-            field.init_model(cfg), field.init_optimizer(state), samples, weights
-        )
+            field.init_model(cfg), field.init_optimizer(state, learning_rate=1e-3),
+            samples, weights)
         assert np.allclose(stepped.weights, batched.weights, atol=1e-15)
 
     def test_shared_buffers_carry_no_state(self):
         rng = np.random.default_rng(11)
         cfg = field.FieldConfig(hidden_widths=(12, 9), time_embed_dim=4,
-                                seed=25, zero_init_output=False)
+                                activation="tanh", seed=25,
+                                zero_init_output=False)
         weights = objective.LossWeights(chamfer=0.1)
         # two point counts, interleaved, so each size's arrays are reused
         # after the other size has run
@@ -381,7 +401,7 @@ class TestOptimizer:
 
         def run(buffers):
             state = field.init_model(cfg)
-            opt = field.init_optimizer(state)
+            opt = field.init_optimizer(state, learning_rate=1e-3)
             reports = []
             for samples in batches:
                 state, opt, report = field.train_batch(state, opt, samples,
@@ -425,11 +445,12 @@ class TestOptimizer:
             buffers = []
             for widths in sequence:
                 model = field.init_model(field.FieldConfig(
-                    hidden_widths=widths, time_embed_dim=4, seed=26,
-                    zero_init_output=False))
+                    hidden_widths=widths, time_embed_dim=4, activation="tanh",
+                    seed=26, zero_init_output=False))
                 args = (model, sample.t, sample.x_t, sample.condition)
-                got = field.forward(*args, buffers=buffers)
-                assert got.tobytes() == field.forward(*args).tobytes()
+                got = field.forward(*args, use_ema=False, buffers=buffers)
+                want = field.forward(*args, use_ema=False)
+                assert got.tobytes() == want.tobytes()
                 want_report, want_grad = field.loss_and_grad(model, sample,
                                                              weights)
                 report, grad = field.loss_and_grad(model, sample, weights,
@@ -441,14 +462,16 @@ class TestOptimizer:
 class TestEma:
     def test_decay_zero_copies_weights(self):
         state = field.init_model(
-            field.FieldConfig(hidden_widths=(8,), seed=1, zero_init_output=False)
+            field.FieldConfig(hidden_widths=(8,), time_embed_dim=8,
+                              activation="tanh", seed=1, zero_init_output=False)
         )
         out = field.ema_update(state, decay=0.0)
         assert np.array_equal(out.ema_weights, state.weights)
 
     def test_decay_one_freezes_shadow(self):
         state = field.init_model(
-            field.FieldConfig(hidden_widths=(8,), seed=2, zero_init_output=False)
+            field.FieldConfig(hidden_widths=(8,), time_embed_dim=8,
+                              activation="tanh", seed=2, zero_init_output=False)
         )
         before = state.ema_weights.copy()
         out = field.ema_update(state, decay=1.0)
@@ -466,12 +489,13 @@ class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(11)
         cfg = field.FieldConfig(hidden_widths=(16, 8), time_embed_dim=6,
-                                seed=31, zero_init_output=False)
+                                activation="tanh", seed=31,
+                                zero_init_output=False)
         state = field.init_model(cfg)
         opt = field.init_optimizer(state, learning_rate=3e-4)
         sample = make_sample(rng)
         state, opt, _ = field.train_batch(state, opt, [sample],
-                                         objective.LossWeights())
+                                         objective.LossWeights(chamfer=0.1))
         state = field.ema_update(state, 0.99)
 
         path = tmp_path / "model.ckpt"
@@ -515,7 +539,7 @@ class TestCheckpoint:
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         state = field.init_model(SMALL)
-        opt = field.init_optimizer(state)
+        opt = field.init_optimizer(state, learning_rate=1e-3)
         a = tmp_path / "a.ckpt"
         b = tmp_path / "b.ckpt"
         field.save_checkpoint(a, state, opt)
@@ -530,7 +554,7 @@ class TestCheckpoint:
 
     def test_truncated_file(self, tmp_path):
         state = field.init_model(SMALL)
-        opt = field.init_optimizer(state)
+        opt = field.init_optimizer(state, learning_rate=1e-3)
         path = tmp_path / "model.ckpt"
         field.save_checkpoint(path, state, opt)
         raw = path.read_bytes()
@@ -540,7 +564,7 @@ class TestCheckpoint:
 
     def test_trailing_bytes_rejected(self, tmp_path):
         state = field.init_model(SMALL)
-        opt = field.init_optimizer(state)
+        opt = field.init_optimizer(state, learning_rate=1e-3)
         path = tmp_path / "model.ckpt"
         field.save_checkpoint(path, state, opt)
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
@@ -550,7 +574,7 @@ class TestCheckpoint:
 
     def test_cut_inside_length_prefix(self, tmp_path):
         state = field.init_model(SMALL)
-        opt = field.init_optimizer(state)
+        opt = field.init_optimizer(state, learning_rate=1e-3)
         path = tmp_path / "model.ckpt"
         field.save_checkpoint(path, state, opt)
         path.write_bytes(path.read_bytes()[:15])
@@ -562,12 +586,14 @@ class TestCheckpoint:
         # A (64, 64) network's arrays under a header that says (8,): the
         # header implies four arrays of 163 values where the file holds
         # four of 5443.
-        cfg = field.FieldConfig(hidden_widths=(64, 64))
+        cfg = field.FieldConfig(hidden_widths=(64, 64), time_embed_dim=8,
+                                activation="tanh", seed=0)
         state = field.init_model(cfg)
-        opt = field.init_optimizer(state)
+        opt = field.init_optimizer(state, learning_rate=1e-3)
         path = tmp_path / "model.ckpt"
         field.save_checkpoint(path, state, opt)
-        narrow = field.FieldConfig(hidden_widths=(8,))
+        narrow = field.FieldConfig(hidden_widths=(8,), time_embed_dim=8,
+                                   activation="tanh", seed=0)
         assert (field.parameter_count(cfg), field.parameter_count(narrow)) == (5443, 163)
         rewrite_header(path, field._header_bytes(narrow, opt.learning_rate, 0))
         with pytest.raises(ValueError) as err:
@@ -608,7 +634,7 @@ class TestCheckpoint:
         (b'"time_embed_dim":4', b'"time_embed_dim":4.0'),
         (b'"hidden_widths":[8]', b'"hidden_widths":[8.0]'),
         (b'"seed":3', b'"seed":true'),
-        (b'"seed":3,', b''),                                     # missing key
+        (b',"zero_init_output":true', b''),                      # missing key
     ])
     def test_non_canonical_header_rejected(self, tmp_path, old, new):
         path = saved_small(tmp_path)
@@ -630,6 +656,7 @@ class TestCheckpoint:
         (b'"hidden_widths":[8]', b'"hidden_widths":[Infinity]', "infinity"),
         (b'"activation":"tanh"', b'"activation":"swish"', "activation"),
         (b'"seed":3', b'"seed":3,"bogus":1', "bogus"),
+        (b'"seed":3,', b'', "seed"),                 # missing key without default
     ])
     def test_out_of_range_header_value_rejected(self, tmp_path, old, new, reason):
         path = saved_small(tmp_path)
@@ -688,7 +715,7 @@ def saved_small(tmp_path):
     """Path of a checkpoint of a fresh SMALL model, learning rate 1e-3."""
     state = field.init_model(SMALL)
     path = tmp_path / "model.ckpt"
-    field.save_checkpoint(path, state, field.init_optimizer(state))
+    field.save_checkpoint(path, state, field.init_optimizer(state, learning_rate=1e-3))
     return path
 
 
@@ -705,8 +732,8 @@ class TestCheckpointFuzz:
     """Every truncation and every single-bit flip of a small checkpoint."""
 
     # 31 parameters keep the exhaustive loops short
-    CONFIG = field.FieldConfig(hidden_widths=(2,), time_embed_dim=2, seed=4,
-                               zero_init_output=False)
+    CONFIG = field.FieldConfig(hidden_widths=(2,), time_embed_dim=2,
+                               activation="tanh", seed=4, zero_init_output=False)
 
     @pytest.fixture(scope="class")
     def raw(self, tmp_path_factory):

@@ -162,7 +162,7 @@ class TestFarthestPointSample:
 
     def test_oversample_error(self):
         with pytest.raises(ValueError, match="sample size exceeds cloud"):
-            geometry.farthest_point_sample(np.zeros((2, 3)), 3)
+            geometry.farthest_point_sample(np.zeros((2, 3)), 3, seed=0)
 
     def test_deterministic_and_subset(self):
         rng = np.random.default_rng(29)
@@ -684,9 +684,10 @@ def test_each_site_builds_the_tree_its_use_needs(monkeypatch):
     assert builds == [(300, balanced), (40, balanced)] * 2 + [(80, single_use)] * 2
 
     builds.clear()
-    state = field.init_model(field.FieldConfig(hidden_widths=(8,), seed=0))
-    sampler.euler_integrate(state, x0, scan,
-                            sampler.SamplerConfig(steps=3, guidance_weight=3.0))
+    state = field.init_model(field.FieldConfig(
+        hidden_widths=(8,), time_embed_dim=8, activation="tanh", seed=0))
+    sampler.euler_integrate(state, x0, scan, sampler.SamplerConfig(
+        steps=3, guidance_weight=3.0, use_ema=True))
     assert builds == [(40, balanced)]
 
 

@@ -209,7 +209,7 @@ class TestEvaluate:
     def test_perfect_prediction(self):
         rng = np.random.default_rng(9)
         cloud = random_cloud(rng, 50)
-        report = metrics.evaluate(cloud, cloud, bev_extent=EXTENT)
+        report = metrics.evaluate(cloud, cloud, 0.5, EXTENT)
         assert report.cd_m == 0.0
         assert report.jsd == 0.0
         assert set(report.voxel_iou) == {0.5, 0.2, 0.1}
@@ -219,7 +219,7 @@ class TestEvaluate:
     def test_report_round_trip(self):
         rng = np.random.default_rng(10)
         report = metrics.evaluate(
-            random_cloud(rng, 40), random_cloud(rng, 40), bev_extent=EXTENT
+            random_cloud(rng, 40), random_cloud(rng, 40), 0.5, EXTENT
         )
         back = metrics.parse_report(metrics.format_report(report))
         assert back.cd_m == report.cd_m
@@ -242,7 +242,7 @@ def perf_counter():
 
 metrics.time = types.SimpleNamespace(perf_counter=perf_counter)
 cloud = [[0.0, 0.0, 0.0], [1.0, 0.5, 0.25]]
-metrics.evaluate(cloud, cloud, bev_extent=(-2.0, 2.0, -2.0, 2.0))
+metrics.evaluate(cloud, cloud, 0.5, (-2.0, 2.0, -2.0, 2.0))
 assert seen == [True, True], seen
 print("ok")
 """
@@ -296,9 +296,9 @@ print("ok")
         rng = np.random.default_rng(11)
         reports = [
             ("case-0", metrics.evaluate(random_cloud(rng, 30),
-                                        random_cloud(rng, 30), bev_extent=EXTENT)),
+                                        random_cloud(rng, 30), 0.5, EXTENT)),
             ("case-1", metrics.evaluate(random_cloud(rng, 30),
-                                        random_cloud(rng, 30), bev_extent=EXTENT)),
+                                        random_cloud(rng, 30), 0.5, EXTENT)),
         ]
         table = metrics.format_table(reports)
         lines = table.strip().splitlines()

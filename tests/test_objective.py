@@ -36,9 +36,6 @@ def make_sample(rng, n0=12, n1=9):
 
 
 class TestLossWeights:
-    def test_defaults(self):
-        assert objective.LossWeights().chamfer == 0.1
-
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="chamfer weight must be >= 0"):
             objective.LossWeights(chamfer=-0.1)

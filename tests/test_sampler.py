@@ -5,13 +5,17 @@ from flowcomplete import coupling, field, geometry, sampler
 from oracles import nn_map_exhaustive
 
 
+TEN_STEPS = sampler.SamplerConfig(steps=10, guidance_weight=6.0, use_ema=True)
+
+
 def random_cloud(rng, n):
     return rng.uniform(-1, 1, size=(n, 3))
 
 
 def random_model(seed, zero_output=False):
     cfg = field.FieldConfig(hidden_widths=(8, 8), time_embed_dim=4,
-                            seed=seed, zero_init_output=zero_output)
+                            activation="tanh", seed=seed,
+                            zero_init_output=zero_output)
     state = field.init_model(cfg)
     if not zero_output:
         # make the EMA shadow differ from the live weights
@@ -23,7 +27,8 @@ def random_model(seed, zero_output=False):
 
 def wide_model(seed):
     # the (128, 128) width of a full-size completion, with a distinct EMA
-    cfg = field.FieldConfig(hidden_widths=(128, 128), seed=seed,
+    cfg = field.FieldConfig(hidden_widths=(128, 128), time_embed_dim=8,
+                            activation="tanh", seed=seed,
                             zero_init_output=False)
     state = field.init_model(cfg)
     state.weights[:] += np.random.default_rng(seed + 1).normal(
@@ -53,15 +58,10 @@ def tree_rows_per_query(monkeypatch):
 
 
 class TestSamplerConfig:
-    def test_defaults(self):
-        cfg = sampler.SamplerConfig()
-        assert cfg.steps == 10
-        assert cfg.guidance_weight == 6.0
-        assert cfg.use_ema
-
     def test_bad_steps(self):
         with pytest.raises(ValueError, match="steps"):
-            sampler.SamplerConfig(steps=0)
+            sampler.SamplerConfig(steps=0, guidance_weight=6.0,
+                                  use_ema=True)
 
 
 class TestGuidedField:
@@ -70,8 +70,9 @@ class TestGuidedField:
         pts, scan = random_cloud(rng, 14), random_cloud(rng, 6)
         for seed in range(10):
             state = random_model(seed)
-            got = sampler.guided_field(state, 0.4, pts, scan, w=1.0)
-            want = field.forward(state, 0.4, pts, scan)
+            got = sampler.guided_field(state, 0.4, pts, scan, w=1.0,
+                                       use_ema=False)
+            want = field.forward(state, 0.4, pts, scan, use_ema=False)
             assert np.array_equal(got, want)
 
     def test_weight_zero_is_unconditioned_forward(self):
@@ -79,17 +80,19 @@ class TestGuidedField:
         pts, scan = random_cloud(rng, 14), random_cloud(rng, 6)
         for seed in range(10):
             state = random_model(seed)
-            got = sampler.guided_field(state, 0.4, pts, scan, w=0.0)
-            want = field.forward(state, 0.4, pts, None)
+            got = sampler.guided_field(state, 0.4, pts, scan, w=0.0,
+                                       use_ema=False)
+            want = field.forward(state, 0.4, pts, None, use_ema=False)
             assert np.array_equal(got, want)
 
     def test_general_weight_formula(self):
         rng = np.random.default_rng(2)
         pts, scan = random_cloud(rng, 10), random_cloud(rng, 5)
         state = random_model(3)
-        u_cond = field.forward(state, 0.7, pts, scan)
-        u_null = field.forward(state, 0.7, pts, None)
-        got = sampler.guided_field(state, 0.7, pts, scan, w=6.0)
+        u_cond = field.forward(state, 0.7, pts, scan, use_ema=False)
+        u_null = field.forward(state, 0.7, pts, None, use_ema=False)
+        got = sampler.guided_field(state, 0.7, pts, scan, w=6.0,
+                                   use_ema=False)
         assert np.array_equal(got, u_null + 6.0 * (u_cond - u_null))
 
 
@@ -99,7 +102,7 @@ class TestEulerIntegrate:
         x0 = random_cloud(rng, 30)
         scan = random_cloud(rng, 10)
         state = random_model(4, zero_output=True)
-        out = sampler.euler_integrate(state, x0, scan, sampler.SamplerConfig())
+        out = sampler.euler_integrate(state, x0, scan, TEN_STEPS)
         assert np.array_equal(out, x0)
 
     def test_constant_field_exactness(self):
@@ -113,7 +116,8 @@ class TestEulerIntegrate:
         state = random_model(6)
         finals = []
         for steps in (1, 2, 5, 10):
-            cfg = sampler.SamplerConfig(steps=steps)
+            cfg = sampler.SamplerConfig(steps=steps, guidance_weight=6.0,
+                                        use_ema=True)
             final = sampler.euler_integrate(
                 state, x0, None, cfg, field_fn=lambda t, x: v
             )
@@ -128,7 +132,8 @@ class TestEulerIntegrate:
         scan = random_cloud(rng, 9)
         state = random_model(8)
         states = []
-        sampler.euler_integrate(state, x0, scan, sampler.SamplerConfig(steps=4),
+        cfg = sampler.SamplerConfig(steps=4, guidance_weight=6.0, use_ema=True)
+        sampler.euler_integrate(state, x0, scan, cfg,
                                 on_step=lambda t, x: states.append(x))
         assert len(states) == 5
         assert all(len(s) == 23 for s in states)
@@ -139,7 +144,8 @@ class TestEulerIntegrate:
         state = random_model(10)
         seen = []
         out = sampler.euler_integrate(
-            state, x0, None, sampler.SamplerConfig(steps=5),
+            state, x0, None,
+            sampler.SamplerConfig(steps=5, guidance_weight=6.0, use_ema=True),
             on_step=lambda t, x: seen.append((t, x.tobytes())))
         assert [t for t, _ in seen] == [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
         assert seen[0][1] == x0.tobytes()
@@ -152,7 +158,7 @@ class TestEulerIntegrate:
         x0 = random_cloud(rng, 12)
         scan = random_cloud(rng, 6)
         state = random_model(12)
-        cfg = sampler.SamplerConfig()
+        cfg = TEN_STEPS
         a = sampler.euler_integrate(state, x0, scan, cfg)
         b = sampler.euler_integrate(state, x0, scan, cfg)
         assert np.array_equal(a, b)
@@ -164,7 +170,7 @@ class TestEulerIntegrate:
         rng = np.random.default_rng(17)
         x0, scan = random_cloud(rng, 150), random_cloud(rng, 30)
         state = wide_model(18)
-        cfg = sampler.SamplerConfig(steps=4, guidance_weight=w)
+        cfg = sampler.SamplerConfig(steps=4, guidance_weight=w, use_ema=True)
         seen = []
         on_step = (lambda t, x: seen.append(x.tobytes())) if record else None
         out = sampler.euler_integrate(state, x0, scan, cfg, on_step=on_step)
@@ -181,7 +187,8 @@ class TestEulerIntegrate:
         small, large = random_cloud(rng, 40), random_cloud(rng, 170)
         scan = random_cloud(rng, 25)
         state = wide_model(20)
-        cfg = sampler.SamplerConfig(steps=3, guidance_weight=3.0)
+        cfg = sampler.SamplerConfig(steps=3, guidance_weight=3.0,
+                                    use_ema=True)
         solo_small = sampler.euler_integrate(state, small, scan, cfg)
         solo_large = sampler.euler_integrate(state, large, scan, cfg)
         for _ in range(2):
@@ -201,7 +208,7 @@ class TestEulerIntegrate:
         seen = []
         with pytest.raises(FloatingPointError, match="step 5"):
             sampler.euler_integrate(state, x0, None,
-                                    sampler.SamplerConfig(steps=10),
+                                    TEN_STEPS,
                                     field_fn=exploding,
                                     on_step=lambda t, x: seen.append(t))
         # the states up to t = 5/10 were handed on; the non-finite one was not
@@ -218,7 +225,7 @@ class TestCompleteScene:
         state = random_model(14, zero_output=True)
         x0 = coupling.noisy_initial_cloud(scan, 10, noise)
         tree_rows = tree_rows_per_query(monkeypatch)
-        out = sampler.euler_integrate(state, x0, scan, sampler.SamplerConfig())
+        out = sampler.euler_integrate(state, x0, scan, TEN_STEPS)
         want = coupling.noisy_initial_cloud(scan, 10, noise)
         assert np.array_equal(out, want)
         # no point moves, so after the first step every point keeps its row
@@ -230,8 +237,8 @@ class TestCompleteScene:
         state = random_model(15)
         x0 = coupling.noisy_initial_cloud(
             scan, 10, coupling.NoiseConfig(scale=0.1, seed=5))
-        out = sampler.euler_integrate(state, x0, scan,
-                                      sampler.SamplerConfig(steps=2))
+        cfg = sampler.SamplerConfig(steps=2, guidance_weight=6.0, use_ema=True)
+        out = sampler.euler_integrate(state, x0, scan, cfg)
         assert out.shape == (210, 3)
 
 
@@ -243,7 +250,8 @@ class TestCompleteScene:
         scan = random_cloud(rng, 40)
         noise = coupling.NoiseConfig(scale=0.1, seed=6)
         state = random_model(16)
-        cfg = sampler.SamplerConfig(steps=10, guidance_weight=2.5)
+        cfg = sampler.SamplerConfig(steps=10, guidance_weight=2.5,
+                                    use_ema=True)
         x = coupling.noisy_initial_cloud(scan, 4, noise)
         tree_rows = tree_rows_per_query(monkeypatch)
         out = sampler.euler_integrate(state, x, scan, cfg)
