@@ -40,6 +40,10 @@ ADAM_EPS = 1e-8
 
 _ACTIVATIONS = ("tanh", "relu")
 
+# Most rows of a backward `delta @ w.T` block, so its scratch holds
+# min(n, BACKWARD_BLOCK_ROWS) rows of the widest layer (1 MiB at width 128).
+BACKWARD_BLOCK_ROWS = 1024
+
 
 @dataclass(frozen=True)
 class FieldConfig:
@@ -181,12 +185,13 @@ def _workspace(config: FieldConfig, n: int, buffers: list) -> list:
     """(n, width) views of the hidden layers' flat arrays in `buffers`.
 
     `buffers` holds one flat float64 array per hidden layer plus a scratch
-    array as wide as the widest layer. Views are `flat[:n * width]`, so one
-    list serves every n; it is refilled in place only when n points do not
-    fit, or when it was shaped for other widths.
+    array of min(n, BACKWARD_BLOCK_ROWS) rows of the widest layer, which
+    only the backward pass uses. Views are `flat[:n * width]`, so one list
+    serves every n; it is refilled in place only when n points do not fit,
+    or when it was shaped for other widths.
     """
     widths = config.hidden_widths
-    sizes = [n * w for w in (*widths, max(widths))]
+    sizes = [n * w for w in widths] + [min(n, BACKWARD_BLOCK_ROWS) * max(widths)]
     if (len(buffers) != len(sizes)
             or any(flat.size < size for flat, size in zip(buffers, sizes))):
         buffers[:] = [np.empty(size) for size in sizes]
@@ -224,6 +229,10 @@ def forward(state: ModelState, t: float, x_t, condition, *, use_ema: bool,
     (see `_workspace`; None allocates one for this call), which the next
     call may overwrite. Training runs the same layer loop, so the result is
     bit-identical to the training forward, and it is always a fresh array.
+
+    The pass is not split into row blocks: on the pinned OpenBLAS the
+    output layer's (n, width) @ (width, 3) product rounds some rows
+    differently when it is split, so the hidden arrays hold all n rows.
     """
     config = state.config
     feats = _input_features(config, t, x_t, condition)
@@ -238,18 +247,25 @@ def loss_and_grad(state: ModelState, sample: FlowSample, weights: LossWeights,
 
     The forward pass is `forward`'s layer loop. Both passes work in place
     in `buffers`, the list of flat layer arrays described in `_workspace`;
-    the backward pass forms `delta @ w.T` in its scratch array. None
-    allocates it for this call alone. The gradient is a fresh array.
+    the backward pass forms `delta @ w.T` one row block at a time in its
+    scratch array. None allocates it for this call alone. The gradient is
+    a fresh array.
     """
     config = state.config
     feats = _input_features(config, sample.t, sample.x_t, sample.condition)
     buffers = [] if buffers is None else buffers
-    activations = _workspace(config, len(feats), buffers)
+    n = len(feats)
+    activations = _workspace(config, n, buffers)
     layers = _unpack(state.weights, config)
     u_pred = _run_layers(layers, config.activation, feats, activations)
     report, delta = total_loss_grad(sample, u_pred, weights)
     grad = np.empty_like(state.weights)
     inputs = [feats, *activations]
+    # Equal blocks, so none is small once n > BACKWARD_BLOCK_ROWS: a block of
+    # a few rows takes OpenBLAS's small-matrix or gemv path, which rounds
+    # differently from the unblocked product (see the README).
+    blocks = -(-n // BACKWARD_BLOCK_ROWS)
+    bounds = [n * k // blocks for k in range(blocks + 1)]
     for i, (gw, gb) in reversed(list(enumerate(_unpack(grad, config)))):
         np.matmul(inputs[i].T, delta, out=gw)
         np.sum(delta, axis=0, out=gb)
@@ -264,9 +280,13 @@ def loss_and_grad(state: ModelState, sample: FlowSample, weights: LossWeights,
                 np.greater(slope, 0.0, out=slope)
             # the next delta replaces the slope; an IEEE product is the same
             # in either operand order, so this is `delta @ w.T * slope`
-            scratch = buffers[-1][:slope.size].reshape(slope.shape)
-            product = np.matmul(delta, layers[i][0].T, out=scratch)
-            delta = np.multiply(product, slope, out=slope)
+            w_t = layers[i][0].T
+            for lo, hi in zip(bounds, bounds[1:]):
+                rows = slope[lo:hi]
+                scratch = buffers[-1][:rows.size].reshape(rows.shape)
+                np.multiply(np.matmul(delta[lo:hi], w_t, out=scratch), rows,
+                            out=rows)
+            delta = slope
     return report, grad
 
 

@@ -67,8 +67,10 @@ def euler_integrate(state: ModelState, x0, scan, config: SamplerConfig,
     list of layer buffers serves every forward.
 
     Raises:
-        FloatingPointError: if the state leaves the finite range, naming
-            the failing step; `on_step` has then seen the states before it.
+        FloatingPointError: if the field raises one, such as the network's
+            overflow or a condition query's `DistanceOverflowError`, or the
+            state leaves the finite range; it names the failing step, and
+            `on_step` has then seen the states before it.
     """
     x = as_cloud(x0)
     if field_fn is None:
@@ -83,7 +85,11 @@ def euler_integrate(state: ModelState, x0, scan, config: SamplerConfig,
         on_step(0.0, x)
     h = 1.0 / config.steps
     for k in range(config.steps):
-        x = x + h * field_fn(k / config.steps, x)
+        try:
+            u = field_fn(k / config.steps, x)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"{exc} at integration step {k}") from exc
+        x = x + h * u
         if not np.all(np.isfinite(x)):
             raise FloatingPointError(f"non-finite state at integration step {k}")
         if on_step is not None:

@@ -216,9 +216,10 @@ class TestForward:
             assert got.tobytes() == want.tobytes()
             assert reused.tobytes() == want.tobytes()
         # the list `loss_and_grad` takes: one flat array per hidden layer
-        # plus the widest-layer scratch
+        # plus the backward's block scratch
         assert [b.shape for b in buffers] == [
-            (n * w,) for w in (*widths, max(widths))]
+            *((n * w,) for w in widths),
+            (min(n, field.BACKWARD_BLOCK_ROWS) * max(widths),)]
 
     def test_ema_weights_selectable(self):
         cfg = field.FieldConfig(hidden_widths=(8,), time_embed_dim=8,
@@ -295,7 +296,8 @@ class TestGradient:
 
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     @pytest.mark.parametrize("widths", [(5,), (128, 128), (16, 24, 8)])
-    @pytest.mark.parametrize("n", [1, 7, 33, 300])
+    # the last n spans more than two backward row blocks (three equal blocks)
+    @pytest.mark.parametrize("n", [1, 7, 33, 300, 2 * field.BACKWARD_BLOCK_ROWS + 7])
     def test_in_place_matches_reference_bit_for_bit(self, activation, widths, n):
         rng = np.random.default_rng(100 + n)
         cfg = field.FieldConfig(hidden_widths=widths, time_embed_dim=8,
@@ -315,9 +317,11 @@ class TestGradient:
                                                    buffers=buf)
                 assert report == want_report
                 assert grad.tobytes() == want_grad.tobytes()
-        # one flat array per hidden layer plus the widest-layer scratch
+        # one flat array per hidden layer plus the block scratch, which
+        # holds at most BACKWARD_BLOCK_ROWS rows of the widest layer
         assert [b.shape for b in buffers] == [
-            (n * w,) for w in (*widths, max(widths))]
+            *((n * w,) for w in widths),
+            (min(n, field.BACKWARD_BLOCK_ROWS) * max(widths),)]
 
     def test_in_place_tanh_slope_bit_for_bit(self):
         a = np.tanh(np.random.default_rng(12).normal(scale=2.0,
@@ -422,10 +426,12 @@ class TestOptimizer:
         field.loss_and_grad(shared[0], batches[0][0], weights, buffers=buffers)
         assert len(buffers) == len(kept)
         assert all(got is want for got, want in zip(buffers, kept))
-        # one list shared by forward and loss_and_grad over n = 7, 300, 7
-        # grows for 300, then serves 7 again, and changes no byte
+        # one list shared by forward and loss_and_grad over n = 7, 300, a
+        # count past two backward blocks, and 7 grows for the larger counts,
+        # then serves 7 again, and changes no byte
+        large = 2 * field.BACKWARD_BLOCK_ROWS + 7
         buffers = []
-        for n in (7, 300, 7):
+        for n in (7, 300, large, 7):
             sample = make_sample(rng, n0=n)
             args = (shared[0], sample.t, sample.x_t, sample.condition)
             for use_ema in (False, True):
@@ -437,7 +443,8 @@ class TestOptimizer:
                                                buffers=buffers)
             assert report == want_report
             assert grad.tobytes() == want_grad.tobytes()
-        assert [b.shape for b in buffers] == [(300 * 12,), (300 * 9,), (300 * 12,)]
+        assert [b.shape for b in buffers] == [
+            (large * 12,), (large * 9,), (field.BACKWARD_BLOCK_ROWS * 12,)]
         # one list shared by models of other widths: a layer more, or a
         # wider layer behind a narrower one, regrows the list
         sample = make_sample(rng, n0=10)

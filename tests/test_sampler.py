@@ -205,14 +205,31 @@ class TestEulerIntegrate:
         def exploding(t, x):
             return np.full_like(x, np.inf) if t >= 0.5 else np.zeros_like(x)
 
-        seen = []
-        with pytest.raises(FloatingPointError, match="step 5"):
-            sampler.euler_integrate(state, x0, None,
-                                    TEN_STEPS,
-                                    field_fn=exploding,
-                                    on_step=lambda t, x: seen.append(t))
-        # the states up to t = 5/10 were handed on; the non-finite one was not
-        assert seen == [k / 10 for k in range(6)]
+        def raising(error):
+            # a field that fails itself: the network's overflow check, or a
+            # condition query whose distances overflow
+            def field_fn(t, x):
+                if t >= 0.5:
+                    raise error
+                return np.zeros_like(x)
+            return field_fn
+
+        for field_fn, message in (
+                (exploding, "non-finite state"),
+                (raising(FloatingPointError("numeric overflow in field")),
+                 "numeric overflow in field"),
+                (raising(geometry.DistanceOverflowError("distance overflows")),
+                 "distance overflows")):
+            seen = []
+            with pytest.raises(FloatingPointError,
+                               match=f"{message} at integration step 5$"):
+                sampler.euler_integrate(state, x0, None,
+                                        TEN_STEPS,
+                                        field_fn=field_fn,
+                                        on_step=lambda t, x: seen.append(t))
+            # the states up to t = 5/10 were handed on; the failing step's
+            # was not
+            assert seen == [k / 10 for k in range(6)]
 
 
 class TestCompleteScene:
