@@ -105,15 +105,15 @@ def cmd_train(cfg: RunConfig, data_dir: str, out_path: str) -> int:
     try:
         # Only fit holds the loaded clouds, so they are freed once it has
         # indexed the scenes.
-        state, opt, steps = train.fit(_load_dataset(Path(data_dir)), cfg,
-                                      on_step=log)
+        state, opt = train.fit(_load_dataset(Path(data_dir)), cfg,
+                               on_step=log)
     except train.Diverged as exc:
         # keep the last finite state so the run is not a total loss
         field.save_checkpoint(out_path, exc.state, exc.opt)
         raise RuntimeError(
             f"{exc}; last good checkpoint written to {out_path}") from exc
     field.save_checkpoint(out_path, state, opt)
-    print(f"trained {steps} steps; checkpoint written to {out_path}")
+    print(f"trained {state.step_count} steps; checkpoint written to {out_path}")
     return 0
 
 

@@ -126,8 +126,6 @@ class RunConfig:
         if self.max_steps < 0:
             raise ValueError("max_steps must be >= 0")
         bev_grid_shape(self.bev_resolution, self.bev_extent)
-        if self.scan_budget < 1:
-            raise ValueError("scan budget must be >= 1")
         # the module constructors check their own invariants
         self.noise_config(self.seed)
         self.field_config()

@@ -293,16 +293,23 @@ def loss_and_grad(state: ModelState, sample: FlowSample, weights: LossWeights,
 def apply_gradient(state: ModelState, opt: OptimizerState, grad: np.ndarray):
     """One Adam step. Returns updated model and optimizer states.
 
-    Raises on a non-finite gradient, leaving both states untouched.
+    Raises FloatingPointError on a non-finite gradient, or when the stepped
+    weights or moments are not finite (the square of a finite 1e200
+    gradient overflows `v`), leaving both states untouched.
     """
     if not np.all(np.isfinite(grad)):
         raise FloatingPointError("non-finite gradient")
     step = state.step_count + 1
-    m = ADAM_BETA1 * opt.m + (1.0 - ADAM_BETA1) * grad
-    v = ADAM_BETA2 * opt.v + (1.0 - ADAM_BETA2) * grad ** 2
-    m_hat = m / (1.0 - ADAM_BETA1 ** step)
-    v_hat = v / (1.0 - ADAM_BETA2 ** step)
-    new_weights = state.weights - opt.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    # an overflow here is reported by the check below, not by numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = ADAM_BETA1 * opt.m + (1.0 - ADAM_BETA1) * grad
+        v = ADAM_BETA2 * opt.v + (1.0 - ADAM_BETA2) * grad ** 2
+        m_hat = m / (1.0 - ADAM_BETA1 ** step)
+        v_hat = v / (1.0 - ADAM_BETA2 ** step)
+        new_weights = (state.weights
+                       - opt.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
+    if not all(np.all(np.isfinite(a)) for a in (new_weights, m, v)):
+        raise FloatingPointError("non-finite Adam step")
     new_state = dataclasses.replace(state, weights=new_weights, step_count=step)
     new_opt = dataclasses.replace(opt, m=m, v=v)
     return new_state, new_opt
@@ -358,19 +365,31 @@ def _header_bytes(config: FieldConfig, learning_rate: float, step_count: int) ->
     return json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
 
 
+def _check_finite(arrays) -> None:
+    """Raise ValueError naming the first of `_CHECKPOINT_ARRAYS` (given in
+    that order) that holds a NaN or an infinity; save and load share it."""
+    for name, arr in zip(_CHECKPOINT_ARRAYS, arrays):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"array {name!r} holds a value that is not finite")
+
+
 def save_checkpoint(path, state: ModelState, opt: OptimizerState) -> None:
     """Write a deterministic binary checkpoint (same inputs, same bytes).
 
     Layout: magic, `<IQ` version and header length, the `_header_bytes`
     JSON header, then the little-endian float64 arrays `_CHECKPOINT_ARRAYS`
-    in order, each of `parameter_count(config)` values.
+    in order, each of `parameter_count(config)` values. Out-of-range
+    header values and non-finite arrays raise ValueError before the file
+    is opened.
     """
     blob = _header_bytes(state.config, opt.learning_rate, state.step_count)
+    arrays = (state.weights, state.ema_weights, opt.m, opt.v)
+    _check_finite(arrays)
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<IQ", CHECKPOINT_VERSION, len(blob)))
         fh.write(blob)
-        for arr in (state.weights, state.ema_weights, opt.m, opt.v):
+        for arr in arrays:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
@@ -385,7 +404,8 @@ def load_checkpoint(path):
             version, a truncated or malformed header, a header that
             `_header_bytes` would not write (unknown, missing or repeated
             keys, other spacing or number forms, out-of-range values),
-            truncated arrays, or bytes after the last array.
+            truncated arrays, bytes after the last array, or an array
+            that holds a NaN or an infinity.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -428,6 +448,10 @@ def load_checkpoint(path):
     if len(raw) != offset:
         raise fail(f"{len(raw) - offset} trailing bytes after the last array "
                    f"of {count} values")
+    try:
+        _check_finite(arrays)
+    except ValueError as exc:
+        raise fail(str(exc)) from None
     weights, ema_weights, m, v = arrays
     return (ModelState(config, weights, ema_weights, step_count),
             OptimizerState(learning_rate, m=m, v=v))

@@ -207,11 +207,11 @@ class Wall:
 
 @dataclass(frozen=True)
 class SceneSpec:
-    """Ground rectangle, primitives, sampling density, and seed."""
-    ground_half_extent: float = 4.0
+    """Ground rectangle, sampling density, seed, and primitives."""
+    ground_half_extent: float
+    density: float  # surface points per square meter
+    seed: int
     primitives: tuple = ()
-    density: float = 60.0  # surface points per square meter
-    seed: int = 0
 
     def __post_init__(self):
         if self.ground_half_extent <= 0:
@@ -227,14 +227,14 @@ class SceneSpec:
 @dataclass(frozen=True)
 class ScanSpec:
     """Sensor pose and ray grid for the simulated scan."""
-    origin: tuple = (0.0, 0.0, 0.6)
-    azimuth_count: int = 180
-    elevation_count: int = 12
+    origin: tuple
+    azimuth_count: int
+    elevation_count: int
+    max_range: float
+    dropout: float
+    budget: int | None  # farthest-point subsample target; None keeps all
+    seed: int
     elevation_range: tuple = (-0.5, 0.15)  # radians
-    max_range: float = 10.0
-    dropout: float = 0.0
-    budget: int | None = None  # farthest-point subsample target
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_range <= 0:
@@ -243,6 +243,8 @@ class ScanSpec:
             raise ValueError("channel counts must be >= 1")
         if not 0.0 <= self.dropout <= 1.0:
             raise ValueError("dropout must be in [0, 1]")
+        if self.budget is not None and self.budget < 1:
+            raise ValueError("scan budget must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -350,8 +352,8 @@ def build_case(case_id: str, scene_spec: SceneSpec, scan_spec: ScanSpec) -> Scen
     return SceneCase(case_id, scene, scan)
 
 
-def random_scene_spec(seed: int, ground_half_extent: float = 4.0,
-                      density: float = 60.0) -> SceneSpec:
+def random_scene_spec(seed: int, ground_half_extent: float,
+                      density: float) -> SceneSpec:
     """A randomized office-junk scene: a few boxes, cylinders, and walls.
 
     Primitive counts, poses, and sizes derive from the seed alone. The

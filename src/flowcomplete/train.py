@@ -22,17 +22,19 @@ _TRAIN_STREAM = 0x7E41
 class Diverged(FloatingPointError):
     """A step left the finite range; holds the states from before it."""
 
-    def __init__(self, step: int, state, opt, cause: Exception):
-        super().__init__(f"training aborted at step {step} ({cause})")
+    def __init__(self, state, opt, cause: Exception):
+        super().__init__(
+            f"training aborted at step {state.step_count + 1} ({cause})")
         self.state = state
         self.opt = opt
 
 
 def fit(cases, cfg: RunConfig, on_step=None):
-    """Train a field on (scene, scan) pairs; returns (state, opt, steps).
+    """Train a field on (scene, scan) pairs; returns (state, opt).
 
-    `on_step(step, epoch, report)` runs after every optimizer step. A
-    non-zero cfg.max_steps stops training after that many steps.
+    `on_step(step, epoch, report)` runs after every optimizer step, with
+    the new `state.step_count`. A non-zero cfg.max_steps stops training
+    after that many steps.
 
     Raises:
         Diverged: when a step overflows, carrying the last finite model
@@ -49,7 +51,6 @@ def fit(cases, cfg: RunConfig, on_step=None):
     # One set of layer arrays for every step, grown to the largest sample:
     # scans, and so x0, can differ in size between cases.
     buffers = []
-    step = 0
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(cases))
         for start in range(0, len(order), cfg.batch_size):
@@ -70,11 +71,10 @@ def fit(cases, cfg: RunConfig, on_step=None):
                     state, opt, report = field.train_batch(
                         state, opt, samples, weights, buffers=buffers)
             except FloatingPointError as exc:
-                raise Diverged(step + 1, state, opt, exc) from exc
+                raise Diverged(state, opt, exc) from exc
             state = field.ema_update(state, cfg.ema_decay)
-            step += 1
             if on_step is not None:
-                on_step(step, epoch, report)
-            if step == cfg.max_steps:
-                return state, opt, step
-    return state, opt, step
+                on_step(state.step_count, epoch, report)
+            if state.step_count == cfg.max_steps:
+                return state, opt
+    return state, opt

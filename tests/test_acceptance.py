@@ -96,23 +96,23 @@ def _toy_scene_spec(seed):
                 radius=rng.uniform(0.15, 0.3),
                 height=rng.uniform(0.4, 0.7),
             ))
-    return scenes.SceneSpec(ground_half_extent=3.0, primitives=tuple(prims),
-                            seed=seed)
+    return scenes.SceneSpec(ground_half_extent=3.0, density=60.0, seed=seed,
+                            primitives=tuple(prims))
 
 
 def _toy_case(seed):
-    scan = scenes.ScanSpec(origin=(0.0, 0.0, 1.5), elevation_count=24,
-                           elevation_range=(-1.0, 0.05),
-                           budget=SCAN_BUDGET, seed=seed)
+    scan = scenes.ScanSpec(origin=(0.0, 0.0, 1.5), azimuth_count=180,
+                           elevation_count=24, max_range=10.0, dropout=0.0,
+                           budget=SCAN_BUDGET, seed=seed,
+                           elevation_range=(-1.0, 0.05))
     return scenes.build_case(f"case-{seed}", _toy_scene_spec(seed), scan)
 
 
 def _train_toy(cases, chamfer_weight):
     """Train through train.fit, the loop the CLI trainer runs."""
     cfg = dataclasses.replace(TRAIN_CONFIG, chamfer_weight=chamfer_weight)
-    state, _, steps = train.fit([(case.scene, case.scan) for case in cases],
-                                cfg)
-    return state, steps
+    state, _ = train.fit([(case.scene, case.scan) for case in cases], cfg)
+    return state
 
 
 def _complete_and_score(state, world):
@@ -154,9 +154,8 @@ def toy_world():
 def combined_model(toy_world):
     """The (flow=1, chamfer=0.1) arm; shared with the ablation check."""
     start = time.perf_counter()
-    state, steps = _train_toy(toy_world["train_cases"], chamfer_weight=0.1)
-    return {"state": state, "steps": steps,
-            "seconds": time.perf_counter() - start}
+    state = _train_toy(toy_world["train_cases"], chamfer_weight=0.1)
+    return {"state": state, "seconds": time.perf_counter() - start}
 
 
 # ---------------------------------------------------------------------------
@@ -327,14 +326,15 @@ def test_toy_completion(toy_world, combined_model):
                + time.perf_counter() - start)
     cd_ratio = cd / toy_world["base_cd"]
     iou_ratio = iou / toy_world["base_iou"]
+    steps = combined_model["state"].step_count
     ok = (cd_ratio <= 0.5 and iou_ratio >= 1.5
-          and combined_model["steps"] <= 5000 and seconds < 600.0)
+          and steps <= 5000 and seconds < 600.0)
     _verdict(6, "toy completion", ok,
              f"cd {cd:.4f} vs baseline {toy_world['base_cd']:.4f} "
              f"(ratio {cd_ratio:.3f}, need <= 0.5); "
              f"iou {iou:.3f} vs {toy_world['base_iou']:.3f} "
              f"(ratio {iou_ratio:.2f}, need >= 1.5); "
-             f"{combined_model['steps']} steps, {seconds:.0f}s")
+             f"{steps} steps, {seconds:.0f}s")
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +342,7 @@ def test_toy_completion(toy_world, combined_model):
 # ---------------------------------------------------------------------------
 
 def test_chamfer_term_ablation(toy_world, combined_model):
-    flow_only, _ = _train_toy(toy_world["train_cases"], chamfer_weight=0.0)
+    flow_only = _train_toy(toy_world["train_cases"], chamfer_weight=0.0)
     cd_combined, _ = _complete_and_score(combined_model["state"], toy_world)
     cd_flow_only, _ = _complete_and_score(flow_only, toy_world)
     _verdict(7, "chamfer-term ablation", cd_combined <= cd_flow_only,

@@ -399,6 +399,8 @@ class TestUsage:
         (["make-data", "--ground-half-extent", "-4"], "ground_half_extent"),
         (["make-data", "--density", "-1"], "density"),
         (["make-data", "--density", "0"], "density"),
+        # ScanSpec checks the budget; validation reaches it through scan_spec
+        (["make-data", "--scan-budget", "0"], "scan-budget"),
         # the BEV grid would need more cells than int64 can count: caught
         # before the clouds are read, not by a failed cast
         (["eval", "--bev-half-extent", "1e308", "--pred", "p.ply", "--gt",
@@ -407,7 +409,8 @@ class TestUsage:
           "g.ply"], "bev-resolution"),
     ], ids=["learning_rate", "bev_resolution", "density", "cases",
             "extent_2", "extent_1", "extent_negative", "density_negative",
-            "density_zero", "bev_half_extent_huge", "bev_resolution_tiny"])
+            "density_zero", "scan_budget_zero", "bev_half_extent_huge",
+            "bev_resolution_tiny"])
     def test_unparsable_value_is_usage_error(self, tmp_path, monkeypatch,
                                              capsys, argv, key):
         monkeypatch.chdir(tmp_path)

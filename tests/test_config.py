@@ -4,7 +4,7 @@ import inspect
 import pytest
 
 from flowcomplete import (config, coupling, field, geometry, metrics,
-                          objective, sampler)
+                          objective, sampler, scenes)
 
 FLOAT_KEYS = [f.name for f in dataclasses.fields(config.RunConfig)
               if isinstance(f.default, float)]
@@ -20,6 +20,12 @@ REQUIRED_FIELDS = [
     (objective.LossWeights, "chamfer"),
     (sampler.SamplerConfig, "steps"), (sampler.SamplerConfig, "guidance_weight"),
     (sampler.SamplerConfig, "use_ema"),
+    (scenes.SceneSpec, "ground_half_extent"), (scenes.SceneSpec, "density"),
+    (scenes.SceneSpec, "seed"),
+    (scenes.ScanSpec, "origin"), (scenes.ScanSpec, "azimuth_count"),
+    (scenes.ScanSpec, "elevation_count"), (scenes.ScanSpec, "max_range"),
+    (scenes.ScanSpec, "dropout"), (scenes.ScanSpec, "budget"),
+    (scenes.ScanSpec, "seed"),
 ]
 REQUIRED_PARAMETERS = [
     (field.init_optimizer, "learning_rate"),
@@ -29,6 +35,8 @@ REQUIRED_PARAMETERS = [
     (metrics.evaluate, "bev_resolution"), (metrics.evaluate, "bev_extent"),
     (config.RunConfig.noise_config, "seed"),
     (geometry.farthest_point_sample, "seed"),
+    (scenes.random_scene_spec, "ground_half_extent"),
+    (scenes.random_scene_spec, "density"),
 ]
 
 
@@ -245,10 +253,18 @@ class TestOneCopyOfEachDefault:
         cfg = config.RunConfig(
             noise_scale=0.3, hidden_widths=(7, 5), time_embed_dim=4,
             activation="relu", seed=9, chamfer_weight=0.7, steps=3,
-            guidance=1.5, use_ema=False).validate()
+            guidance=1.5, use_ema=False, ground_half_extent=5.5,
+            density=12.0, sensor_height=1.25, scan_azimuths=33,
+            scan_elevations=7, scan_max_range=4.5, scan_dropout=0.2,
+            scan_budget=99).validate()
         assert cfg.noise_config(seed=5) == coupling.NoiseConfig(scale=0.3, seed=5)
         assert cfg.field_config() == field.FieldConfig(
             hidden_widths=(7, 5), time_embed_dim=4, activation="relu", seed=9)
         assert cfg.loss_weights() == objective.LossWeights(chamfer=0.7)
         assert cfg.sampler_config() == sampler.SamplerConfig(
             steps=3, guidance_weight=1.5, use_ema=False)
+        assert cfg.scene_spec(4) == scenes.random_scene_spec(
+            4, ground_half_extent=5.5, density=12.0)
+        assert cfg.scan_spec(6) == scenes.ScanSpec(
+            origin=(0.0, 0.0, 1.25), azimuth_count=33, elevation_count=7,
+            max_range=4.5, dropout=0.2, budget=99, seed=6)

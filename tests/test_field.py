@@ -353,6 +353,20 @@ class TestOptimizer:
         assert state.step_count == 0
         assert np.all(opt.m == 0.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_moment_rejected(self):
+        # a finite gradient whose square overflows Adam's second moment
+        state = field.init_model(SMALL)
+        opt = field.init_optimizer(state, learning_rate=1e-3)
+        big = np.zeros_like(state.weights)
+        big[0] = 1e200
+        before = state.weights.copy()
+        with pytest.raises(FloatingPointError, match="non-finite Adam step"):
+            field.apply_gradient(state, opt, big)
+        assert np.array_equal(state.weights, before)
+        assert state.step_count == 0
+        assert np.all(opt.m == 0.0) and np.all(opt.v == 0.0)
+
     def test_loss_decreases_over_200_steps(self):
         rng = np.random.default_rng(9)
         x0 = random_cloud(rng, 24)
@@ -691,6 +705,42 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         with pytest.raises(ValueError):
             field.save_checkpoint(path, state, opt)
+
+    @pytest.mark.parametrize("name", field._CHECKPOINT_ARRAYS)
+    def test_save_rejects_non_finite_array(self, tmp_path, name):
+        finite = field.init_model(SMALL).weights
+        arrays = [finite.copy() for _ in field._CHECKPOINT_ARRAYS]
+        arrays[field._CHECKPOINT_ARRAYS.index(name)][-1] = np.nan
+        weights, ema_weights, m, v = arrays
+        state = field.ModelState(SMALL, weights, ema_weights, 0)
+        opt = field.OptimizerState(1e-3, m=m, v=v)
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValueError,
+                           match=f"array '{name}' holds a value that is not finite"):
+            field.save_checkpoint(path, state, opt)
+        assert not path.exists()
+
+    def test_load_rejects_non_finite_array(self, tmp_path):
+        # a NaN in `weights` and +inf in a first-layer entry of
+        # `ema_weights`; tanh would absorb the inf in a completion
+        path = saved_small(tmp_path)
+        raw = bytearray(path.read_bytes())
+        count = field.parameter_count(SMALL)
+        start = len(raw) - 4 * 8 * count
+        for array, value in ((0, np.nan), (1, np.inf)):
+            offset = start + 8 * array * count
+            raw[offset:offset + 8] = np.array([value], dtype="<f8").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError) as err:
+            field.load_checkpoint(path)
+        assert str(err.value) == (
+            f"{path}: array 'weights' holds a value that is not finite")
+        raw[start:start + 8] = bytes(8)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError) as err:
+            field.load_checkpoint(path)
+        assert str(err.value) == (
+            f"{path}: array 'ema_weights' holds a value that is not finite")
 
     def test_version_1_file_rejected(self, tmp_path):
         # The version 1 layout: the header also held a version key, Adam's

@@ -10,6 +10,24 @@ import pytest
 from flowcomplete import scenes
 from oracles import first_hit_per_ray
 
+# The world and sensor of the tests below, spelled out: scenes takes every
+# run value from its caller (RunConfig holds the defaults of a CLI run).
+_WORLD = dict(ground_half_extent=4.0, density=60.0)
+_SENSOR = dict(origin=(0.0, 0.0, 0.6), azimuth_count=180, elevation_count=12,
+               max_range=10.0, dropout=0.0, budget=None, seed=0)
+
+
+def scene_spec(**changes):
+    return scenes.SceneSpec(**{**_WORLD, "seed": 0, **changes})
+
+
+def random_spec(seed, **changes):
+    return scenes.random_scene_spec(seed=seed, **{**_WORLD, **changes})
+
+
+def scan_spec(**changes):
+    return scenes.ScanSpec(**{**_SENSOR, **changes})
+
 
 def surface_residual(point, spec):
     """Distance from a point to the nearest scene surface, by direct math.
@@ -73,7 +91,7 @@ class TestPrimitives:
     def test_box_samples_lie_on_faces(self):
         box = scenes.Box(center=(1.0, -2.0, 0.5), size=(1.0, 2.0, 1.0), yaw=0.7)
         pts = box.sample_surface(500, np.random.default_rng(0))
-        spec = scenes.SceneSpec(primitives=(box,))
+        spec = scene_spec(primitives=(box,))
         for p in pts:
             assert surface_residual(p, spec) < 1e-9
 
@@ -118,24 +136,47 @@ class TestGenerateScene:
         assert np.all(np.abs(cloud[:, :2]) <= 2.0)
 
     def test_same_seed_identical(self):
-        spec = scenes.random_scene_spec(seed=7)
+        spec = random_spec(7)
         a = scenes.generate_scene(spec)
         b = scenes.generate_scene(spec)
         assert np.array_equal(a, b)
 
     def test_all_points_on_surfaces(self):
-        spec = scenes.random_scene_spec(seed=8, density=20.0)
+        spec = random_spec(8, density=20.0)
         cloud = scenes.generate_scene(spec)
         for p in cloud[:: max(1, len(cloud) // 200)]:
             assert surface_residual(p, spec) < 1e-9
 
     def test_primitive_outside_extent_rejected(self):
         with pytest.raises(ValueError, match="outside ground extent"):
-            scenes.SceneSpec(
+            scene_spec(
                 ground_half_extent=1.0,
                 primitives=(scenes.Cylinder(center=(5.0, 0.0, 0.0),
                                             radius=0.2, height=1.0),),
             )
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize("changes, message", [
+        (dict(max_range=0.0), "max range must be positive"),
+        (dict(azimuth_count=0), "channel counts must be >= 1"),
+        (dict(elevation_count=0), "channel counts must be >= 1"),
+        (dict(dropout=1.5), r"dropout must be in \[0, 1\]"),
+        (dict(budget=0), "scan budget must be >= 1"),
+        (dict(budget=-3), "scan budget must be >= 1"),
+    ], ids=["max_range", "azimuths", "elevations", "dropout", "budget_zero",
+            "budget_negative"])
+    def test_scan_spec_rejects(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            scan_spec(**changes)
+
+    @pytest.mark.parametrize("changes, message", [
+        (dict(ground_half_extent=0.0), "ground extent must be positive"),
+        (dict(density=0.0), "density must be positive"),
+    ], ids=["extent", "density"])
+    def test_scene_spec_rejects(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            scene_spec(**changes)
 
 
 class TestSimulateScan:
@@ -147,11 +188,9 @@ class TestSimulateScan:
                            yaw=math.pi)  # facing the sensor
         spec = scenes.SceneSpec(ground_half_extent=4.0, primitives=(box, wall),
                                 density=50.0, seed=9)
-        scan_spec = scenes.ScanSpec(origin=(0.0, 0.0, 0.5), azimuth_count=720,
-                                    elevation_count=5,
-                                    elevation_range=(-0.05, 0.05),
-                                    max_range=12.0, seed=9)
-        scan = scenes.simulate_scan(spec, scan_spec)
+        scan = scenes.simulate_scan(spec, scan_spec(
+            origin=(0.0, 0.0, 0.5), azimuth_count=720, elevation_count=5,
+            elevation_range=(-0.05, 0.05), max_range=12.0, seed=9))
         on_wall = scan[np.abs(scan[:, 0] - 3.5) < 1e-6]
         # the box spans y in [-0.5, 0.5] from x in [1.5, 2.5]; rays through
         # it cannot reach the wall near y = 0
@@ -159,32 +198,31 @@ class TestSimulateScan:
         assert np.all(np.abs(on_wall[:, 1]) > 0.4)
 
     def test_dropout_one_empties_scan(self):
-        spec = scenes.random_scene_spec(seed=10)
-        scan = scenes.simulate_scan(spec, scenes.ScanSpec(dropout=1.0, seed=1))
+        spec = random_spec(10)
+        scan = scenes.simulate_scan(spec, scan_spec(dropout=1.0, seed=1))
         assert len(scan) == 0
 
     def test_returns_lie_on_surfaces(self):
-        spec = scenes.random_scene_spec(seed=11)
-        scan = scenes.simulate_scan(spec, scenes.ScanSpec(seed=2))
+        spec = random_spec(11)
+        scan = scenes.simulate_scan(spec, scan_spec(seed=2))
         assert len(scan) > 0
         for p in scan[:: max(1, len(scan) // 200)]:
             assert surface_residual(p, spec) < 1e-6
 
     def test_max_range_respected(self):
-        spec = scenes.random_scene_spec(seed=12, ground_half_extent=8.0)
-        scan_spec = scenes.ScanSpec(origin=(0.0, 0.0, 0.6), max_range=3.0, seed=3)
-        scan = scenes.simulate_scan(spec, scan_spec)
+        spec = random_spec(12, ground_half_extent=8.0)
+        scan = scenes.simulate_scan(spec, scan_spec(max_range=3.0, seed=3))
         dists = np.linalg.norm(scan - np.array([0.0, 0.0, 0.6]), axis=1)
         assert np.all(dists <= 3.0 + 1e-9)
 
     def test_budget_subsampling(self):
-        spec = scenes.random_scene_spec(seed=13)
-        scan = scenes.simulate_scan(spec, scenes.ScanSpec(budget=100, seed=4))
+        spec = random_spec(13)
+        scan = scenes.simulate_scan(spec, scan_spec(budget=100, seed=4))
         assert len(scan) == 100
 
     def test_deterministic(self):
-        spec = scenes.random_scene_spec(seed=14)
-        cfg = scenes.ScanSpec(dropout=0.1, budget=128, seed=5)
+        spec = random_spec(14)
+        cfg = scan_spec(dropout=0.1, budget=128, seed=5)
         a = scenes.simulate_scan(spec, cfg)
         b = scenes.simulate_scan(spec, cfg)
         assert np.array_equal(a, b)
@@ -216,26 +254,25 @@ class TestScanMatchesPerRayOracle:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_scenes(self, seed):
-        spec = scenes.random_scene_spec(seed=300 + seed)
-        scan = scenes.ScanSpec(azimuth_count=120, elevation_count=9,
-                               dropout=0.1 * (seed % 3),
-                               budget=(None, 200)[seed % 2], seed=seed)
+        spec = random_spec(300 + seed)
+        scan = scan_spec(azimuth_count=120, elevation_count=9,
+                         dropout=0.1 * (seed % 3),
+                         budget=(None, 200)[seed % 2], seed=seed)
         assert_same_bytes(scenes.simulate_scan(spec, scan),
                           first_hit_per_ray(spec, scan))
 
     @pytest.mark.parametrize("scan", [
-        scenes.ScanSpec(**_LEVEL_RAYS),
-        scenes.ScanSpec(**_LEVEL_RAYS, budget=64, seed=3),
-        scenes.ScanSpec(**_LEVEL_RAYS, max_range=2.2),
-        scenes.ScanSpec(origin=(0.0, 0.0, 0.6), azimuth_count=4,
-                        elevation_count=3, elevation_range=(-0.3, 0.3)),
+        scan_spec(**_LEVEL_RAYS),
+        scan_spec(**_LEVEL_RAYS, budget=64, seed=3),
+        scan_spec(**_LEVEL_RAYS, max_range=2.2),
+        scan_spec(azimuth_count=4, elevation_count=3,
+                  elevation_range=(-0.3, 0.3)),
         # sensor inside the first box
-        scenes.ScanSpec(origin=(2.0, 0.0, 0.3), azimuth_count=36,
-                        elevation_count=7, elevation_range=(-0.6, 0.6)),
+        scan_spec(origin=(2.0, 0.0, 0.3), azimuth_count=36,
+                  elevation_count=7, elevation_range=(-0.6, 0.6)),
     ])
     def test_edge_cases(self, scan):
-        spec = scenes.SceneSpec(
-            ground_half_extent=4.0,
+        spec = scene_spec(
             primitives=(*_SLAB_BOXES, _FACING_WALL, _CYLINDER), seed=1)
         elevations = np.linspace(*scan.elevation_range, scan.elevation_count)
         assert 0.0 in elevations  # level rays: d_z == 0 exactly
@@ -243,9 +280,9 @@ class TestScanMatchesPerRayOracle:
                           first_hit_per_ray(spec, scan))
 
     def test_max_range_clips_rays(self):
-        spec = scenes.SceneSpec(primitives=(_FACING_WALL,))
-        near = scenes.ScanSpec(**_LEVEL_RAYS, max_range=3.6)
-        far = scenes.ScanSpec(**_LEVEL_RAYS)
+        spec = scene_spec(primitives=(_FACING_WALL,))
+        near = scan_spec(**_LEVEL_RAYS, max_range=3.6)
+        far = scan_spec(**_LEVEL_RAYS)
         clipped = scenes.simulate_scan(spec, near)
         assert 0 < len(clipped) < len(scenes.simulate_scan(spec, far))
         assert_same_bytes(clipped, first_hit_per_ray(spec, near))
@@ -254,18 +291,16 @@ class TestScanMatchesPerRayOracle:
 class TestBuildCase:
     def test_case_shapes(self):
         case = scenes.build_case(
-            "case-000", scenes.random_scene_spec(seed=15),
-            scenes.ScanSpec(budget=256, seed=6),
+            "case-000", random_spec(15), scan_spec(budget=256, seed=6),
         )
         assert len(case.scan) == 256
         assert len(case.scan) <= len(case.scene)
         assert case.case_id == "case-000"
 
     def test_empty_scan_rejected(self):
-        spec = scenes.random_scene_spec(seed=16)
+        spec = random_spec(16)
         with pytest.raises(ValueError, match="empty"):
-            scenes.build_case("case-001", spec,
-                              scenes.ScanSpec(dropout=1.0, seed=7))
+            scenes.build_case("case-001", spec, scan_spec(dropout=1.0, seed=7))
 
 
 class TestRandomSceneSpecExtent:
@@ -276,7 +311,7 @@ class TestRandomSceneSpecExtent:
 
         monkeypatch.setattr(np.random, "default_rng", no_draws)
         with pytest.raises(ValueError, match="ground_half_extent must be >= 2.4"):
-            scenes.random_scene_spec(seed=0, ground_half_extent=extent)
+            random_spec(0, ground_half_extent=extent)
 
     def test_smallest_extent_places_every_seed(self):
         # In a child process, so that a placement loop that never ends
@@ -284,7 +319,8 @@ class TestRandomSceneSpecExtent:
         program = (
             "from flowcomplete import scenes\n"
             "for seed in range(50):\n"
-            "    spec = scenes.random_scene_spec(seed, scenes.MIN_RANDOM_HALF_EXTENT)\n"
+            "    spec = scenes.random_scene_spec(\n"
+            "        seed, scenes.MIN_RANDOM_HALF_EXTENT, density=60.0)\n"
             "    assert spec.primitives\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
