@@ -12,8 +12,7 @@ import sys
 from pathlib import Path
 
 from . import cloud_io, coupling, field, metrics, sampler, scenes, train
-from .config import (Overrides, RunConfig, _parse_value, build_config,
-                     read_config_file)
+from .config import RunConfig, build_config, read_config_file
 
 
 class UsageError(Exception):
@@ -39,20 +38,15 @@ def _config_flags() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    # values that fail to parse or validate are usage errors (exit 1)
+    # the file's lines, then the flags that were set; values that fail to
+    # parse or validate are usage errors (exit 1)
     try:
-        file_overrides = read_config_file(args.config) if args.config else {}
-        flag_overrides = Overrides()
+        entries = read_config_file(args.config) if args.config else []
         for key, raw in vars(args).items():
             if key.startswith("cfg_") and raw is not None:
                 name = key[len("cfg_"):]
-                flag = f"flag --{name.replace('_', '-')}"
-                try:
-                    flag_overrides[name] = _parse_value(name, raw)
-                except ValueError as exc:
-                    raise ValueError(f"{flag}: {exc}") from None
-                flag_overrides.origin[name] = flag
-        return build_config(file_overrides, flag_overrides)
+                entries.append((name, raw, f"flag --{name.replace('_', '-')}"))
+        return build_config(entries)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 

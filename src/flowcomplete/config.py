@@ -2,9 +2,10 @@
 
 One flat namespace of typed keys covers data generation, training,
 inference, and evaluation. Values come from (lowest to highest priority)
-built-in defaults, a `key = value` config file, then command-line flags.
-Unknown keys are rejected up front, and every derived module config is
-constructed during validation so range errors surface before any work.
+built-in defaults, a `key = value` config file, then command-line flags;
+`build_config` alone parses, merges and attributes them. Unknown keys are
+rejected up front, and every derived module config is constructed during
+validation so range errors surface before any work.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ class RunConfig:
 
     # coupling
     copies: int = 10
-    noise_scale: float = 1.0
+    noise_scale: float = 0.25
 
     # model
     hidden_widths: tuple = (64, 64)
@@ -45,18 +46,18 @@ class RunConfig:
     activation: str = "tanh"
 
     # training
-    epochs: int = 20
+    epochs: int = 100
     batch_size: int = 4
-    learning_rate: float = 1e-3
+    learning_rate: float = 2e-3
     p_null: float = 0.1
     chamfer_weight: float = 0.1
-    ema_decay: float = 0.9999
+    ema_decay: float = 0.995
     max_steps: int = 0  # 0 = no cap
     seed: int = 0
 
     # sampling
     steps: int = 10
-    guidance: float = 6.0
+    guidance: float = 3.0
     use_ema: bool = True
     record_trajectory: bool = False  # `complete` writes every Euler state
 
@@ -181,19 +182,12 @@ def _parse_value(name: str, text: str):
     return text
 
 
-class Overrides(dict):
-    """Typed config values by key. `origin[key]`, when set, says where a
-    value came from (a file and line, or a flag) for range errors."""
-
-    def __init__(self):
-        super().__init__()
-        self.origin = {}
-
-
-def read_config_file(path) -> Overrides:
-    """Parse a flat UTF-8 `key = value` file into typed overrides; errors
-    are ValueErrors naming the file and the line. A key may appear once."""
-    overrides = Overrides()
+def read_config_file(path) -> list:
+    """The `(key, value text, "{path}: line N")` entries of a flat UTF-8
+    `key = value` file, in line order, for `build_config`. A line that is
+    not UTF-8 or not `key = value`, or that repeats a key, is a ValueError
+    naming the file and the line."""
+    entries = []
     first_line = {}
     for lineno, raw in enumerate(split_lines(read_utf8(path)), start=1):
         line = raw.strip()
@@ -209,38 +203,33 @@ def read_config_file(path) -> Overrides:
             raise ValueError(f"{path}: line {lineno}: repeated config key "
                              f"{key!r} (first on line {first_line[key]})")
         first_line[key] = lineno
-        try:
-            overrides[key] = _parse_value(key, value)
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
-        overrides.origin[key] = f"{path}: line {lineno}: config key {key!r}"
-    return overrides
+        entries.append((key, value.strip(), f"{path}: line {lineno}"))
+    return entries
 
 
-def build_config(file_overrides: dict | None = None,
-                 flag_overrides: dict | None = None) -> RunConfig:
-    """Merge defaults, then file values, then flags; validate the result.
+def build_config(entries) -> RunConfig:
+    """Parse `(key, value text, where)` entries over the defaults, a later
+    entry replacing an earlier one's value, and validate the merged config.
 
-    Only the merged values are checked, so a flag may replace a file value
-    that is out of range. A range error names the origin (see
-    :class:`Overrides`) of the value that breaks the config, when known.
+    Only the merged values are range-checked, so a flag may replace an
+    out-of-range file value. An error reads "{where}: config key '{key}':
+    {reason}" for the entry that fails to parse or, failing that, for the
+    first value that breaks the config.
     """
-    merged = {}
-    origin = {}
-    for layer in (file_overrides or {}, flag_overrides or {}):
-        for key, value in layer.items():
-            if key not in _FIELDS:
-                raise ValueError(f"unknown config key {key!r}")
-            merged.pop(key, None)  # keep the keys in the order they apply
-            merged[key] = value
-            origin[key] = getattr(layer, "origin", {}).get(key)
+    values, where = {}, {}
+    for key, text, at in entries:
+        try:
+            value = _parse_value(key, text)
+        except ValueError as exc:
+            raise ValueError(f"{at}: {exc}") from None
+        values.pop(key, None)  # keep the keys in the order they apply
+        values[key] = value
+        where[key] = at
     try:
-        return RunConfig(**merged).validate()
+        return RunConfig(**values).validate()
     except ValueError:
-        key, exc = _first_range_error(merged)
-        if origin[key] is None:
-            raise
-        raise ValueError(f"{origin[key]}: {exc}") from None
+        key, exc = _first_range_error(values)
+        raise ValueError(f"{where[key]}: config key {key!r}: {exc}") from None
 
 
 def _first_range_error(values: dict) -> tuple:

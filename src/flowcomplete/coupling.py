@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (NeighborIndex, as_cloud, nearest_neighbor_map,
-                       neighbor_index)
+from .geometry import (NeighborIndex, as_cloud, check_finite,
+                       nearest_neighbor_map, neighbor_index)
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,7 @@ class NoiseConfig:
     def __post_init__(self):
         if not self.scale > 0:
             raise ValueError("noise_scale must be > 0")
+        check_finite(scale=self.scale)
 
 
 @dataclass(frozen=True)

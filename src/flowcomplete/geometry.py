@@ -35,6 +35,15 @@ def as_cloud(points) -> np.ndarray:
     return arr
 
 
+def check_finite(**values) -> None:
+    """Raise a ValueError naming the first of `values` (numbers or tuples
+    of numbers) that holds a NaN or an infinity, which a lower bound check
+    lets through."""
+    for name, value in values.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 class DistanceOverflowError(ValueError, FloatingPointError):
     """A squared nearest-neighbor distance overflowed float64, so the
     nearest row cannot be told apart; also a FloatingPointError, since a

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import FlowSample
-from .geometry import as_cloud, nearest_neighbor_map, neighbor_index
+from .geometry import (as_cloud, check_finite, nearest_neighbor_map,
+                       neighbor_index)
 
 
 @dataclass(frozen=True)
@@ -24,6 +25,7 @@ class LossWeights:
     def __post_init__(self):
         if not self.chamfer >= 0:  # NaN fails too
             raise ValueError("chamfer weight must be >= 0")
+        check_finite(chamfer=self.chamfer)
 
 
 @dataclass(frozen=True)

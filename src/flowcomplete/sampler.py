@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import ModelState, forward
-from .geometry import TrackingNeighborIndex, as_cloud
+from .geometry import TrackingNeighborIndex, as_cloud, check_finite
 
 
 @dataclass(frozen=True)
@@ -26,6 +26,7 @@ class SamplerConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        check_finite(guidance_weight=self.guidance_weight)
 
 
 def guided_field(state: ModelState, t: float, x_t, scan, w: float, *,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import as_cloud, farthest_point_sample
+from .geometry import as_cloud, check_finite, farthest_point_sample
 
 _EPS = 1e-9
 # Smallest ground half extent for random_scene_spec: the widest edge margin
@@ -214,6 +214,8 @@ class SceneSpec:
     primitives: tuple = ()
 
     def __post_init__(self):
+        check_finite(ground_half_extent=self.ground_half_extent,
+                     density=self.density)
         if self.ground_half_extent <= 0:
             raise ValueError("ground extent must be positive")
         if self.density <= 0:
@@ -237,6 +239,8 @@ class ScanSpec:
     elevation_range: tuple = (-0.5, 0.15)  # radians
 
     def __post_init__(self):
+        check_finite(origin=self.origin, max_range=self.max_range,
+                     elevation_range=self.elevation_range)
         if self.max_range <= 0:
             raise ValueError("max range must be positive")
         if self.azimuth_count < 1 or self.elevation_count < 1:
@@ -360,13 +364,15 @@ def random_scene_spec(seed: int, ground_half_extent: float,
     area near the sensor origin is kept clear.
 
     Raises:
-        ValueError: before any draw, on an extent below MIN_RANDOM_HALF_EXTENT.
+        ValueError: before any draw, on a non-finite extent or density or
+            an extent below MIN_RANDOM_HALF_EXTENT.
     """
     if not ground_half_extent >= MIN_RANDOM_HALF_EXTENT:
         raise ValueError(
             f"ground_half_extent must be >= {MIN_RANDOM_HALF_EXTENT} to place "
             f"primitives clear of the sensor, got {ground_half_extent!r}"
         )
+    check_finite(ground_half_extent=ground_half_extent, density=density)
     rng = np.random.default_rng([seed, 0x5CE2E])
     prims = []
 

@@ -425,7 +425,8 @@ class TestUsage:
         ("# widths\nhidden_widths = 0\n", [],
          "{cfg}: line 2: config key 'hidden_widths': hidden widths must be positive"),
         ("cases = 2\n", ["--learning-rate", "-1"],
-         "flag --learning-rate: learning rate must be positive"),
+         "flag --learning-rate: config key 'learning_rate': learning rate must "
+         "be positive"),
         ("cases = 2\n", ["--learning-rate", "nan"],
          "flag --learning-rate: config key 'learning_rate': expected a finite "
          "number, got 'nan'"),
@@ -433,7 +434,7 @@ class TestUsage:
         ("cases = 2\nnoise_scale = 0\n", [],
          "{cfg}: line 2: config key 'noise_scale': noise_scale must be > 0"),
         ("noise_scale = 0.25\n", ["--noise-scale", "0"],
-         "flag --noise-scale: noise_scale must be > 0"),
+         "flag --noise-scale: config key 'noise_scale': noise_scale must be > 0"),
         # an empty part is not dropped: "64," is not one layer
         ("hidden_widths = 64,,64\n", [],
          "{cfg}: line 1: config key 'hidden_widths': expected comma-separated "
@@ -449,17 +450,29 @@ class TestUsage:
         ("cases = 2\nseed = -1\n", [],
          "{cfg}: line 2: config key 'seed': seed must be >= 0"),
         ("cases = 2\n", ["--scene-seed", "-3"],
-         "flag --scene-seed: scene_seed must be >= 0"),
+         "flag --scene-seed: config key 'scene_seed': scene_seed must be >= 0"),
+        # a flag replaces an out-of-range file value, so the config loads...
+        ("cases = 2\nlearning_rate = -1\n", ["--learning-rate", "1e-3"], None),
+        # ...but every entry is parsed in order: a file value that does not
+        # parse fails on its line even when a flag sets the same key
+        ("cases = 2\nlearning_rate = fast\n", ["--learning-rate", "1e-3"],
+         "{cfg}: line 2: config key 'learning_rate': expected a finite number, "
+         "got 'fast'"),
     ], ids=["file_learning_rate", "file_hidden_widths", "flag_learning_rate",
             "flag_unparsable", "file_noise_scale",
             "flag_noise_scale", "file_empty_width", "flag_trailing_comma",
-            "flag_leading_comma", "file_seed", "flag_scene_seed"])
+            "flag_leading_comma", "file_seed", "flag_scene_seed",
+            "flag_replaces_file_range_error", "file_unparsable_under_flag"])
     def test_range_error_names_its_source(self, tmp_path, monkeypatch, capsys,
                                           body, flags, source):
+        monkeypatch.chdir(tmp_path)  # train reads the dataset at ./data
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(body)
         code, _, err = run_cli(["train", "--config", str(cfgfile), *flags],
                                monkeypatch, capsys)
+        if source is None:  # a config that loads: train finds no dataset
+            assert (code, err.startswith("error: ")) == (2, True), err
+            return
         assert code == 1
         assert err == f"usage error: {source.format(cfg=cfgfile)}\n"
 
@@ -541,6 +554,28 @@ def test_default_paths(tmp_path, monkeypatch, capsys):
     assert len(cloud_io.read_cloud(tmp_path / "out" / "completed.ply")) > 0
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
         "completed.ply", "model.ckpt"]
+
+
+def test_default_recipe_completes(tmp_path, monkeypatch, capsys):
+    # Size flags only, so every recipe value is RunConfig's default. The
+    # completion must leave x0, by more than 5 mm per point on average, and
+    # end nearer the scene than x0. (About 16 mm; the defaults before the
+    # recipe moved it 0.2 mm, since the EMA weights kept near their start.)
+    monkeypatch.chdir(tmp_path)
+    for argv in (["make-data", "--cases", "2", "--scan-budget", "64"],
+                 ["train"],
+                 ["complete", "--checkpoint", "out/model.ckpt",
+                  "--scan", "data/scans/case-000.ply"]):
+        code, _, err = run_cli(argv, monkeypatch, capsys)
+        assert code == 0, err
+    cfg = RunConfig()
+    scan = cloud_io.read_cloud("data/scans/case-000.ply")
+    scene = cloud_io.read_cloud("data/scenes/case-000.ply")
+    x0 = coupling.noisy_initial_cloud(scan, cfg.copies,
+                                      cfg.noise_config(seed=cfg.seed))
+    completed = cloud_io.read_cloud("out/completed.ply")
+    assert np.linalg.norm(completed - x0, axis=1).mean() > 0.005
+    assert metrics.eval_chamfer(completed, scene) < metrics.eval_chamfer(x0, scene)
 
 
 # Each subcommand's own flags, listed after --config and the RunConfig flags.

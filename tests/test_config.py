@@ -93,14 +93,19 @@ class TestConfigFile:
             "noise_scale = 0.25\n"
             "hidden_widths = 32,32\n"
         )
-        got = config.read_config_file(path)
-        assert got == {"cases": 4, "noise_scale": 0.25, "hidden_widths": (32, 32)}
+        entries = config.read_config_file(path)
+        assert entries == [("cases", "4", f"{path}: line 2"),
+                           ("noise_scale", "0.25", f"{path}: line 4"),
+                           ("hidden_widths", "32,32", f"{path}: line 5")]
+        cfg = config.build_config(entries)
+        assert (cfg.cases, cfg.noise_scale, cfg.hidden_widths) == (4, 0.25, (32, 32))
 
     def test_unknown_key_with_line(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("cases = 4\nbogus = 1\n")
-        with pytest.raises(ValueError, match="line 2"):
-            config.read_config_file(path)
+        with pytest.raises(ValueError) as info:
+            config.build_config(config.read_config_file(path))
+        assert str(info.value) == f"{path}: line 2: unknown config key 'bogus'"
 
     def test_repeated_key_names_both_lines(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -135,72 +140,83 @@ class TestConfigFile:
             config.read_config_file(path)
 
 
+def flags(**values) -> list:
+    """`build_config` entries for flags, as the CLI lists them."""
+    return [(key, str(value), f"flag --{key.replace('_', '-')}")
+            for key, value in values.items()]
+
+
 class TestBuildConfig:
     def test_defaults_are_valid(self):
-        cfg = config.build_config()
+        cfg = config.build_config([])
         assert cfg.copies == 10
+        assert cfg.noise_scale == 0.25
+        assert cfg.epochs == 100
+        assert cfg.learning_rate == 2e-3
         assert cfg.steps == 10
-        assert cfg.guidance == 6.0
+        assert cfg.guidance == 3.0
         assert cfg.p_null == 0.1
-        assert cfg.ema_decay == 0.9999
+        assert cfg.ema_decay == 0.995
         assert cfg.chamfer_weight == 0.1
         assert cfg.use_ema
 
     def test_flags_beat_file(self):
-        cfg = config.build_config({"cases": 4}, {"cases": 7})
+        cfg = config.build_config([("cases", "4", "run.cfg: line 1"),
+                                   *flags(cases=7)])
         assert cfg.cases == 7
 
     def test_file_beats_defaults(self):
-        cfg = config.build_config({"noise_scale": 0.25}, {})
-        assert cfg.noise_scale == 0.25
+        cfg = config.build_config([("noise_scale", "0.5", "run.cfg: line 1")])
+        assert cfg.noise_scale == 0.5
 
     def test_unknown_override_rejected(self):
-        with pytest.raises(ValueError, match="unknown config key"):
-            config.build_config({}, {"bogus": 1})
+        with pytest.raises(ValueError) as err:
+            config.build_config(flags(bogus=1))
+        assert str(err.value) == "flag --bogus: unknown config key 'bogus'"
 
     def test_invalid_values_rejected_before_work(self):
         with pytest.raises(ValueError, match="steps"):
-            config.build_config({}, {"steps": 0})
+            config.build_config(flags(steps=0))
         with pytest.raises(ValueError, match="p_null"):
-            config.build_config({}, {"p_null": 1.5})
+            config.build_config(flags(p_null=1.5))
         with pytest.raises(ValueError, match="positive"):
-            config.build_config({}, {"learning_rate": -1.0})
+            config.build_config(flags(learning_rate=-1.0))
         with pytest.raises(ValueError, match="> 0"):
-            config.build_config({}, {"noise_scale": -0.1})
+            config.build_config(flags(noise_scale=-0.1))
         for zero in (0.0, -0.0):
             with pytest.raises(ValueError, match="noise_scale must be > 0"):
-                config.build_config({}, {"noise_scale": zero})
+                config.build_config(flags(noise_scale=zero))
         with pytest.raises(ValueError, match="copies"):
-            config.build_config({}, {"copies": 0})
+            config.build_config(flags(copies=0))
         with pytest.raises(ValueError, match="ema decay"):
-            config.build_config({}, {"ema_decay": 1.5})
+            config.build_config(flags(ema_decay=1.5))
         with pytest.raises(ValueError, match="ground_half_extent"):
-            config.build_config({}, {"ground_half_extent": 2.0})
+            config.build_config(flags(ground_half_extent=2.0))
         with pytest.raises(ValueError, match="density"):
-            config.build_config({}, {"density": -1.0})
+            config.build_config(flags(density=-1.0))
         # numpy's generators take no negative seed
         with pytest.raises(ValueError, match="seed must be >= 0"):
-            config.build_config({}, {"seed": -1})
+            config.build_config(flags(seed=-1))
         with pytest.raises(ValueError, match="scene_seed must be >= 0"):
-            config.build_config({}, {"scene_seed": -3})
+            config.build_config(flags(scene_seed=-3))
 
     def test_range_error_names_the_value_that_stands(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("copies = 0\nsteps = 0\n")
-        overrides = config.read_config_file(path)
+        lines = config.read_config_file(path)
         with pytest.raises(ValueError) as err:
-            config.build_config(overrides, {})
+            config.build_config(lines)
         assert str(err.value) == (
             f"{path}: line 1: config key 'copies': copies must be >= 1")
-        # the replaced value is not checked; a plain dict names no origin
+        # the replaced value is not checked
         with pytest.raises(ValueError) as err:
-            config.build_config(overrides, {"copies": 2})
+            config.build_config([*lines, *flags(copies=2)])
         assert str(err.value) == (
             f"{path}: line 2: config key 'steps': steps must be >= 1")
-        assert config.build_config(overrides, {"copies": 2, "steps": 3}).steps == 3
+        assert config.build_config([*lines, *flags(copies=2, steps=3)]).steps == 3
         with pytest.raises(ValueError) as err:
-            config.build_config({}, {"steps": 0})
-        assert str(err.value) == "steps must be >= 1"
+            config.build_config(flags(steps=0))
+        assert str(err.value) == "flag --steps: config key 'steps': steps must be >= 1"
 
     def test_zero_noise_scale_names_its_file_line(self, tmp_path):
         # at 0 every copy of a scan point starts at one place, so a
@@ -208,7 +224,7 @@ class TestBuildConfig:
         path = tmp_path / "run.cfg"
         path.write_text("copies = 4\nnoise_scale = 0\n")
         with pytest.raises(ValueError) as err:
-            config.build_config(config.read_config_file(path), {})
+            config.build_config(config.read_config_file(path))
         assert str(err.value) == (
             f"{path}: line 2: config key 'noise_scale': noise_scale must be > 0")
 
@@ -221,7 +237,7 @@ class TestBuildConfig:
                 cfg.validate()
 
     def test_derived_configs(self):
-        cfg = config.build_config({}, {"bev_half_extent": 5.0})
+        cfg = config.build_config(flags(bev_half_extent=5.0))
         assert cfg.bev_extent == (-5.0, 5.0, -5.0, 5.0)
         assert cfg.sampler_config().steps == 10
         assert cfg.field_config().hidden_widths == (64, 64)

@@ -83,6 +83,12 @@ class TestNoisyInitialCloud:
             with pytest.raises(ValueError, match="noise_scale must be > 0"):
                 coupling.NoiseConfig(scale=scale, seed=0)
 
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scale_rejected(self, scale):
+        # an infinite scale would give x0 rows of +-inf
+        with pytest.raises(ValueError, match="scale"):
+            coupling.NoiseConfig(scale=scale, seed=0)
+
 
 class TestStraightFlow:
     def test_endpoints(self):

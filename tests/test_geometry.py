@@ -677,8 +677,8 @@ def test_each_site_builds_the_tree_its_use_needs(monkeypatch):
     assert builds == [(80, single_use)]
 
     builds.clear()
-    cfg = config.build_config({}, {"epochs": 1, "batch_size": 2, "copies": 2,
-                                   "hidden_widths": (8,), "noise_scale": 0.25})
+    cfg = config.RunConfig(epochs=1, batch_size=2, copies=2,
+                           hidden_widths=(8,), noise_scale=0.25).validate()
     train.fit([(scene, scan)] * 2, cfg)
     # the case indexes, then one moved cloud per sample for the chamfer term
     assert builds == [(300, balanced), (40, balanced)] * 2 + [(80, single_use)] * 2

@@ -44,6 +44,11 @@ class TestLossWeights:
         with pytest.raises(ValueError, match="chamfer weight must be >= 0"):
             objective.LossWeights(chamfer=float("nan"))
 
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, weight):
+        with pytest.raises(ValueError, match="chamfer"):
+            objective.LossWeights(chamfer=weight)
+
 
 class TestFlowMatchingLoss:
     def test_perfect_prediction(self):

@@ -63,6 +63,12 @@ class TestSamplerConfig:
             sampler.SamplerConfig(steps=0, guidance_weight=6.0,
                                   use_ema=True)
 
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+    def test_non_finite_guidance_rejected(self, weight):
+        with pytest.raises(ValueError, match="guidance_weight must be finite"):
+            sampler.SamplerConfig(steps=10, guidance_weight=weight,
+                                  use_ema=True)
+
 
 class TestGuidedField:
     def test_weight_one_is_conditioned_forward(self):

@@ -15,6 +15,7 @@ from oracles import first_hit_per_ray
 _WORLD = dict(ground_half_extent=4.0, density=60.0)
 _SENSOR = dict(origin=(0.0, 0.0, 0.6), azimuth_count=180, elevation_count=12,
                max_range=10.0, dropout=0.0, budget=None, seed=0)
+NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
 def scene_spec(**changes):
@@ -178,6 +179,21 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=message):
             scene_spec(**changes)
 
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("name", ["ground_half_extent", "density"])
+    def test_scene_spec_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            scene_spec(**{name: value})
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("name", ["origin", "max_range", "elevation_range"])
+    def test_scan_spec_rejects_non_finite(self, name, value):
+        # a NaN origin casts no ray that hits, so the scan would be empty
+        bad = {"origin": (0.0, 0.0, value), "max_range": value,
+               "elevation_range": (-0.5, value)}[name]
+        with pytest.raises(ValueError, match=name):
+            scan_spec(**{name: bad})
+
 
 class TestSimulateScan:
     def test_occlusion_shadow_empty(self):
@@ -312,6 +328,17 @@ class TestRandomSceneSpecExtent:
         monkeypatch.setattr(np.random, "default_rng", no_draws)
         with pytest.raises(ValueError, match="ground_half_extent must be >= 2.4"):
             random_spec(0, ground_half_extent=extent)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("name", ["ground_half_extent", "density"])
+    def test_non_finite_rejected_before_any_draw(self, name, value, monkeypatch):
+        # an infinite extent would reach the placement draws and overflow
+        def no_draws(*args, **kwargs):
+            raise AssertionError("rng built before the finite check")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(ValueError, match=name):
+            random_spec(0, **{name: value})
 
     def test_smallest_extent_places_every_seed(self):
         # In a child process, so that a placement loop that never ends

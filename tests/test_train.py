@@ -9,8 +9,8 @@ def test_scan_index_built_once_per_case(monkeypatch):
     rng = np.random.default_rng(3)
     cases = [(rng.uniform(-1, 1, size=(120, 3)), rng.uniform(-1, 1, size=(20, 3)))
              for _ in range(3)]
-    cfg = config.build_config({}, {"epochs": 3, "batch_size": 2, "copies": 2,
-                                   "hidden_widths": (8,), "p_null": 0.2})
+    cfg = config.RunConfig(epochs=3, batch_size=2, copies=2,
+                           hidden_widths=(8,), p_null=0.2).validate()
     seen = []
     original = field.condition_feature_matrix
 
@@ -35,8 +35,8 @@ def test_one_buffer_set_for_every_scan_size(monkeypatch):
     cases = [(rng.uniform(-1, 1, size=(90, 3)), rng.uniform(-1, 1, size=(m, 3)))
              for m in (14, 31, 22)]
     widths = (12, 9)
-    cfg = config.build_config({}, {"epochs": 3, "batch_size": 2, "copies": 2,
-                                   "hidden_widths": widths, "p_null": 0.2})
+    cfg = config.RunConfig(epochs=3, batch_size=2, copies=2,
+                           hidden_widths=widths, p_null=0.2).validate()
     original = field.loss_and_grad
     seen = []
 
