@@ -37,18 +37,20 @@ def _config_flags() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
+def _config_from_args(args: argparse.Namespace):
     # the file's lines, then the flags that were set; values that fail to
-    # parse or validate are usage errors (exit 1)
+    # parse or validate are usage errors (exit 1). Also returns where each
+    # key that was set got the value that stands.
     try:
         entries = read_config_file(args.config) if args.config else []
         for key, raw in vars(args).items():
             if key.startswith("cfg_") and raw is not None:
                 name = key[len("cfg_"):]
                 entries.append((name, raw, f"flag --{name.replace('_', '-')}"))
-        return build_config(entries)
+        cfg = build_config(entries)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    return cfg, {key: where for key, _, where in entries}
 
 
 def cmd_make_data(cfg: RunConfig, out_dir: str) -> int:
@@ -96,29 +98,38 @@ def cmd_train(cfg: RunConfig, data_dir: str, out_path: str) -> int:
         print(f"step={step} epoch={epoch} flow={report.flow:.6f} "
               f"chamfer={report.chamfer:.6f} total={report.total:.6f}")
 
+    # the initial distribution the field learns from, which `complete` draws
+    init = (cfg.copies, cfg.noise_scale)
     try:
         # Only fit holds the loaded clouds, so they are freed once it has
         # indexed the scenes.
-        state, opt = train.fit(_load_dataset(Path(data_dir)), cfg,
-                               on_step=log)
+        state, _ = train.fit(_load_dataset(Path(data_dir)), cfg, on_step=log)
     except train.Diverged as exc:
         # keep the last finite state so the run is not a total loss
-        field.save_checkpoint(out_path, exc.state, exc.opt)
+        field.save_checkpoint(out_path, exc.state, init)
         raise RuntimeError(
             f"{exc}; last good checkpoint written to {out_path}") from exc
-    field.save_checkpoint(out_path, state, opt)
+    field.save_checkpoint(out_path, state, init)
     print(f"trained {state.step_count} steps; checkpoint written to {out_path}")
     return 0
 
 
 def cmd_complete(cfg: RunConfig, checkpoint_path: str, scan_path: str,
-                 out_path: str) -> int:
+                 out_path: str, given) -> int:
     cloud_io._is_text(out_path)  # an unknown output format fails before any work
-    state, _ = field.load_checkpoint(checkpoint_path)
+    # x0 is drawn as the field's training clouds were; `given` maps each
+    # key that a file line or flag set to where, and such a value must agree
+    state, (copies, noise_scale) = field.load_checkpoint(checkpoint_path)
+    for key, trained in (("copies", copies), ("noise_scale", noise_scale)):
+        value = getattr(cfg, key)
+        if key in given and value != trained:
+            raise UsageError(
+                f"{given[key]}: config key {key!r}: {value!r} differs from "
+                f"{trained!r}, the value {checkpoint_path} was trained with")
     scan = cloud_io.read_cloud(scan_path)
     try:
-        x0 = coupling.noisy_initial_cloud(scan, cfg.copies,
-                                          cfg.noise_config(seed=cfg.seed))
+        x0 = coupling.noisy_initial_cloud(
+            scan, copies, coupling.NoiseConfig(noise_scale, seed=cfg.seed))
     except ValueError as exc:
         raise ValueError(f"{scan_path}: {exc}") from exc
     out = Path(out_path)
@@ -201,13 +212,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = _config_from_args(args)
+    cfg, given = _config_from_args(args)
     if args.command == "make-data":
         return cmd_make_data(cfg, args.out)
     if args.command == "train":
         return cmd_train(cfg, args.data, args.out)
     if args.command == "complete":
-        return cmd_complete(cfg, args.checkpoint, args.scan, args.out)
+        return cmd_complete(cfg, args.checkpoint, args.scan, args.out, given)
     if args.command == "eval":
         return cmd_eval(cfg, args.pred, args.gt, args.report)
     raise UsageError(f"unknown command {args.command!r}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import FlowSample
+from .coupling import FlowSample, NoiseConfig
 from .geometry import as_cloud, nearest_neighbor_map
 from .objective import LossReport, LossWeights, total_loss_grad
 
@@ -29,9 +29,9 @@ TIME_FREQ_MIN = 1.0
 TIME_FREQ_MAX = 100.0
 
 CHECKPOINT_MAGIC = b"FLOWCKPT"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 # The stored arrays, in file order; each holds parameter_count values.
-_CHECKPOINT_ARRAYS = ("weights", "ema_weights", "adam_m", "adam_v")
+_CHECKPOINT_ARRAYS = ("weights", "ema_weights")
 
 # Adam's moment decay rates and denominator guard.
 ADAM_BETA1 = 0.9
@@ -347,21 +347,25 @@ def ema_update(state: ModelState, decay: float) -> ModelState:
     return dataclasses.replace(state, ema_weights=ema)
 
 
-def _header_bytes(config: FieldConfig, learning_rate: float, step_count: int) -> bytes:
-    """Canonical JSON of the network config, learning rate and step count.
+def _header_bytes(config: FieldConfig, init, step_count: int) -> bytes:
+    """Canonical JSON of the network config, the initial distribution
+    `init` = (copies, noise_scale) the field was trained from, and the step
+    count.
 
     `save_checkpoint` writes these bytes and `load_checkpoint` accepts no
     others, so any change here bumps CHECKPOINT_VERSION. Raises ValueError
-    on a learning rate that is not finite and positive or a negative step
-    count.
+    on copies that are not an integer >= 1, a noise scale that
+    `coupling.NoiseConfig` rejects, or a negative step count.
     """
-    learning_rate, step_count = float(learning_rate), int(step_count)
-    if not 0.0 < learning_rate < float("inf"):
-        raise ValueError(f"learning rate must be finite and positive, got {learning_rate!r}")
+    copies, noise_scale = init
+    if isinstance(copies, bool) or not isinstance(copies, int) or copies < 1:
+        raise ValueError(f"copies must be an integer >= 1, got {copies!r}")
+    noise_scale, step_count = float(noise_scale), int(step_count)
+    NoiseConfig(scale=noise_scale, seed=0)  # the scale's rule is NoiseConfig's
     if step_count < 0:
         raise ValueError(f"step count must be >= 0, got {step_count}")
-    header = {"config": dataclasses.asdict(config),
-              "learning_rate": learning_rate, "step_count": step_count}
+    header = {"config": dataclasses.asdict(config), "copies": copies,
+              "noise_scale": noise_scale, "step_count": step_count}
     return json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
 
 
@@ -373,17 +377,19 @@ def _check_finite(arrays) -> None:
             raise ValueError(f"array {name!r} holds a value that is not finite")
 
 
-def save_checkpoint(path, state: ModelState, opt: OptimizerState) -> None:
+def save_checkpoint(path, state: ModelState, init) -> None:
     """Write a deterministic binary checkpoint (same inputs, same bytes).
 
+    `init` is the (copies, noise_scale) pair of the initial clouds the
+    field was trained from, which a completion must draw its own from.
     Layout: magic, `<IQ` version and header length, the `_header_bytes`
     JSON header, then the little-endian float64 arrays `_CHECKPOINT_ARRAYS`
     in order, each of `parameter_count(config)` values. Out-of-range
     header values and non-finite arrays raise ValueError before the file
     is opened.
     """
-    blob = _header_bytes(state.config, opt.learning_rate, state.step_count)
-    arrays = (state.weights, state.ema_weights, opt.m, opt.v)
+    blob = _header_bytes(state.config, init, state.step_count)
+    arrays = (state.weights, state.ema_weights)
     _check_finite(arrays)
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -394,10 +400,10 @@ def save_checkpoint(path, state: ModelState, opt: OptimizerState) -> None:
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (ModelState, OptimizerState).
+    """Read a checkpoint; returns (ModelState, (copies, noise_scale)).
 
-    Weight and moment arrays round-trip bit-exactly, and a loaded
-    checkpoint re-saves to the same bytes.
+    Weight arrays round-trip bit-exactly, and a loaded checkpoint re-saves
+    to the same bytes.
 
     Raises:
         ValueError: naming the file and the reason, on a bad magic or
@@ -429,8 +435,9 @@ def load_checkpoint(path):
     try:
         header = json.loads(blob)
         config = FieldConfig(**header["config"])
-        learning_rate, step_count = header["learning_rate"], header["step_count"]
-        canonical = _header_bytes(config, learning_rate, step_count)
+        init = (header["copies"], header["noise_scale"])
+        step_count = header["step_count"]
+        canonical = _header_bytes(config, init, step_count)
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise fail(f"malformed checkpoint header: {exc!r}") from exc
     if blob != canonical:
@@ -452,6 +459,5 @@ def load_checkpoint(path):
         _check_finite(arrays)
     except ValueError as exc:
         raise fail(str(exc)) from None
-    weights, ema_weights, m, v = arrays
-    return (ModelState(config, weights, ema_weights, step_count),
-            OptimizerState(learning_rate, m=m, v=v))
+    weights, ema_weights = arrays
+    return ModelState(config, weights, ema_weights, step_count), init

@@ -33,17 +33,17 @@ def guided_field(state: ModelState, t: float, x_t, scan, w: float, *,
                  use_ema: bool, buffers=None) -> np.ndarray:
     """Guided velocity: unconditioned + w * (conditioned - unconditioned).
 
-    Exactly two forward evaluations, which share the layer `buffers`
-    when given (see `field.forward`). w = 1 returns the
+    Runs only the forward evaluations that w reads, which share the layer
+    `buffers` when given (see `field.forward`): w = 1 returns the
     conditioned prediction itself and w = 0 the unconditioned one,
-    bit-for-bit.
+    bit-for-bit, from one forward each; any other w takes both.
     """
+    if w == 0.0:
+        return forward(state, t, x_t, None, use_ema=use_ema, buffers=buffers)
     u_cond = forward(state, t, x_t, scan, use_ema=use_ema, buffers=buffers)
-    u_null = forward(state, t, x_t, None, use_ema=use_ema, buffers=buffers)
     if w == 1.0:
         return u_cond
-    if w == 0.0:
-        return u_null
+    u_null = forward(state, t, x_t, None, use_ema=use_ema, buffers=buffers)
     return u_null + w * (u_cond - u_null)
 
 

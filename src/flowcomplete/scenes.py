@@ -16,6 +16,7 @@ casting one ray at a time (tests/oracles.py keeps that loop).
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -28,6 +29,12 @@ _EPS = 1e-9
 # (walls, 1.6 m) plus the sensor clearance (0.8 m), so that every position
 # draw lands clear of the sensor with probability at least 1 - pi/4.
 MIN_RANDOM_HALF_EXTENT = 2.4
+# Most expected ground points, density * (2 * ground_half_extent)^2, of a
+# scene (240 MB of float64 rows), and most rays, azimuths x elevations, of
+# a scan. Larger sizes would fail in numpy's allocator, or exhaust memory,
+# after the dataset directories exist.
+MAX_GROUND_POINTS = 10_000_000
+MAX_SCAN_RAYS = 1_000_000
 
 
 def _yaw_matrix(yaw: float) -> np.ndarray:
@@ -220,6 +227,16 @@ class SceneSpec:
             raise ValueError("ground extent must be positive")
         if self.density <= 0:
             raise ValueError("density must be positive")
+        side = 2.0 * self.ground_half_extent
+        area = side * side
+        if not math.isfinite(area):
+            raise ValueError(f"ground_half_extent {self.ground_half_extent!r} "
+                             "is too large: the ground area overflows")
+        expected = self.density * area
+        if expected > MAX_GROUND_POINTS:
+            raise ValueError(
+                f"density * (2 * ground_half_extent)^2 = {expected:.3g} expected "
+                f"ground points exceeds MAX_GROUND_POINTS = {MAX_GROUND_POINTS}")
         for prim in self.primitives:
             cx, cy = prim.center[0], prim.center[1]
             if abs(cx) > self.ground_half_extent or abs(cy) > self.ground_half_extent:
@@ -245,6 +262,10 @@ class ScanSpec:
             raise ValueError("max range must be positive")
         if self.azimuth_count < 1 or self.elevation_count < 1:
             raise ValueError("channel counts must be >= 1")
+        rays = self.azimuth_count * self.elevation_count
+        if rays > MAX_SCAN_RAYS:
+            raise ValueError(f"azimuth_count * elevation_count = {rays} rays "
+                             f"exceeds MAX_SCAN_RAYS = {MAX_SCAN_RAYS}")
         if not 0.0 <= self.dropout <= 1.0:
             raise ValueError("dropout must be in [0, 1]")
         if self.budget is not None and self.budget < 1:
@@ -364,15 +385,17 @@ def random_scene_spec(seed: int, ground_half_extent: float,
     area near the sensor origin is kept clear.
 
     Raises:
-        ValueError: before any draw, on a non-finite extent or density or
-            an extent below MIN_RANDOM_HALF_EXTENT.
+        ValueError: before any draw, on an extent below
+            MIN_RANDOM_HALF_EXTENT or an extent or density that SceneSpec
+            rejects.
     """
     if not ground_half_extent >= MIN_RANDOM_HALF_EXTENT:
         raise ValueError(
             f"ground_half_extent must be >= {MIN_RANDOM_HALF_EXTENT} to place "
             f"primitives clear of the sensor, got {ground_half_extent!r}"
         )
-    check_finite(ground_half_extent=ground_half_extent, density=density)
+    spec = SceneSpec(ground_half_extent=ground_half_extent, density=density,
+                     seed=seed)
     rng = np.random.default_rng([seed, 0x5CE2E])
     prims = []
 
@@ -402,5 +425,4 @@ def random_scene_spec(seed: int, ground_half_extent: float,
         x, y = random_xy(margin=1.6)
         prims.append(Wall(center=(x, y, 0.0), width=width, height=height,
                           yaw=float(rng.uniform(0, 2 * math.pi))))
-    return SceneSpec(ground_half_extent=ground_half_extent,
-                     primitives=tuple(prims), density=density, seed=seed)
+    return dataclasses.replace(spec, primitives=tuple(prims))

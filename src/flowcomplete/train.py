@@ -20,13 +20,12 @@ _TRAIN_STREAM = 0x7E41
 
 
 class Diverged(FloatingPointError):
-    """A step left the finite range; holds the states from before it."""
+    """A step left the finite range; holds the model state from before it."""
 
-    def __init__(self, state, opt, cause: Exception):
+    def __init__(self, state, cause: Exception):
         super().__init__(
             f"training aborted at step {state.step_count + 1} ({cause})")
         self.state = state
-        self.opt = opt
 
 
 def fit(cases, cfg: RunConfig, on_step=None):
@@ -38,7 +37,7 @@ def fit(cases, cfg: RunConfig, on_step=None):
 
     Raises:
         Diverged: when a step overflows, carrying the last finite model
-            and optimizer states.
+            state.
     """
     # One index per scene serves the coupling and the chamfer term of every
     # sample drawn from that case, and one per scan its condition features.
@@ -71,7 +70,7 @@ def fit(cases, cfg: RunConfig, on_step=None):
                     state, opt, report = field.train_batch(
                         state, opt, samples, weights, buffers=buffers)
             except FloatingPointError as exc:
-                raise Diverged(state, opt, exc) from exc
+                raise Diverged(state, exc) from exc
             state = field.ema_update(state, cfg.ema_decay)
             if on_step is not None:
                 on_step(state.step_count, epoch, report)

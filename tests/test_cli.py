@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flowcomplete import cli, cloud_io, coupling, field, metrics, sampler
+from flowcomplete import cli, cloud_io, coupling, field, metrics, sampler, scenes
 from flowcomplete.config import RunConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -81,11 +81,11 @@ class TestTrain:
             monkeypatch, capsys,
         )
         assert code == 0, err
-        state, opt = field.load_checkpoint(ckpt)
+        state, init = field.load_checkpoint(ckpt)
         want = field.init_model(state.config)
         assert state.step_count == 0
         assert np.array_equal(state.weights, want.weights)
-        assert np.all(opt.m == 0.0)
+        assert init == (2, 0.25)  # FAST's copies and noise scale
 
     def test_short_run_logs_and_reruns_identically(self, dataset, tmp_path,
                                                    monkeypatch, capsys):
@@ -110,7 +110,8 @@ class TestTrain:
         # overflows.
         ckpt = tmp_path / "model.ckpt"
         code, out, err = run_cli(
-            ["train", *FAST, "--epochs", "3", "--learning-rate", "1e200",
+            ["train", *FAST, "--copies", "3", "--noise-scale", "0.1",
+             "--epochs", "3", "--learning-rate", "1e200",
              "--data", str(dataset), "--out", str(ckpt)],
             monkeypatch, capsys,
         )
@@ -120,10 +121,23 @@ class TestTrain:
         assert len(err.splitlines()) == 1
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert len([l for l in out.splitlines() if l.startswith("step=")]) == 1
-        state, opt = field.load_checkpoint(ckpt)
+        state, init = field.load_checkpoint(ckpt)
         assert state.step_count == 1
-        for array in (state.weights, state.ema_weights, opt.m, opt.v):
+        assert init == (3, 0.1)  # the run's pair
+        for array in (state.weights, state.ema_weights):
             assert np.all(np.isfinite(array))
+        # a plain `complete` draws x0 from that pair; weights near 1e200
+        # move points beyond float32's range in one step, so write text
+        scan = dataset / "scans" / "case-000.ply"
+        completed = tmp_path / "completed.xyz"
+        code, _, err = run_cli(
+            ["complete", "--checkpoint", str(ckpt), "--scan", str(scan),
+             "--out", str(completed), "--steps", "1"],
+            monkeypatch, capsys,
+        )
+        assert code == 0, err
+        assert (len(cloud_io.read_cloud(completed))
+                == 3 * len(cloud_io.read_cloud(scan)))
 
     def test_missing_dataset_is_runtime_error(self, tmp_path, monkeypatch, capsys):
         code, _, err = run_cli(
@@ -154,7 +168,7 @@ class TestComplete:
                                 activation="tanh", seed=0)
         state = field.init_model(cfg)
         path = tmp_path / "zero.ckpt"
-        field.save_checkpoint(path, state, field.init_optimizer(state, 1e-3))
+        field.save_checkpoint(path, state, (2, 0.25))  # FAST's pair
         return path
 
     def test_untrained_checkpoint_outputs_noisy_initial(self, dataset,
@@ -313,6 +327,92 @@ class TestComplete:
         assert not out.exists()
 
 
+class TestInitialDistribution:
+    """`complete` draws x0 from the (copies, noise_scale) that trained the
+    checkpoint; a file line or flag may only repeat them."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("init")
+        data, ckpt = root / "data", root / "model.ckpt"
+        assert cli.main(["make-data", *FAST, "--out", str(data)]) == 0
+        assert cli.main(["train", *FAST, "--copies", "3", "--noise-scale", "0.1",
+                         "--epochs", "1", "--data", str(data),
+                         "--out", str(ckpt)]) == 0
+        return ckpt, data / "scans" / "case-000.ply"
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_plain_complete_draws_the_trained_pair(self, trained, tmp_path,
+                                                   monkeypatch, capsys, seed):
+        ckpt, scan_path = trained
+        out = tmp_path / "c.ply"
+        code, _, err = run_cli(
+            ["complete", "--checkpoint", str(ckpt), "--scan", str(scan_path),
+             "--out", str(out), "--steps", "2", "--seed", str(seed),
+             "--record-trajectory", "true"],
+            monkeypatch, capsys,
+        )
+        assert code == 0, err
+        x0 = cloud_io.read_cloud(tmp_path / "c-t0.00.ply")
+        scan = cloud_io.read_cloud(scan_path)
+        assert x0.shape == (3 * len(scan), 3)
+        want = coupling.noisy_initial_cloud(
+            scan, 3, coupling.NoiseConfig(scale=0.1, seed=seed))
+        assert np.array_equal(x0, want.astype("<f4").astype(np.float64))
+        # each copy sits about the scan at the 0.1 spread, not RunConfig's 0.25
+        spread = (x0 - np.tile(scan, (3, 1))).std()
+        assert 0.09 < spread < 0.11
+        assert len(cloud_io.read_cloud(out)) == 3 * len(scan)
+
+    @pytest.mark.parametrize("flags, body, source", [
+        (["--copies", "4"], None,
+         "flag --copies: config key 'copies': 4 differs from 3"),
+        (["--noise-scale", "0.25"], None,
+         "flag --noise-scale: config key 'noise_scale': 0.25 differs from 0.1"),
+        ([], "noise_scale = 0.2\n",
+         "{cfg}: line 1: config key 'noise_scale': 0.2 differs from 0.1"),
+        # the flag is the value that stands, and it differs
+        (["--copies", "2"], "copies = 3\n",
+         "flag --copies: config key 'copies': 2 differs from 3"),
+    ], ids=["flag_copies", "flag_noise_scale", "file_noise_scale",
+            "flag_over_equal_file"])
+    def test_a_differing_value_is_usage_error(self, trained, tmp_path,
+                                              monkeypatch, capsys, flags, body,
+                                              source):
+        ckpt, scan_path = trained
+        cfgfile = tmp_path / "run.cfg"
+        if body is not None:
+            cfgfile.write_text(body)
+            flags = ["--config", str(cfgfile), *flags]
+        out = tmp_path / "out" / "c.ply"
+        code, _, err = run_cli(
+            ["complete", *flags, "--checkpoint", str(ckpt),
+             "--scan", str(scan_path), "--out", str(out)],
+            monkeypatch, capsys,
+        )
+        assert code == 1
+        assert err == (f"usage error: {source.format(cfg=cfgfile)}, the value "
+                       f"{ckpt} was trained with\n")
+        assert not out.parent.exists()
+
+    def test_equal_values_are_accepted(self, trained, tmp_path, monkeypatch,
+                                       capsys):
+        ckpt, scan_path = trained
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("copies = 3\n")
+        outs = []
+        for flags in ([], ["--copies", "3", "--noise-scale", "0.10"],
+                      ["--config", str(cfgfile), "--noise-scale", "1e-1"]):
+            outs.append(tmp_path / f"c{len(outs)}.ply")
+            code, _, err = run_cli(
+                ["complete", *flags, "--checkpoint", str(ckpt),
+                 "--scan", str(scan_path), "--out", str(outs[-1])],
+                monkeypatch, capsys,
+            )
+            assert code == 0, err
+        assert len({out.read_bytes() for out in outs}) == 1
+
+
 class TestEval:
     def test_identical_files_perfect_scores(self, dataset, tmp_path,
                                             monkeypatch, capsys):
@@ -401,6 +501,16 @@ class TestUsage:
         (["make-data", "--density", "0"], "density"),
         # ScanSpec checks the budget; validation reaches it through scan_spec
         (["make-data", "--scan-budget", "0"], "scan-budget"),
+        # sizes beyond the module caps: each failed only after the dataset
+        # directories existed (a bare OverflowError for 1e308), and 1e9
+        # azimuths exhausted memory; validation alone reaches these
+        (["make-data", "--ground-half-extent", "1e308", "--cases", "1"],
+         "ground_half_extent"),
+        (["make-data", "--ground-half-extent", "1e200", "--cases", "1"],
+         "ground_half_extent"),
+        (["make-data", "--density", "1e12", "--cases", "1"], "density"),
+        (["make-data", "--scan-azimuths", "1000000000", "--cases", "1"],
+         "scan_azimuths"),
         # the BEV grid would need more cells than int64 can count: caught
         # before the clouds are read, not by a failed cast
         (["eval", "--bev-half-extent", "1e308", "--pred", "p.ply", "--gt",
@@ -409,10 +519,19 @@ class TestUsage:
           "g.ply"], "bev-resolution"),
     ], ids=["learning_rate", "bev_resolution", "density", "cases",
             "extent_2", "extent_1", "extent_negative", "density_negative",
-            "density_zero", "scan_budget_zero", "bev_half_extent_huge",
+            "density_zero", "scan_budget_zero", "extent_1e308",
+            "extent_1e200", "density_huge", "scan_azimuths_huge",
+            "bev_half_extent_huge",
             "bev_resolution_tiny"])
     def test_unparsable_value_is_usage_error(self, tmp_path, monkeypatch,
                                              capsys, argv, key):
+        # a value that got past validation fails the test here, before it
+        # can synthesize (and so allocate) a scene or a scan
+        def never(*args, **kwargs):
+            raise AssertionError("synthesis started after validation")
+
+        monkeypatch.setattr(scenes, "generate_scene", never)
+        monkeypatch.setattr(scenes, "simulate_scan", never)
         monkeypatch.chdir(tmp_path)
         code, _, err = run_cli(argv, monkeypatch, capsys)
         assert code == 1

@@ -506,6 +506,10 @@ class TestEma:
         assert np.allclose(out.ema_weights, 0.1, atol=1e-15)
 
 
+# The (copies, noise_scale) pair that checkpoints carry in these tests.
+INIT = (10, 0.25)
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -520,51 +524,61 @@ class TestCheckpoint:
         state = field.ema_update(state, 0.99)
 
         path = tmp_path / "model.ckpt"
-        field.save_checkpoint(path, state, opt)
-        loaded, loaded_opt = field.load_checkpoint(path)
+        field.save_checkpoint(path, state, (4, 0.1))
+        loaded, init = field.load_checkpoint(path)
 
         assert loaded.config == cfg
         assert loaded.step_count == state.step_count
         assert np.array_equal(loaded.weights, state.weights)
         assert np.array_equal(loaded.ema_weights, state.ema_weights)
-        assert np.array_equal(loaded_opt.m, opt.m)
-        assert np.array_equal(loaded_opt.v, opt.v)
-        assert loaded_opt.learning_rate == opt.learning_rate
+        assert init == (4, 0.1)
+        assert (type(init[0]), type(init[1])) == (int, float)
         resaved = tmp_path / "resaved.ckpt"
-        field.save_checkpoint(resaved, loaded, loaded_opt)
+        field.save_checkpoint(resaved, loaded, init)
         assert resaved.read_bytes() == path.read_bytes()
+
+    def test_default_network_file_size(self, tmp_path):
+        # magic, version and length, the header, then two arrays of 5443
+        # values: the Adam moments of version 2 doubled it to 174,343 bytes
+        cfg = field.FieldConfig(hidden_widths=(64, 64), time_embed_dim=8,
+                                activation="tanh", seed=0)
+        state = field.init_model(cfg)
+        path = tmp_path / "model.ckpt"
+        field.save_checkpoint(path, state, INIT)
+        header = field._header_bytes(cfg, INIT, 0)
+        assert path.stat().st_size == 8 + 12 + len(header) + 2 * 8 * 5443
+        assert 87_000 < path.stat().st_size < 87_300
 
     @settings(max_examples=50, deadline=None)
     @given(widths=st.lists(st.integers(1, 4), min_size=1, max_size=3),
            half_dim=st.integers(1, 3), activation=st.sampled_from(["tanh", "relu"]),
            seed=st.integers(0, 2 ** 32), zero_init_output=st.booleans(),
-           learning_rate=st.floats(min_value=5e-324, allow_infinity=False),
+           copies=st.integers(1, 2 ** 63),
+           noise_scale=st.floats(min_value=5e-324, allow_infinity=False),
            step_count=st.integers(0, 2 ** 63))
     def test_every_saved_file_resaves_identically(self, tmp_path_factory, widths,
                                                   half_dim, activation, seed,
-                                                  zero_init_output,
-                                                  learning_rate, step_count):
+                                                  zero_init_output, copies,
+                                                  noise_scale, step_count):
         cfg = field.FieldConfig(hidden_widths=widths, time_embed_dim=2 * half_dim,
                                 activation=activation, seed=seed,
                                 zero_init_output=zero_init_output)
         state = field.init_model(cfg)
         state = field.ModelState(cfg, state.weights, state.ema_weights, step_count)
-        opt = field.init_optimizer(state, learning_rate=learning_rate)
         path = tmp_path_factory.mktemp("saved") / "model.ckpt"
-        field.save_checkpoint(path, state, opt)
-        loaded, loaded_opt = field.load_checkpoint(path)
-        assert (loaded.config, loaded.step_count, loaded_opt.learning_rate) == (
-            cfg, step_count, learning_rate)
-        field.save_checkpoint(path.with_name("again.ckpt"), loaded, loaded_opt)
+        field.save_checkpoint(path, state, (copies, noise_scale))
+        loaded, init = field.load_checkpoint(path)
+        assert (loaded.config, loaded.step_count, init) == (
+            cfg, step_count, (copies, noise_scale))
+        field.save_checkpoint(path.with_name("again.ckpt"), loaded, init)
         assert path.with_name("again.ckpt").read_bytes() == path.read_bytes()
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         state = field.init_model(SMALL)
-        opt = field.init_optimizer(state, learning_rate=1e-3)
         a = tmp_path / "a.ckpt"
         b = tmp_path / "b.ckpt"
-        field.save_checkpoint(a, state, opt)
-        field.save_checkpoint(b, state, opt)
+        field.save_checkpoint(a, state, INIT)
+        field.save_checkpoint(b, state, INIT)
         assert a.read_bytes() == b.read_bytes()
 
     def test_bad_magic(self, tmp_path):
@@ -574,30 +588,21 @@ class TestCheckpoint:
             field.load_checkpoint(path)
 
     def test_truncated_file(self, tmp_path):
-        state = field.init_model(SMALL)
-        opt = field.init_optimizer(state, learning_rate=1e-3)
-        path = tmp_path / "model.ckpt"
-        field.save_checkpoint(path, state, opt)
+        path = saved_small(tmp_path)
         raw = path.read_bytes()
         path.write_bytes(raw[:-16])
         with pytest.raises(ValueError, match="truncated"):
             field.load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
-        state = field.init_model(SMALL)
-        opt = field.init_optimizer(state, learning_rate=1e-3)
-        path = tmp_path / "model.ckpt"
-        field.save_checkpoint(path, state, opt)
+        path = saved_small(tmp_path)
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
         with pytest.raises(ValueError, match="trailing bytes") as err:
             field.load_checkpoint(path)
         assert str(path) in str(err.value)
 
     def test_cut_inside_length_prefix(self, tmp_path):
-        state = field.init_model(SMALL)
-        opt = field.init_optimizer(state, learning_rate=1e-3)
-        path = tmp_path / "model.ckpt"
-        field.save_checkpoint(path, state, opt)
+        path = saved_small(tmp_path)
         path.write_bytes(path.read_bytes()[:15])
         with pytest.raises(ValueError, match="truncated") as err:
             field.load_checkpoint(path)
@@ -605,39 +610,39 @@ class TestCheckpoint:
 
     def test_header_widths_disagree_with_arrays(self, tmp_path):
         # A (64, 64) network's arrays under a header that says (8,): the
-        # header implies four arrays of 163 values where the file holds
-        # four of 5443.
+        # header implies two arrays of 163 values where the file holds
+        # two of 5443.
         cfg = field.FieldConfig(hidden_widths=(64, 64), time_embed_dim=8,
                                 activation="tanh", seed=0)
         state = field.init_model(cfg)
-        opt = field.init_optimizer(state, learning_rate=1e-3)
         path = tmp_path / "model.ckpt"
-        field.save_checkpoint(path, state, opt)
+        field.save_checkpoint(path, state, INIT)
         narrow = field.FieldConfig(hidden_widths=(8,), time_embed_dim=8,
                                    activation="tanh", seed=0)
         assert (field.parameter_count(cfg), field.parameter_count(narrow)) == (5443, 163)
-        rewrite_header(path, field._header_bytes(narrow, opt.learning_rate, 0))
+        rewrite_header(path, field._header_bytes(narrow, INIT, 0))
         with pytest.raises(ValueError) as err:
             field.load_checkpoint(path)
-        extra = 4 * 8 * (5443 - 163)
+        extra = 2 * 8 * (5443 - 163)
         assert str(err.value) == (f"{path}: {extra} trailing bytes after the "
                                   "last array of 163 values")
 
     def test_header_bytes_golden(self):
         # Any change to these bytes must come with a CHECKPOINT_VERSION bump.
-        assert field.CHECKPOINT_VERSION == 2
-        blob = field._header_bytes(SMALL, 3e-4, 7)
+        assert field.CHECKPOINT_VERSION == 3
+        blob = field._header_bytes(SMALL, (10, 0.25), 7)
         assert blob == (b'{"config":{"activation":"tanh","hidden_widths":[8],'
                         b'"seed":3,"time_embed_dim":4,"zero_init_output":true},'
-                        b'"learning_rate":0.0003,"step_count":7}')
+                        b'"copies":10,"noise_scale":0.25,"step_count":7}')
 
     @pytest.mark.parametrize("key, value", [
         ("version", 2),
         ("provenance", {}),
-    ], ids=["version", "provenance"])
+        ("learning_rate", 0.001),                     # a version 2 key
+    ], ids=["version", "provenance", "learning_rate"])
     def test_header_with_unknown_key_rejected(self, tmp_path, key, value):
         path = saved_small(tmp_path)
-        header = json.loads(field._header_bytes(SMALL, 1e-3, 0))
+        header = json.loads(field._header_bytes(SMALL, INIT, 0))
         header[key] = value
         rewrite_header(path, json.dumps(header, sort_keys=True,
                                         separators=(",", ":")).encode())
@@ -650,8 +655,9 @@ class TestCheckpoint:
         (b'"step_count":0', b'"step_count":0,"step_count":0'),   # repeated key
         (b'"step_count":0', b'"step_count": 0'),                 # spacing
         (b'"step_count":0', b'"step_count":0.0'),
-        (b'"learning_rate":0.001', b'"learning_rate":1e-3'),
-        (b'"learning_rate":0.001', b'"learning_rate":"0.001"'),
+        (b'"noise_scale":0.25', b'"noise_scale":2.5e-1'),
+        (b'"noise_scale":0.25', b'"noise_scale":"0.25"'),
+        (b'"noise_scale":0.25', b'"noise_scale":1'),
         (b'"time_embed_dim":4', b'"time_embed_dim":4.0'),
         (b'"hidden_widths":[8]', b'"hidden_widths":[8.0]'),
         (b'"seed":3', b'"seed":true'),
@@ -659,7 +665,7 @@ class TestCheckpoint:
     ])
     def test_non_canonical_header_rejected(self, tmp_path, old, new):
         path = saved_small(tmp_path)
-        blob = field._header_bytes(SMALL, 1e-3, 0)
+        blob = field._header_bytes(SMALL, INIT, 0)
         assert blob.count(old) == 1
         rewrite_header(path, blob.replace(old, new))
         with pytest.raises(ValueError, match="differs from the one "
@@ -668,20 +674,26 @@ class TestCheckpoint:
         assert str(path) in str(err.value)
 
     @pytest.mark.parametrize("old, new, reason", [
-        (b'"learning_rate":0.001', b'"learning_rate":NaN', "learning rate"),
-        (b'"learning_rate":0.001', b'"learning_rate":Infinity', "learning rate"),
-        (b'"learning_rate":0.001', b'"learning_rate":0.0', "learning rate"),
-        (b'"learning_rate":0.001', b'"learning_rate":-0.001', "learning rate"),
+        (b'"copies":10', b'"copies":0', "copies"),
+        (b'"copies":10', b'"copies":-1', "copies"),
+        (b'"copies":10', b'"copies":true', "copies"),
+        (b'"copies":10', b'"copies":10.0', "copies"),
+        (b'"noise_scale":0.25', b'"noise_scale":NaN', "noise_scale"),
+        (b'"noise_scale":0.25', b'"noise_scale":Infinity', "scale must be finite"),
+        (b'"noise_scale":0.25', b'"noise_scale":0.0', "noise_scale"),
+        (b'"noise_scale":0.25', b'"noise_scale":-0.25', "noise_scale"),
         (b'"step_count":0', b'"step_count":-5', "step count"),
         (b'"step_count":0', b'"step_count":Infinity', "infinity"),
         (b'"hidden_widths":[8]', b'"hidden_widths":[Infinity]', "infinity"),
         (b'"activation":"tanh"', b'"activation":"swish"', "activation"),
         (b'"seed":3', b'"seed":3,"bogus":1', "bogus"),
         (b'"seed":3,', b'', "seed"),                 # missing key without default
+        (b',"copies":10', b'', "copies"),            # a version 2 header lacks it
     ])
     def test_out_of_range_header_value_rejected(self, tmp_path, old, new, reason):
         path = saved_small(tmp_path)
-        blob = field._header_bytes(SMALL, 1e-3, 0)
+        blob = field._header_bytes(SMALL, INIT, 0)
+        assert blob.count(old) == 1
         rewrite_header(path, blob.replace(old, new))
         with pytest.raises(ValueError, match="malformed checkpoint header") as err:
             field.load_checkpoint(path)
@@ -694,30 +706,36 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="malformed checkpoint header"):
             field.load_checkpoint(path)
 
-    @pytest.mark.parametrize("learning_rate, step_count", [
+    @pytest.mark.parametrize("noise_scale, step_count", [
         (float("nan"), 0), (0.0, 0), (-1e-3, 0), (1e-3, -1)])
-    def test_save_rejects_out_of_range_values(self, tmp_path, learning_rate,
+    def test_save_rejects_out_of_range_values(self, tmp_path, noise_scale,
                                               step_count):
         state = field.init_model(SMALL)
         state = field.ModelState(state.config, state.weights,
                                  state.ema_weights, step_count)
-        opt = field.init_optimizer(state, learning_rate=learning_rate)
         path = tmp_path / "model.ckpt"
         with pytest.raises(ValueError):
-            field.save_checkpoint(path, state, opt)
+            field.save_checkpoint(path, state, (10, noise_scale))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("copies", [0, -3, True, 2.0, "2"])
+    def test_save_rejects_copies_that_are_not_a_count(self, tmp_path, copies):
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValueError, match="copies must be an integer >= 1"):
+            field.save_checkpoint(path, field.init_model(SMALL), (copies, 0.25))
+        assert not path.exists()
 
     @pytest.mark.parametrize("name", field._CHECKPOINT_ARRAYS)
     def test_save_rejects_non_finite_array(self, tmp_path, name):
         finite = field.init_model(SMALL).weights
         arrays = [finite.copy() for _ in field._CHECKPOINT_ARRAYS]
         arrays[field._CHECKPOINT_ARRAYS.index(name)][-1] = np.nan
-        weights, ema_weights, m, v = arrays
+        weights, ema_weights = arrays
         state = field.ModelState(SMALL, weights, ema_weights, 0)
-        opt = field.OptimizerState(1e-3, m=m, v=v)
         path = tmp_path / "model.ckpt"
         with pytest.raises(ValueError,
                            match=f"array '{name}' holds a value that is not finite"):
-            field.save_checkpoint(path, state, opt)
+            field.save_checkpoint(path, state, INIT)
         assert not path.exists()
 
     def test_load_rejects_non_finite_array(self, tmp_path):
@@ -726,7 +744,7 @@ class TestCheckpoint:
         path = saved_small(tmp_path)
         raw = bytearray(path.read_bytes())
         count = field.parameter_count(SMALL)
-        start = len(raw) - 4 * 8 * count
+        start = len(raw) - 2 * 8 * count
         for array, value in ((0, np.nan), (1, np.inf)):
             offset = start + 8 * array * count
             raw[offset:offset + 8] = np.array([value], dtype="<f8").tobytes()
@@ -767,12 +785,27 @@ class TestCheckpoint:
             field.load_checkpoint(path)
         assert str(err.value) == f"{path}: unsupported checkpoint version 1"
 
+    def test_version_2_file_rejected(self, tmp_path):
+        # The version 2 layout: the learning rate in place of the initial
+        # distribution, and Adam's moments after the two weight arrays.
+        state = field.init_model(SMALL)
+        count = field.parameter_count(SMALL)
+        blob = (b'{"config":{"activation":"tanh","hidden_widths":[8],'
+                b'"seed":3,"time_embed_dim":4,"zero_init_output":true},'
+                b'"learning_rate":0.001,"step_count":0}')
+        path = tmp_path / "v2.ckpt"
+        path.write_bytes(field.CHECKPOINT_MAGIC + struct.pack("<IQ", 2, len(blob))
+                         + blob + state.weights.tobytes() * 2
+                         + bytes(16 * count))
+        with pytest.raises(ValueError) as err:
+            field.load_checkpoint(path)
+        assert str(err.value) == f"{path}: unsupported checkpoint version 2"
+
 
 def saved_small(tmp_path):
-    """Path of a checkpoint of a fresh SMALL model, learning rate 1e-3."""
-    state = field.init_model(SMALL)
+    """Path of a checkpoint of a fresh SMALL model that carries INIT."""
     path = tmp_path / "model.ckpt"
-    field.save_checkpoint(path, state, field.init_optimizer(state, learning_rate=1e-3))
+    field.save_checkpoint(path, field.init_model(SMALL), INIT)
     return path
 
 
@@ -800,7 +833,7 @@ class TestCheckpointFuzz:
         state, opt = field.apply_gradient(state, opt, grad)
         state = field.ema_update(state, 0.9)
         path = tmp_path_factory.mktemp("fuzz") / "small.ckpt"
-        field.save_checkpoint(path, state, opt)
+        field.save_checkpoint(path, state, (3, 0.1))
         return path.read_bytes()
 
     def test_every_truncation_raises_value_error(self, raw, tmp_path):
@@ -820,11 +853,11 @@ class TestCheckpointFuzz:
             flipped[bit // 8] ^= 1 << (bit % 8)
             path.write_bytes(flipped)
             try:
-                state, opt = field.load_checkpoint(path)
+                state, init = field.load_checkpoint(path)
             except ValueError:
                 continue
             loaded_count += 1
-            field.save_checkpoint(resaved, state, opt)
+            field.save_checkpoint(resaved, state, init)
             assert resaved.read_bytes() == bytes(flipped)
-        # every flip inside the four arrays loads
-        assert loaded_count >= 8 * 8 * 4 * field.parameter_count(self.CONFIG)
+        # every flip inside the two arrays loads
+        assert loaded_count >= 8 * 8 * 2 * field.parameter_count(self.CONFIG)

@@ -101,6 +101,24 @@ class TestGuidedField:
                                    use_ema=False)
         assert np.array_equal(got, u_null + 6.0 * (u_cond - u_null))
 
+    @pytest.mark.parametrize("w, passes", [
+        (1.0, ["cond"]), (0.0, ["null"]), (3.0, ["cond", "null"])])
+    def test_runs_only_the_forwards_its_weight_reads(self, monkeypatch, w,
+                                                     passes):
+        # sampler calls field.forward by the name it imported
+        seen = []
+
+        def spy(state, t, x_t, condition, **kwargs):
+            seen.append("null" if condition is None else "cond")
+            return field.forward(state, t, x_t, condition, **kwargs)
+
+        monkeypatch.setattr(sampler, "forward", spy)
+        rng = np.random.default_rng(4)
+        pts, scan = random_cloud(rng, 10), random_cloud(rng, 5)
+        sampler.guided_field(random_model(5), 0.3, pts, scan, w=w,
+                             use_ema=False)
+        assert seen == passes
+
 
 class TestEulerIntegrate:
     def test_zero_field_is_identity_flow(self):

@@ -165,8 +165,12 @@ class TestSpecValidation:
         (dict(dropout=1.5), r"dropout must be in \[0, 1\]"),
         (dict(budget=0), "scan budget must be >= 1"),
         (dict(budget=-3), "scan budget must be >= 1"),
+        # constructing the spec allocates nothing; casting 1.2e10 rays would
+        (dict(azimuth_count=10 ** 9), "12000000000 rays exceeds MAX_SCAN_RAYS"),
+        (dict(azimuth_count=scenes.MAX_SCAN_RAYS + 1, elevation_count=1),
+         "rays exceeds MAX_SCAN_RAYS"),
     ], ids=["max_range", "azimuths", "elevations", "dropout", "budget_zero",
-            "budget_negative"])
+            "budget_negative", "rays_1e9_azimuths", "rays_one_over_cap"])
     def test_scan_spec_rejects(self, changes, message):
         with pytest.raises(ValueError, match=message):
             scan_spec(**changes)
@@ -174,10 +178,22 @@ class TestSpecValidation:
     @pytest.mark.parametrize("changes, message", [
         (dict(ground_half_extent=0.0), "ground extent must be positive"),
         (dict(density=0.0), "density must be positive"),
-    ], ids=["extent", "density"])
+        (dict(ground_half_extent=1e308), "ground area overflows"),
+        (dict(ground_half_extent=1e200), "ground area overflows"),
+        (dict(density=1e12), r"6.4e\+13 expected ground points exceeds "
+                             "MAX_GROUND_POINTS"),
+        # a tiny density does not save an extent whose area overflows
+        (dict(ground_half_extent=1e160, density=1e-300), "ground area overflows"),
+    ], ids=["extent", "density", "extent_1e308", "extent_1e200",
+            "density_1e12", "extent_1e160_sparse"])
     def test_scene_spec_rejects(self, changes, message):
         with pytest.raises(ValueError, match=message):
             scene_spec(**changes)
+
+    def test_sizes_at_the_caps_are_accepted(self):
+        # 1000 x 1000 rays, and exactly MAX_GROUND_POINTS expected points
+        scan_spec(azimuth_count=1000, elevation_count=1000)
+        scene_spec(ground_half_extent=0.5, density=float(scenes.MAX_GROUND_POINTS))
 
     @pytest.mark.parametrize("value", NON_FINITE)
     @pytest.mark.parametrize("name", ["ground_half_extent", "density"])
@@ -339,6 +355,22 @@ class TestRandomSceneSpecExtent:
         monkeypatch.setattr(np.random, "default_rng", no_draws)
         with pytest.raises(ValueError, match=name):
             random_spec(0, **{name: value})
+
+    @pytest.mark.parametrize("extent, density, message", [
+        (1e308, 60.0, "ground area overflows"),
+        (1e200, 60.0, "ground area overflows"),
+        (4.0, 1e12, "exceeds MAX_GROUND_POINTS"),
+    ], ids=["extent_1e308", "extent_1e200", "density_1e12"])
+    def test_oversized_rejected_before_any_draw(self, extent, density, message,
+                                                monkeypatch):
+        # 1e308 failed in the placement draws, 1e200 in generate_scene's
+        # area and 1e12 in numpy's allocator
+        def no_draws(*args, **kwargs):
+            raise AssertionError("rng built before the size check")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(ValueError, match=message):
+            random_spec(0, ground_half_extent=extent, density=density)
 
     def test_smallest_extent_places_every_seed(self):
         # In a child process, so that a placement loop that never ends
