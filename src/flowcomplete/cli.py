@@ -74,11 +74,8 @@ def cmd_make_data(cfg: RunConfig, out_dir: str) -> int:
     return 0
 
 
-def _load_dataset(data_dir: Path):
-    """The (scene, scan) clouds of every case in the dataset's manifest."""
-    entries = cloud_io.read_manifest(data_dir / "manifest.tsv")
-    if not entries:
-        raise RuntimeError(f"no cases listed in {data_dir}/manifest.tsv")
+def _load_dataset(data_dir: Path, entries):
+    """The (scene, scan) clouds of the dataset's manifest entries."""
 
     def load(path):
         # training indexes every scene and scan, which fails on an empty one
@@ -92,6 +89,11 @@ def _load_dataset(data_dir: Path):
 
 
 def cmd_train(cfg: RunConfig, data_dir: str, out_path: str) -> int:
+    # a dataset without cases fails before the checkpoint's directory exists
+    data = Path(data_dir)
+    entries = cloud_io.read_manifest(data / "manifest.tsv")
+    if not entries:
+        raise RuntimeError(f"no cases listed in {data}/manifest.tsv")
     Path(out_path).parent.mkdir(parents=True, exist_ok=True)
 
     def log(step, epoch, report):
@@ -103,7 +105,7 @@ def cmd_train(cfg: RunConfig, data_dir: str, out_path: str) -> int:
     try:
         # Only fit holds the loaded clouds, so they are freed once it has
         # indexed the scenes.
-        state, _ = train.fit(_load_dataset(Path(data_dir)), cfg, on_step=log)
+        state, _ = train.fit(_load_dataset(data, entries), cfg, on_step=log)
     except train.Diverged as exc:
         # keep the last finite state so the run is not a total loss
         field.save_checkpoint(out_path, exc.state, init)

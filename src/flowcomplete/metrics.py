@@ -3,14 +3,14 @@ Jensen-Shannon divergence, and voxel occupancy IoU.
 
 The chamfer metric is the mean-distance reporting variant in meters (the
 summed-squared form drives training, not evaluation). JSD uses natural
-log, so values live in [0, ln 2]. Reports serialize to flat key-value
-text and parse back losslessly.
+log, so values live in [0, ln 2]. A report serializes to six fixed
+`key = value` lines and parses back losslessly.
 """
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,17 +18,22 @@ from .cloud_io import split_lines
 from .geometry import (as_cloud, bev_histogram, nearest_sq_dists, neighbor_index,
                        voxel_keys)
 
-# Voxel IoU is reported on grids anchored at the world origin.
+# Voxel IoU is reported on grids anchored at the world origin, from coarse
+# to fine.
 IOU_RESOLUTIONS = (0.5, 0.2, 0.1)
+# The lines of a report, in the order format_report writes them.
+REPORT_KEYS = ("cd_m", "jsd", *(f"voxel_iou@{res!r}" for res in IOU_RESOLUTIONS),
+               "wall_time_s")
 
 
 @dataclass(frozen=True)
 class EvalReport:
-    """One prediction/ground-truth comparison."""
+    """One prediction/ground-truth comparison; voxel_iou maps each of
+    IOU_RESOLUTIONS to its IoU."""
     cd_m: float
     jsd: float
-    voxel_iou: dict = field(default_factory=dict)
-    wall_time_s: float = 0.0
+    voxel_iou: dict
+    wall_time_s: float
 
 
 def eval_chamfer(pred, gt) -> float:
@@ -100,82 +105,58 @@ def evaluate(pred, gt, bev_resolution: float, bev_extent) -> EvalReport:
 
 
 def format_report(report: EvalReport) -> str:
-    """Flat `key = value` text; float repr keeps full precision."""
-    lines = [
-        f"cd_m = {report.cd_m!r}",
-        f"jsd = {report.jsd!r}",
-    ]
-    for res in sorted(report.voxel_iou, reverse=True):
-        lines.append(f"voxel_iou@{res!r} = {report.voxel_iou[res]!r}")
-    lines.append(f"wall_time_s = {report.wall_time_s!r}")
-    return "\n".join(lines) + "\n"
+    """Six `key = value` lines in REPORT_KEYS order; float repr keeps full
+    precision."""
+    values = (report.cd_m, report.jsd,
+              *(report.voxel_iou[res] for res in IOU_RESOLUTIONS),
+              report.wall_time_s)
+    return "".join(f"{key} = {value!r}\n" for key, value in zip(REPORT_KEYS, values))
 
 
 def parse_report(text: str) -> EvalReport:
     """Inverse of format_report; lines end as `cloud_io.split_lines` says.
 
+    The text holds the six REPORT_KEYS lines in that order, spaces free
+    around each `=`, and after them only blank lines.
+
     Raises:
-        ValueError: naming the line, on a line that is not `key = value`,
-            a value that is not a finite number, a repeated key, or a
-            `voxel_iou@` resolution that is not a finite positive number;
-            also on a report without cd_m or jsd.
+        ValueError: naming the line, on a missing line, a line whose key is
+            not the one expected there, a value that is not a finite
+            number, or text after `wall_time_s`.
     """
-    values = {}
-    iou = {}
-    for lineno, raw in enumerate(split_lines(text), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        number = _report_float(value, lineno, "bad number")
+    lines = split_lines(text)
+    values = []
+    for lineno, key in enumerate(REPORT_KEYS, start=1):
+        raw = lines[lineno - 1] if lineno <= len(lines) else ""
+        if not raw.strip():
+            raise ValueError(f"line {lineno}: missing {key!r}")
+        name, eq, value = raw.partition("=")
+        if not eq or name.strip() != key:
+            raise ValueError(f"line {lineno}: expected '{key} = <number>', "
+                             f"got {raw!r}")
+        try:
+            number = float(value)
+        except ValueError:
+            raise ValueError(f"line {lineno}: bad number {value.strip()!r}") from None
         if not math.isfinite(number):
-            raise ValueError(f"line {lineno}: {key} is not finite: {value!r}")
-        table, name = values, key
-        if key.startswith("voxel_iou@"):
-            res = key[len("voxel_iou@"):]
-            table, name = iou, _report_float(res, lineno, "bad voxel_iou resolution")
-            if not 0.0 < name < math.inf:
-                raise ValueError(f"line {lineno}: voxel_iou resolution must be "
-                                 f"finite and positive, got {res!r}")
-        if name in table:
-            raise ValueError(f"line {lineno}: repeated key {key!r}")
-        table[name] = number
-    missing = {"cd_m", "jsd"} - values.keys()
-    if missing:
-        raise ValueError(f"report missing keys: {sorted(missing)}")
-    return EvalReport(
-        cd_m=values["cd_m"],
-        jsd=values["jsd"],
-        voxel_iou=iou,
-        wall_time_s=values.get("wall_time_s", 0.0),
-    )
-
-
-def _report_float(text: str, lineno: int, what: str) -> float:
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ValueError(f"line {lineno}: {what} {text!r}") from exc
+            raise ValueError(f"line {lineno}: {key} is not finite: {value.strip()!r}")
+        values.append(number)
+    for lineno, raw in enumerate(lines[len(REPORT_KEYS):], start=len(REPORT_KEYS) + 1):
+        if raw.strip():
+            raise ValueError(f"line {lineno}: text after wall_time_s: {raw!r}")
+    return EvalReport(cd_m=values[0], jsd=values[1],
+                      voxel_iou=dict(zip(IOU_RESOLUTIONS, values[2:-1])),
+                      wall_time_s=values[-1])
 
 
 def mean_report(reports) -> EvalReport:
-    """Per-metric mean over reports; the wall time is their sum.
-
-    Each IoU resolution is averaged over the reports that have it.
-    """
+    """Per-metric mean over reports; the wall time is their sum."""
     reports = list(reports)
-    resolutions = {res for rep in reports for res in rep.voxel_iou}
     return EvalReport(
         cd_m=float(np.mean([rep.cd_m for rep in reports])),
         jsd=float(np.mean([rep.jsd for rep in reports])),
-        voxel_iou={
-            res: float(np.mean([rep.voxel_iou[res] for rep in reports
-                                if res in rep.voxel_iou]))
-            for res in resolutions
-        },
+        voxel_iou={res: float(np.mean([rep.voxel_iou[res] for rep in reports]))
+                   for res in IOU_RESOLUTIONS},
         wall_time_s=float(np.sum([rep.wall_time_s for rep in reports])),
     )
 
@@ -190,16 +171,11 @@ def format_table(rows) -> str:
     if not rows:
         raise ValueError("no reports to tabulate")
     mean = mean_report(rep for _, rep in rows)
-    resolutions = sorted(mean.voxel_iou, reverse=True)
-    header = ["case", "cd[m]", "jsd"] + [f"iou@{res:g}m" for res in resolutions]
+    header = ["case", "cd[m]", "jsd"] + [f"iou@{res:g}m" for res in IOU_RESOLUTIONS]
 
     def cells(label, rep):
-        out = [label, f"{rep.cd_m:.6f}", f"{rep.jsd:.6f}"]
-        out += [
-            f"{rep.voxel_iou[res]:.4f}" if res in rep.voxel_iou else "-"
-            for res in resolutions
-        ]
-        return out
+        return [label, f"{rep.cd_m:.6f}", f"{rep.jsd:.6f}",
+                *(f"{rep.voxel_iou[res]:.4f}" for res in IOU_RESOLUTIONS)]
 
     body = [cells(label, rep) for label, rep in rows]
     body.append(cells("mean", mean))

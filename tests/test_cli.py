@@ -148,6 +148,22 @@ class TestTrain:
         assert code == 2
         assert "nope" in err
 
+    @pytest.mark.parametrize("manifest", [None, ""], ids=["missing", "empty"])
+    def test_bad_manifest_makes_no_checkpoint_directory(
+            self, manifest, tmp_path, monkeypatch, capsys):
+        data = tmp_path / "nodata"
+        if manifest is not None:
+            data.mkdir()
+            (data / "manifest.tsv").write_text(manifest)
+        code, _, err = run_cli(
+            ["train", "--data", str(data),
+             "--out", str(tmp_path / "newdir" / "m.ckpt")],
+            monkeypatch, capsys,
+        )
+        assert code == 2
+        assert "manifest.tsv" in err
+        assert not (tmp_path / "newdir").exists()
+
     def test_empty_scan_names_the_file(self, dataset, tmp_path, monkeypatch,
                                        capsys):
         scan = dataset / cloud_io.read_manifest(dataset / "manifest.tsv")[1].scan_path

@@ -15,6 +15,9 @@ from oracles import (cell_span_product, chamfer_mean_exhaustive, jsd_direct,
                      voxel_cells_recount)
 
 EXTENT = (-2.0, 2.0, -2.0, 2.0)
+# a report as format_report writes it
+REPORT = ("cd_m = 0.5\njsd = 0.125\nvoxel_iou@0.5 = 0.75\nvoxel_iou@0.2 = 0.5\n"
+          "voxel_iou@0.1 = 0.25\nwall_time_s = 0.01\n")
 
 
 def random_cloud(rng, n, scale=1.0):
@@ -258,7 +261,7 @@ print("ok")
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError, match="line 1"):
             metrics.parse_report("not a report\n")
-        with pytest.raises(ValueError, match="missing"):
+        with pytest.raises(ValueError, match="line 2: missing 'jsd'"):
             metrics.parse_report("cd_m = 0.5\n")
         with pytest.raises(ValueError, match="bad number"):
             metrics.parse_report("cd_m = abc\n")
@@ -271,7 +274,7 @@ print("ok")
         ("cd_m = 0.5\njsd = inf\n", 2),
         ("cd_m = 0.5\njsd = -inf\n", 2),
         ("cd_m = 0.5\njsd = 0.1\nvoxel_iou@0.5 = NaN\n", 3),
-        ("cd_m = 0.5\njsd = 0.1\nwall_time_s = inf\n", 3),
+        (REPORT[:REPORT.index("wall_time_s")] + "wall_time_s = inf\n", 6),
     ])
     def test_parse_rejects_non_finite_values(self, text, lineno):
         with pytest.raises(ValueError, match=f"line {lineno}: .* is not finite"):
@@ -283,14 +286,48 @@ print("ok")
     ])
     def test_parse_rejects_repeated_keys(self, text):
         lineno = len(text.splitlines())
-        with pytest.raises(ValueError, match=f"line {lineno}: repeated key"):
+        with pytest.raises(ValueError, match=f"line {lineno}: expected 'voxel_iou@"):
             metrics.parse_report(text)
 
     @pytest.mark.parametrize("res", ["abc", "", "0", "-0.5", "inf", "nan"])
     def test_parse_rejects_bad_iou_resolutions(self, res):
         text = f"cd_m = 0.5\njsd = 0.1\nvoxel_iou@{res} = 0.9\n"
-        with pytest.raises(ValueError, match="line 3: .*resolution"):
+        with pytest.raises(ValueError, match="line 3: expected 'voxel_iou@0.5 = "):
             metrics.parse_report(text)
+
+    def test_parse_reads_what_format_writes(self):
+        # spaces around `=`, any line end and trailing blank lines are free
+        want = metrics.parse_report(REPORT)
+        assert metrics.format_report(want) == REPORT
+        loose = REPORT.replace(" = ", "=").replace("\n", "\r\n") + "\n \n"
+        assert metrics.parse_report(loose) == want
+
+    @pytest.mark.parametrize("text, lineno", [
+        pytest.param(REPORT + "foo = 3\n", 7, id="unknown-key"),
+        pytest.param(REPORT.replace("jsd", "foo"), 2, id="unknown-key-in-place"),
+        pytest.param(REPORT.replace("voxel_iou@0.2 = 0.5\n", ""), 4,
+                     id="missing-line"),
+        pytest.param(REPORT.replace("voxel_iou@0.2 = 0.5\nvoxel_iou@0.1 = 0.25\n",
+                                    "voxel_iou@0.1 = 0.25\nvoxel_iou@0.2 = 0.5\n"),
+                     4, id="swapped-lines"),
+        pytest.param("# a comment\n" + REPORT, 1, id="comment"),
+        pytest.param(REPORT + "\n# end\n", 8, id="text-after-wall-time"),
+        pytest.param(REPORT[:REPORT.index("wall_time_s")], 6, id="no-wall-time"),
+        pytest.param(REPORT.replace("jsd = 0.125\n", "jsd = 0.125\n\n"), 3,
+                     id="blank-line-inside"),
+    ])
+    def test_parse_rejects_what_format_never_writes(self, text, lineno):
+        with pytest.raises(ValueError, match=f"^line {lineno}: "):
+            metrics.parse_report(text)
+
+    def test_mean_report_round_trip(self):
+        rng = np.random.default_rng(12)
+        reports = [metrics.evaluate(random_cloud(rng, 30), random_cloud(rng, 30),
+                                    0.5, EXTENT)
+                   for _ in range(3)]
+        mean = metrics.mean_report(reports)
+        assert set(mean.voxel_iou) == set(metrics.IOU_RESOLUTIONS)
+        assert metrics.parse_report(metrics.format_report(mean)) == mean
 
     def test_table_contains_mean_row(self):
         rng = np.random.default_rng(11)
