@@ -119,15 +119,16 @@ def cmd_train(cfg: RunConfig, data_dir: str, out_path: str) -> int:
 def cmd_complete(cfg: RunConfig, checkpoint_path: str, scan_path: str,
                  out_path: str, given) -> int:
     cloud_io._is_text(out_path)  # an unknown output format fails before any work
-    # x0 is drawn as the field's training clouds were; `given` maps each
-    # key that a file line or flag set to where, and such a value must agree
+    # `given` maps each key that a file line or flag set to where; such a value
+    # must be the checkpoint's, bar the seed, which draws complete's own x0
     state, (copies, noise_scale) = field.load_checkpoint(checkpoint_path)
-    for key, trained in (("copies", copies), ("noise_scale", noise_scale)):
+    trained = {**dataclasses.asdict(state.config), "copies": copies, "noise_scale": noise_scale}
+    for key, where in given.items():
         value = getattr(cfg, key)
-        if key in given and value != trained:
+        if key != "seed" and key in trained and value != trained[key]:
             raise UsageError(
-                f"{given[key]}: config key {key!r}: {value!r} differs from "
-                f"{trained!r}, the value {checkpoint_path} was trained with")
+                f"{where}: config key {key!r}: {value!r} differs from "
+                f"{trained[key]!r}, the value {checkpoint_path} was trained with")
     scan = cloud_io.read_cloud(scan_path)
     try:
         x0 = coupling.noisy_initial_cloud(

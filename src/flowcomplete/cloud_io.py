@@ -9,6 +9,7 @@ manifest is a tab-separated index of dataset cases.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import PurePath
 
@@ -63,12 +64,10 @@ def _parse_row(line: str, path, lineno: int) -> list:
         raise ValueError(
             f"{path}: line {lineno}: expected 3 coordinates, got {len(parts)}"
         )
-    try:
-        return [float(p) for p in parts]
-    except ValueError:
-        raise ValueError(
-            f"{path}: line {lineno}: bad coordinate in {line!r}"
-        ) from None
+    values = [parse_number(p) for p in parts]
+    if None in values:
+        raise ValueError(f"{path}: line {lineno}: bad coordinate in {line!r}")
+    return values
 
 
 def _read_xyz(path) -> np.ndarray:
@@ -148,12 +147,9 @@ def _read_ply(path) -> np.ndarray:
                 raise ValueError(f"{path}: PLY element {words[1]!r} comes "
                                  "before vertex; vertex must be the first element")
             if in_vertex:
-                try:
-                    vertex_count = int(words[2])
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: bad PLY vertex count {words[2]!r}"
-                    ) from None
+                vertex_count = parse_number(words[2], int)
+                if vertex_count is None:
+                    raise ValueError(f"{path}: bad PLY vertex count {words[2]!r}")
                 if vertex_count < 0:
                     raise ValueError(f"{path}: negative PLY vertex count {vertex_count}")
         elif words[0] == "property" and in_vertex:
@@ -246,6 +242,19 @@ def split_lines(text: str) -> list:
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
+def parse_number(text: str, kind=float):
+    """The finite `kind` (int or float) that Python reads from `text`, or
+    None. Only ASCII spellings without an underscore count, so `1_0` and
+    non-ASCII digits, which no writer here produces, are rejected."""
+    if not text.isascii() or "_" in text:
+        return None
+    try:
+        value = kind(text)
+    except ValueError:
+        return None
+    return value if kind is int or math.isfinite(value) else None
+
+
 def read_utf8(path) -> str:
     """The file's text; a body that is not UTF-8 raises a ValueError
     naming the file and the line (counted by :func:`split_lines`)."""
@@ -284,11 +293,8 @@ def read_manifest(path):
                     f"{path}: line {lineno}: {kind} path {rel!r} must be "
                     "relative, without '..' parts"
                 )
-        try:
-            seed = int(parts[3])
-        except ValueError:
-            raise ValueError(
-                f"{path}: line {lineno}: bad seed {parts[3]!r}"
-            ) from None
+        seed = parse_number(parts[3], int)
+        if seed is None:
+            raise ValueError(f"{path}: line {lineno}: bad seed {parts[3]!r}")
         entries.append(ManifestEntry(parts[0], parts[1], parts[2], seed))
     return entries

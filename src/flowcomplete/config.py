@@ -13,7 +13,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .cloud_io import read_utf8, split_lines
+from .cloud_io import parse_number, read_utf8, split_lines
 from .coupling import NoiseConfig
 from .field import FieldConfig
 from .geometry import bev_grid_shape
@@ -155,30 +155,19 @@ def _parse_value(name: str, text: str):
         if lowered in ("false", "0", "no", "off"):
             return False
         raise ValueError(f"config key {name!r}: expected a boolean, got {text!r}")
-    if isinstance(default, int):
-        try:
-            return int(text)
-        except ValueError:
-            raise ValueError(
-                f"config key {name!r}: expected an integer, got {text!r}"
-            ) from None
-    if isinstance(default, float):
-        try:
-            value = float(text)
-        except ValueError:
-            value = math.nan  # not a number: rejected with the non-finite ones
-        if not math.isfinite(value):
-            raise ValueError(
-                f"config key {name!r}: expected a finite number, got {text!r}"
-            )
+    if isinstance(default, (int, float)):
+        value = parse_number(text, type(default))
+        if value is None:
+            expected = "an integer" if isinstance(default, int) else "a finite number"
+            raise ValueError(f"config key {name!r}: expected {expected}, got {text!r}")
         return value
     if isinstance(default, tuple):  # hidden_widths: comma-separated ints, none empty
-        try:
-            return tuple(int(part) for part in text.split(","))
-        except ValueError:
+        widths = tuple(parse_number(part, int) for part in text.split(","))
+        if None in widths:
             raise ValueError(
                 f"config key {name!r}: expected comma-separated integers, got {text!r}"
-            ) from None
+            )
+        return widths
     return text
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -58,6 +59,12 @@ class FieldConfig:
     zero_init_output: bool = True
 
     def __post_init__(self):
+        # numpy integers pass; int() must not truncate a float to a size
+        for name in ("hidden_widths", "time_embed_dim", "seed"):
+            value = getattr(self, name)
+            for v in value if name == "hidden_widths" else (value,):
+                if not isinstance(v, numbers.Integral):
+                    raise ValueError(f"{name}: {v!r} is not an integer")
         object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
         object.__setattr__(self, "time_embed_dim", int(self.time_embed_dim))
         object.__setattr__(self, "seed", int(self.seed))

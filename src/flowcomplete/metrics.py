@@ -8,13 +8,12 @@ log, so values live in [0, ln 2]. A report serializes to six fixed
 """
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud_io import split_lines
+from .cloud_io import parse_number, split_lines
 from .geometry import (as_cloud, bev_histogram, nearest_sq_dists, neighbor_index,
                        voxel_keys)
 
@@ -134,12 +133,9 @@ def parse_report(text: str) -> EvalReport:
         if not eq or name.strip() != key:
             raise ValueError(f"line {lineno}: expected '{key} = <number>', "
                              f"got {raw!r}")
-        try:
-            number = float(value)
-        except ValueError:
-            raise ValueError(f"line {lineno}: bad number {value.strip()!r}") from None
-        if not math.isfinite(number):
-            raise ValueError(f"line {lineno}: {key} is not finite: {value.strip()!r}")
+        number = parse_number(value)
+        if number is None:
+            raise ValueError(f"line {lineno}: {key} is not a finite number: {value.strip()!r}")
         values.append(number)
     for lineno, raw in enumerate(lines[len(REPORT_KEYS):], start=len(REPORT_KEYS) + 1):
         if raw.strip():

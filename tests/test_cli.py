@@ -344,8 +344,9 @@ class TestComplete:
 
 
 class TestInitialDistribution:
-    """`complete` draws x0 from the (copies, noise_scale) that trained the
-    checkpoint; a file line or flag may only repeat them."""
+    """`complete` runs the checkpoint's model on x0 drawn from the (copies,
+    noise_scale) that trained it; a file line or flag may only repeat the
+    values its header records, the seed aside."""
 
     @pytest.fixture(scope="class")
     def trained(self, tmp_path_factory):
@@ -390,8 +391,17 @@ class TestInitialDistribution:
         # the flag is the value that stands, and it differs
         (["--copies", "2"], "copies = 3\n",
          "flag --copies: config key 'copies': 2 differs from 3"),
+        # the model keys the checkpoint records: FAST trains (16, 16), tanh, 8
+        (["--hidden-widths", "128,128"], None,
+         "flag --hidden-widths: config key 'hidden_widths': (128, 128) differs "
+         "from (16, 16)"),
+        (["--activation", "relu"], None,
+         "flag --activation: config key 'activation': 'relu' differs from 'tanh'"),
+        ([], "time_embed_dim = 16\n",
+         "{cfg}: line 1: config key 'time_embed_dim': 16 differs from 8"),
     ], ids=["flag_copies", "flag_noise_scale", "file_noise_scale",
-            "flag_over_equal_file"])
+            "flag_over_equal_file", "flag_hidden_widths", "flag_activation",
+            "file_time_embed_dim"])
     def test_a_differing_value_is_usage_error(self, trained, tmp_path,
                                               monkeypatch, capsys, flags, body,
                                               source):
@@ -418,7 +428,8 @@ class TestInitialDistribution:
         cfgfile.write_text("copies = 3\n")
         outs = []
         for flags in ([], ["--copies", "3", "--noise-scale", "0.10"],
-                      ["--config", str(cfgfile), "--noise-scale", "1e-1"]):
+                      ["--config", str(cfgfile), "--noise-scale", "1e-1"],
+                      ["--hidden-widths", "16,016", "--activation", "tanh"]):
             outs.append(tmp_path / f"c{len(outs)}.ply")
             code, _, err = run_cli(
                 ["complete", *flags, "--checkpoint", str(ckpt),

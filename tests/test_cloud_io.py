@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from flowcomplete import cloud_io
+from flowcomplete import cloud_io, config, metrics
 
 
 def random_cloud(rng, n):
@@ -67,7 +67,7 @@ class TestXyz:
         path.write_text("0 0 0\ninf 1 1\n")
         with pytest.raises(ValueError) as err:
             cloud_io.read_cloud(path)
-        assert str(err.value) == f"{path}: point cloud contains non-finite coordinates"
+        assert str(err.value) == f"{path}: line 2: bad coordinate in 'inf 1 1'"
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = tmp_path / "cloud.xyz"
@@ -199,7 +199,10 @@ class TestPlyBinary:
         )
         with pytest.raises(ValueError) as err:
             cloud_io.read_cloud(path)
-        assert str(err.value) == f"{path}: point cloud contains non-finite coordinates"
+        # a text row names its line; a binary body has no lines
+        reason = ("line 9: bad coordinate in 'nan 0 0'" if fmt == "ascii"
+                  else "point cloud contains non-finite coordinates")
+        assert str(err.value) == f"{path}: {reason}"
 
 
 class TestPlyAscii:
@@ -499,3 +502,128 @@ class TestManifest:
                          b"case-1\tscenes/\xff.ply\tb.ply\t2\r")
         with pytest.raises(ValueError, match="line 2: not valid UTF-8"):
             cloud_io.read_manifest(path)
+
+
+# Hand-typed forms that every text reader takes, with the value each reads
+# as: the same value Python's float() or int() gives.
+STILL_READ_FLOATS = [(".25", 0.25), ("1e-3", 0.001), ("+3", 3.0), ("-0.0", -0.0),
+                     ("007", 7.0), (" 3 ", 3.0)]
+STILL_READ_INTS = [("+3", 3), ("007", 7), (" 3 ", 3)]
+
+
+def same_number(value, want) -> bool:
+    """Equal with the same type and sign, so -0.0 is not 0.0."""
+    return type(value) is type(want) and repr(value) == repr(want)
+
+
+def ascii_ply_text(count: str, row: str) -> str:
+    """An ASCII PLY file with the given vertex count text and one body row."""
+    return ("ply\nformat ascii 1.0\n"
+            f"element vertex {count}\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            f"end_header\n{row}\n")
+
+
+class TestNumberRule:
+    """Every text reader takes a number only in an ASCII spelling without an
+    underscore, and only a finite one, and names the file or line of a
+    number it rejects. The cloud readers decode non-ASCII bytes to U+FFFD,
+    which no number holds, so their tables test `1_0` and non-finite text."""
+
+    @pytest.mark.parametrize("text", ["1_0", "٣", "1e400", "nan", "-inf",
+                                      "0x10", "", "3 4"])
+    def test_parse_number_rejects(self, text):
+        assert cloud_io.parse_number(text) is None
+        assert cloud_io.parse_number(text, int) is None
+
+    @pytest.mark.parametrize("bad", ["1_0", "nan", "1e400"])
+    @pytest.mark.parametrize("name", ["cloud.xyz", "cloud.ply"])
+    def test_row_rejects(self, tmp_path, name, bad):
+        path = tmp_path / name
+        row = f"{bad} 2 3"
+        path.write_text(ascii_ply_text("1", row) if name.endswith(".ply")
+                        else f"0 0 0\n{row}\n")
+        with pytest.raises(ValueError) as err:
+            cloud_io.read_cloud(path)
+        lineno = 8 if name.endswith(".ply") else 2
+        assert str(err.value) == f"{path}: line {lineno}: bad coordinate in {row!r}"
+
+    @pytest.mark.parametrize("text, want", STILL_READ_FLOATS)
+    @pytest.mark.parametrize("name", ["cloud.xyz", "cloud.ply"])
+    def test_row_still_reads(self, tmp_path, name, text, want):
+        path = tmp_path / name
+        row = f"{text} 2 3"
+        path.write_text(ascii_ply_text("1", row) if name.endswith(".ply") else row)
+        assert same_number(float(cloud_io.read_cloud(path)[0, 0]), want)
+
+    @pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
+    def test_vertex_count_rejects(self, tmp_path, fmt):
+        path = tmp_path / "cloud.ply"
+        path.write_bytes(f"ply\nformat {fmt} 1.0\nelement vertex 1_0\n"
+                         "property float x\nproperty float y\nproperty float z\n"
+                         "end_header\n".encode("ascii") + bytes(120))
+        with pytest.raises(ValueError) as err:
+            cloud_io.read_cloud(path)
+        assert str(err.value) == f"{path}: bad PLY vertex count '1_0'"
+
+    @pytest.mark.parametrize("count", ["+1", "001"])
+    def test_vertex_count_still_reads(self, tmp_path, count):
+        path = tmp_path / "cloud.ply"
+        path.write_text(ascii_ply_text(count, "1 2 3"))
+        assert cloud_io.read_cloud(path).tolist() == [[1, 2, 3]]
+
+    @pytest.mark.parametrize("seed", ["1_0", "٣"])
+    def test_manifest_seed_rejects(self, tmp_path, seed):
+        path = tmp_path / "manifest.tsv"
+        path.write_text(f"case-0\ta.ply\tb.ply\t1\ncase-1\ta.ply\tb.ply\t{seed}\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            cloud_io.read_manifest(path)
+        assert str(err.value) == f"{path}: line 2: bad seed {seed!r}"
+
+    @pytest.mark.parametrize("seed, want", STILL_READ_INTS)
+    def test_manifest_seed_still_reads(self, tmp_path, seed, want):
+        path = tmp_path / "manifest.tsv"
+        path.write_text(f"case-0\ta.ply\tb.ply\t{seed}\n")
+        assert same_number(cloud_io.read_manifest(path)[0].seed, want)
+
+    @pytest.mark.parametrize("key, text, expected", [
+        ("epochs", "1_0", "an integer"),
+        ("epochs", "٣", "an integer"),
+        ("guidance", "1_0", "a finite number"),
+        ("guidance", "٣", "a finite number"),
+        ("hidden_widths", "6_4,32", "comma-separated integers"),
+        ("hidden_widths", "64,٣2", "comma-separated integers"),
+    ])
+    def test_config_value_rejects(self, tmp_path, key, text, expected):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"cases = 2\n{key} = {text}\n", encoding="utf-8")
+        flag = f"flag --{key.replace('_', '-')}"
+        for entries, where in ((config.read_config_file(path), f"{path}: line 2"),
+                               ([(key, text, flag)], flag)):
+            with pytest.raises(ValueError) as err:
+                config.build_config(entries)
+            assert str(err.value) == (
+                f"{where}: config key {key!r}: expected {expected}, got {text!r}")
+
+    @pytest.mark.parametrize("key, text, want", [
+        *(("chamfer_weight", text, want) for text, want in STILL_READ_FLOATS),
+        *(("epochs", text, want) for text, want in STILL_READ_INTS),
+        ("hidden_widths", " +16 , 016 ", (16, 16)),
+    ])
+    def test_config_value_still_reads(self, key, text, want):
+        cfg = config.build_config([(key, text, "run.cfg: line 1")])
+        assert same_number(getattr(cfg, key), want)
+
+    @pytest.mark.parametrize("text", ["1_0", "٣", "1e400"])
+    def test_report_value_rejects(self, text):
+        report = f"cd_m = 0.5\njsd = {text}\n"
+        with pytest.raises(ValueError) as err:
+            metrics.parse_report(report)
+        assert str(err.value) == f"line 2: jsd is not a finite number: {text!r}"
+
+    @pytest.mark.parametrize("text, want", STILL_READ_FLOATS)
+    def test_report_value_still_reads(self, text, want):
+        report = (f"cd_m ={text}\njsd = 0.125\nvoxel_iou@0.5 = 0.75\n"
+                  "voxel_iou@0.2 = 0.5\nvoxel_iou@0.1 = 0.25\nwall_time_s = 0.01\n")
+        assert same_number(metrics.parse_report(report).cd_m, want)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowcomplete import coupling, field, geometry, objective
+from flowcomplete import config, coupling, field, geometry, objective
 from oracles import assert_grad_matches_fd, chamfer_assignments, nn_map_exhaustive
 
 SMALL = field.FieldConfig(hidden_widths=(8,), time_embed_dim=4,
@@ -88,6 +88,32 @@ class TestFieldConfig:
         cfg = field.FieldConfig(hidden_widths=(64, 64), time_embed_dim=8,
                                 activation="tanh", seed=0)
         assert cfg.input_dim == 3 + 8 + 5
+
+    @pytest.mark.parametrize("name, value, shown", [
+        ("hidden_widths", (64.7,), "64.7"),
+        ("hidden_widths", (64, 32.0), "32.0"),
+        ("time_embed_dim", 8.0, "8.0"),
+        ("seed", 1.5, "1.5"),
+    ])
+    def test_non_integer_size_rejected(self, name, value, shown):
+        # int() would truncate 64.7 to a width of 64
+        values = {"hidden_widths": (64, 64), "time_embed_dim": 8, "seed": 0,
+                  name: value}
+        with pytest.raises(ValueError) as err:
+            field.FieldConfig(activation="tanh", **values)
+        assert str(err.value) == f"{name}: {shown} is not an integer"
+
+    def test_run_config_rejects_non_integer_width(self):
+        with pytest.raises(ValueError, match="hidden_widths: 64.7 is not an integer"):
+            config.RunConfig(hidden_widths=(64.7,)).validate()
+
+    def test_numpy_integers_accepted(self):
+        cfg = field.FieldConfig(hidden_widths=(np.int64(16), np.int32(8)),
+                                time_embed_dim=np.int16(4), activation="tanh",
+                                seed=np.uint32(3))
+        assert (cfg.hidden_widths, cfg.time_embed_dim, cfg.seed) == ((16, 8), 4, 3)
+        assert all(type(v) is int for v in (*cfg.hidden_widths, cfg.time_embed_dim,
+                                             cfg.seed))
 
 
 class TestTimeEmbedding:
@@ -668,8 +694,11 @@ class TestCheckpoint:
         blob = field._header_bytes(SMALL, INIT, 0)
         assert blob.count(old) == 1
         rewrite_header(path, blob.replace(old, new))
-        with pytest.raises(ValueError, match="differs from the one "
-                           "save_checkpoint writes") as err:
+        # a float size fails FieldConfig's integer rule before the comparison
+        reason = ("malformed checkpoint header: .* is not an integer"
+                  if new in (b'"time_embed_dim":4.0', b'"hidden_widths":[8.0]')
+                  else "differs from the one save_checkpoint writes")
+        with pytest.raises(ValueError, match=reason) as err:
             field.load_checkpoint(path)
         assert str(path) in str(err.value)
 
@@ -684,7 +713,7 @@ class TestCheckpoint:
         (b'"noise_scale":0.25', b'"noise_scale":-0.25', "noise_scale"),
         (b'"step_count":0', b'"step_count":-5', "step count"),
         (b'"step_count":0', b'"step_count":Infinity', "infinity"),
-        (b'"hidden_widths":[8]', b'"hidden_widths":[Infinity]', "infinity"),
+        (b'"hidden_widths":[8]', b'"hidden_widths":[Infinity]', "is not an integer"),
         (b'"activation":"tanh"', b'"activation":"swish"', "activation"),
         (b'"seed":3', b'"seed":3,"bogus":1', "bogus"),
         (b'"seed":3,', b'', "seed"),                 # missing key without default

@@ -263,10 +263,10 @@ print("ok")
             metrics.parse_report("not a report\n")
         with pytest.raises(ValueError, match="line 2: missing 'jsd'"):
             metrics.parse_report("cd_m = 0.5\n")
-        with pytest.raises(ValueError, match="bad number"):
+        with pytest.raises(ValueError, match="line 1: cd_m is not a finite number: 'abc'"):
             metrics.parse_report("cd_m = abc\n")
         # a form feed does not end a line, as in every text format here
-        with pytest.raises(ValueError, match="line 1: bad number"):
+        with pytest.raises(ValueError, match="line 1: cd_m is not a finite number"):
             metrics.parse_report("cd_m = 0.5\x0cjsd = 0.1\n")
 
     @pytest.mark.parametrize("text, lineno", [
@@ -277,7 +277,7 @@ print("ok")
         (REPORT[:REPORT.index("wall_time_s")] + "wall_time_s = inf\n", 6),
     ])
     def test_parse_rejects_non_finite_values(self, text, lineno):
-        with pytest.raises(ValueError, match=f"line {lineno}: .* is not finite"):
+        with pytest.raises(ValueError, match=f"line {lineno}: .* is not a finite number"):
             metrics.parse_report(text)
 
     @pytest.mark.parametrize("text", [
