@@ -57,6 +57,9 @@ def cmd_make_data(cfg: RunConfig, out_dir: str) -> int:
     out = Path(out_dir)
     (out / "scenes").mkdir(parents=True, exist_ok=True)
     (out / "scans").mkdir(parents=True, exist_ok=True)
+    # the manifest is written last, so a run that fails midway leaves none
+    # rather than an earlier run's, which would list this run's files
+    (out / "manifest.tsv").unlink(missing_ok=True)
     entries = []
     for i in range(cfg.cases):
         case_seed = cfg.scene_seed + i

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .cloud_io import parse_number, read_utf8, split_lines
 from .coupling import NoiseConfig
 from .field import FieldConfig
-from .geometry import bev_grid_shape
+from .geometry import bev_grid_shape, check_integer
 from .objective import LossWeights
 from .sampler import SamplerConfig
 from .scenes import ScanSpec, SceneSpec, random_scene_spec
@@ -106,6 +106,10 @@ class RunConfig:
                 raise ValueError(
                     f"config key {name!r}: expected a finite number, got {value!r}"
                 )
+        # the module configs built below check the other integer keys
+        check_integer(cases=self.cases, scene_seed=self.scene_seed,
+                      copies=self.copies, epochs=self.epochs,
+                      batch_size=self.batch_size, max_steps=self.max_steps)
         if self.cases < 0:
             raise ValueError("cases must be >= 0")
         if self.copies < 1:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import FlowSample, NoiseConfig
-from .geometry import as_cloud, nearest_neighbor_map
+from .geometry import as_cloud, check_integer, nearest_neighbor_map
 from .objective import LossReport, LossWeights, total_loss_grad
 
 # Positions and offsets are in meters; squash them to O(1) features so the
@@ -59,12 +59,9 @@ class FieldConfig:
     zero_init_output: bool = True
 
     def __post_init__(self):
-        # numpy integers pass; int() must not truncate a float to a size
-        for name in ("hidden_widths", "time_embed_dim", "seed"):
-            value = getattr(self, name)
-            for v in value if name == "hidden_widths" else (value,):
-                if not isinstance(v, numbers.Integral):
-                    raise ValueError(f"{name}: {v!r} is not an integer")
+        for width in self.hidden_widths:
+            check_integer(hidden_widths=width)
+        check_integer(time_embed_dim=self.time_embed_dim, seed=self.seed)
         object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
         object.__setattr__(self, "time_embed_dim", int(self.time_embed_dim))
         object.__setattr__(self, "seed", int(self.seed))
@@ -365,9 +362,11 @@ def _header_bytes(config: FieldConfig, init, step_count: int) -> bytes:
     `coupling.NoiseConfig` rejects, or a negative step count.
     """
     copies, noise_scale = init
-    if isinstance(copies, bool) or not isinstance(copies, int) or copies < 1:
+    # the integer rule of geometry.check_integer: numpy integers pass
+    if (isinstance(copies, bool) or not isinstance(copies, numbers.Integral)
+            or copies < 1):
         raise ValueError(f"copies must be an integer >= 1, got {copies!r}")
-    noise_scale, step_count = float(noise_scale), int(step_count)
+    copies, noise_scale, step_count = int(copies), float(noise_scale), int(step_count)
     NoiseConfig(scale=noise_scale, seed=0)  # the scale's rule is NoiseConfig's
     if step_count < 0:
         raise ValueError(f"step count must be >= 0, got {step_count}")

@@ -8,6 +8,7 @@ All functions are pure and safe to call concurrently.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,15 @@ def check_finite(**values) -> None:
     for name, value in values.items():
         if not np.all(np.isfinite(value)):
             raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def check_integer(**values) -> None:
+    """Raise a ValueError naming the first of `values` that is not an
+    integer. numpy integers pass; a float fails, since int() would truncate
+    it to a count, and so does a bool, which Python counts as 0 or 1."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name}: {value!r} is not an integer")
 
 
 class DistanceOverflowError(ValueError, FloatingPointError):
@@ -315,26 +325,37 @@ def farthest_point_sample(cloud, count: int, seed: int) -> np.ndarray:
     chosen[0] = int(rng.integers(len(pts)))
     # Squared distances share the argmax with true distances. Summing
     # dx*dx + dy*dy + dz*dz left to right in preallocated buffers gives
-    # the same bits as ((pts - p) ** 2).sum(axis=1).
-    cols = np.ascontiguousarray(pts.T)
+    # the same bits as ((pts - p) ** 2).sum(axis=1), and the buffer's
+    # argmax takes the first maximal index, as np.argmax does. A pick costs
+    # little beyond its ten array passes: the picked row comes as Python
+    # floats from one tolist(), not from three numpy scalar indexings, and
+    # the ufuncs and the bound argmax are looked up once per call, not once
+    # per pick.
+    xs, ys, zs = np.ascontiguousarray(pts.T)
+    rows = pts.tolist()
     d2 = np.empty(len(pts))
     acc = np.empty(len(pts))
     diff = np.empty(len(pts))
+    subtract, multiply, add, minimum = np.subtract, np.multiply, np.add, np.minimum
+    argmax = d2.argmax
 
     def squared_distances(index, out):
-        np.subtract(cols[0], pts[index, 0], out=out)
-        np.multiply(out, out, out=out)
-        for axis in (1, 2):
-            np.subtract(cols[axis], pts[index, axis], out=diff)
-            np.multiply(diff, diff, out=diff)
-            np.add(out, diff, out=out)
+        x, y, z = rows[index]
+        subtract(xs, x, out=out)
+        multiply(out, out, out=out)
+        subtract(ys, y, out=diff)
+        multiply(diff, diff, out=diff)
+        add(out, diff, out=out)
+        subtract(zs, z, out=diff)
+        multiply(diff, diff, out=diff)
+        add(out, diff, out=out)
 
     squared_distances(chosen[0], d2)
     for i in range(1, count):
-        nxt = int(np.argmax(d2))
+        nxt = argmax()
         chosen[i] = nxt
         squared_distances(nxt, acc)
-        np.minimum(d2, acc, out=d2)
+        minimum(d2, acc, out=d2)
     return pts[chosen]
 
 

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import ModelState, forward
-from .geometry import TrackingNeighborIndex, as_cloud, check_finite
+from .geometry import (TrackingNeighborIndex, as_cloud, check_finite,
+                       check_integer)
 
 
 @dataclass(frozen=True)
@@ -24,6 +25,7 @@ class SamplerConfig:
     use_ema: bool
 
     def __post_init__(self):
+        check_integer(steps=self.steps)
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         check_finite(guidance_weight=self.guidance_weight)

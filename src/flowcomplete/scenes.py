@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import as_cloud, check_finite, farthest_point_sample
+from .geometry import as_cloud, check_finite, check_integer, farthest_point_sample
 
 _EPS = 1e-9
 # Smallest ground half extent for random_scene_spec: the widest edge margin
@@ -256,6 +256,10 @@ class ScanSpec:
     elevation_range: tuple = (-0.5, 0.15)  # radians
 
     def __post_init__(self):
+        check_integer(azimuth_count=self.azimuth_count,
+                      elevation_count=self.elevation_count, seed=self.seed)
+        if self.budget is not None:
+            check_integer(budget=self.budget)
         check_finite(origin=self.origin, max_range=self.max_range,
                      elevation_range=self.elevation_range)
         if self.max_range <= 0:

@@ -70,6 +70,22 @@ class TestMakeData:
         scan = cloud_io.read_cloud(dataset / entries[0].scan_path)
         assert len(scan) == 64
 
+    def test_failed_run_leaves_no_manifest(self, tmp_path, monkeypatch, capsys):
+        # scene seed 121 writes cases 000 and 001, then case 002 sees an
+        # empty scan; the manifest of the seed-114 run must not outlive it
+        data = tmp_path / "data"
+        args = ["make-data", "--cases", "6", "--scan-azimuths", "24",
+                "--scan-elevations", "4", "--scan-dropout", "0.93",
+                "--out", str(data)]
+        code, _, err = run_cli([*args, "--scene-seed", "114"], monkeypatch, capsys)
+        assert code == 0, err
+        assert (data / "manifest.tsv").exists()
+        code, _, err = run_cli([*args, "--scene-seed", "121"], monkeypatch, capsys)
+        assert code == 2
+        assert "case case-002: simulated scan is empty" in err
+        assert (data / "scans" / "case-001.ply").exists()
+        assert not (data / "manifest.tsv").exists()
+
 
 class TestTrain:
     def test_zero_epochs_checkpoint_is_initialization(self, dataset, tmp_path,

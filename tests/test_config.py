@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 
+import numpy as np
 import pytest
 
 from flowcomplete import (config, coupling, field, geometry, metrics,
@@ -8,6 +9,12 @@ from flowcomplete import (config, coupling, field, geometry, metrics,
 
 FLOAT_KEYS = [f.name for f in dataclasses.fields(config.RunConfig)
               if isinstance(f.default, float)]
+INT_KEYS = [f.name for f in dataclasses.fields(config.RunConfig)
+            if type(f.default) is int] + ["hidden_widths"]
+# the name an integer error gives: the key of the module config that owns
+# the value, where it is not the run config's own key
+INT_KEY_OWNER = {"scan_azimuths": "azimuth_count",
+                 "scan_elevations": "elevation_count", "scan_budget": "budget"}
 
 # Values that RunConfig (or a caller's own seed) supplies: the classes and
 # functions that take them keep no default of their own.
@@ -235,6 +242,24 @@ class TestBuildConfig:
             cfg = config.RunConfig(**{name: value})
             with pytest.raises(ValueError, match=f"'{name}'.*finite"):
                 cfg.validate()
+
+    @pytest.mark.parametrize("name", INT_KEYS)
+    def test_validate_takes_only_integers_for_integer_keys(self, name):
+        # built directly, as library callers do; int() would truncate a
+        # float, and a bool would count as 0 or 1
+        def given(value):
+            return (value,) if name == "hidden_widths" else value
+
+        shown = INT_KEY_OWNER.get(name, name)
+        for value in (2.5, 2.0, True, False):
+            cfg = config.RunConfig(**{name: given(value)})
+            with pytest.raises(ValueError,
+                               match=f"^{shown}: {value!r} is not an integer$"):
+                cfg.validate()
+        default = getattr(config.RunConfig(), name)
+        value = (tuple(np.int64(w) for w in default) if name == "hidden_widths"
+                 else np.int64(default))
+        config.RunConfig(**{name: value}).validate()
 
     def test_derived_configs(self):
         cfg = config.build_config(flags(bev_half_extent=5.0))

@@ -694,9 +694,11 @@ class TestCheckpoint:
         blob = field._header_bytes(SMALL, INIT, 0)
         assert blob.count(old) == 1
         rewrite_header(path, blob.replace(old, new))
-        # a float size fails FieldConfig's integer rule before the comparison
+        # a float size or a bool seed fails FieldConfig's integer rule
+        # before the comparison
         reason = ("malformed checkpoint header: .* is not an integer"
-                  if new in (b'"time_embed_dim":4.0', b'"hidden_widths":[8.0]')
+                  if new in (b'"time_embed_dim":4.0', b'"hidden_widths":[8.0]',
+                             b'"seed":true')
                   else "differs from the one save_checkpoint writes")
         with pytest.raises(ValueError, match=reason) as err:
             field.load_checkpoint(path)
@@ -753,6 +755,13 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="copies must be an integer >= 1"):
             field.save_checkpoint(path, field.init_model(SMALL), (copies, 0.25))
         assert not path.exists()
+
+    def test_save_takes_numpy_integer_copies(self, tmp_path):
+        # RunConfig.validate passes a numpy integer, so saving must too
+        a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        field.save_checkpoint(a, field.init_model(SMALL), (10, 0.25))
+        field.save_checkpoint(b, field.init_model(SMALL), (np.int64(10), 0.25))
+        assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize("name", field._CHECKPOINT_ARRAYS)
     def test_save_rejects_non_finite_array(self, tmp_path, name):

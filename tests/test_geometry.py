@@ -150,12 +150,20 @@ class TestFarthestPointSample:
         out = geometry.farthest_point_sample(cloud, 2, seed=seed)
         assert out.tolist() == [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]
 
-    @pytest.mark.parametrize("n", [1, 7, 600, 2500])
+    @pytest.mark.parametrize("n", [1, 7, 600, 2500, "lattice"])
     def test_matches_per_pick_loop(self, n):
-        rng = np.random.default_rng(n)
-        cloud = random_cloud(rng, n, scale=4.0)
-        cloud[rng.integers(n, size=n // 4)] = cloud[rng.integers(n, size=n // 4)]
-        count = min(n, 256)
+        if n == "lattice":
+            # the 8x8x8 integer grid ties distinct rows at the maximal
+            # distance, so only the first-index argmax matches the loop
+            axis = np.arange(8.0)
+            cloud = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
+                             axis=-1).reshape(-1, 3)
+            count = 64
+        else:
+            rng = np.random.default_rng(n)
+            cloud = random_cloud(rng, n, scale=4.0)
+            cloud[rng.integers(n, size=n // 4)] = cloud[rng.integers(n, size=n // 4)]
+            count = min(n, 256)
         for seed in range(3):
             fast = geometry.farthest_point_sample(cloud, count, seed=seed)
             assert fast.tobytes() == farthest_point_loop(cloud, count, seed).tobytes()
