@@ -104,7 +104,7 @@ def cmd_train(cfg: RunConfig, data_dir: str, out_path: str) -> int:
               f"chamfer={report.chamfer:.6f} total={report.total:.6f}")
 
     # the initial distribution the field learns from, which `complete` draws
-    init = (cfg.copies, cfg.noise_scale)
+    init = cfg.initial_distribution()
     try:
         # Only fit holds the loaded clouds, so they are freed once it has
         # indexed the scenes.
@@ -124,8 +124,8 @@ def cmd_complete(cfg: RunConfig, checkpoint_path: str, scan_path: str,
     cloud_io._is_text(out_path)  # an unknown output format fails before any work
     # `given` maps each key that a file line or flag set to where; such a value
     # must be the checkpoint's, bar the seed, which draws complete's own x0
-    state, (copies, noise_scale) = field.load_checkpoint(checkpoint_path)
-    trained = {**dataclasses.asdict(state.config), "copies": copies, "noise_scale": noise_scale}
+    state, init = field.load_checkpoint(checkpoint_path)
+    trained = dataclasses.asdict(state.config) | dataclasses.asdict(init)
     for key, where in given.items():
         value = getattr(cfg, key)
         if key != "seed" and key in trained and value != trained[key]:
@@ -134,8 +134,7 @@ def cmd_complete(cfg: RunConfig, checkpoint_path: str, scan_path: str,
                 f"{trained[key]!r}, the value {checkpoint_path} was trained with")
     scan = cloud_io.read_cloud(scan_path)
     try:
-        x0 = coupling.noisy_initial_cloud(
-            scan, copies, coupling.NoiseConfig(noise_scale, seed=cfg.seed))
+        x0 = coupling.noisy_initial_cloud(scan, init, seed=cfg.seed)
     except ValueError as exc:
         raise ValueError(f"{scan_path}: {exc}") from exc
     out = Path(out_path)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .cloud_io import parse_number, read_utf8, split_lines
-from .coupling import NoiseConfig
+from .coupling import InitialDistribution
 from .field import FieldConfig
 from .geometry import bev_grid_shape, check_integer
 from .objective import LossWeights
@@ -67,8 +67,8 @@ class RunConfig:
 
     # ---- derived module configs (constructing them validates ranges) ----
 
-    def noise_config(self, seed: int) -> NoiseConfig:
-        return NoiseConfig(scale=self.noise_scale, seed=seed)
+    def initial_distribution(self) -> InitialDistribution:
+        return InitialDistribution(copies=self.copies, noise_scale=self.noise_scale)
 
     def field_config(self) -> FieldConfig:
         return FieldConfig(hidden_widths=self.hidden_widths,
@@ -108,12 +108,10 @@ class RunConfig:
                 )
         # the module configs built below check the other integer keys
         check_integer(cases=self.cases, scene_seed=self.scene_seed,
-                      copies=self.copies, epochs=self.epochs,
-                      batch_size=self.batch_size, max_steps=self.max_steps)
+                      epochs=self.epochs, batch_size=self.batch_size,
+                      max_steps=self.max_steps)
         if self.cases < 0:
             raise ValueError("cases must be >= 0")
-        if self.copies < 1:
-            raise ValueError("copies must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
@@ -132,7 +130,7 @@ class RunConfig:
             raise ValueError("max_steps must be >= 0")
         bev_grid_shape(self.bev_resolution, self.bev_extent)
         # the module constructors check their own invariants
-        self.noise_config(self.seed)
+        self.initial_distribution()
         self.field_config()
         self.loss_weights()
         self.sampler_config()

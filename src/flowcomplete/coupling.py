@@ -12,25 +12,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (NeighborIndex, as_cloud, check_finite,
+from .geometry import (NeighborIndex, as_cloud, check_finite, check_integer,
                        nearest_neighbor_map, neighbor_index)
 
 
 @dataclass(frozen=True)
-class NoiseConfig:
-    """Per-axis Gaussian jitter on the tiled scan (`RunConfig.noise_config`).
-
-    scale is the standard deviation in meters per axis. It must be
-    positive: at 0 the copies of a scan point start at one place and never
-    separate. The run config's `noise_scale` is checked here alone.
+class InitialDistribution:
+    """The scan tiled `copies` times with Gaussian jitter of standard
+    deviation `noise_scale` m per axis, which training and `complete` draw
+    x0 from (`RunConfig.initial_distribution`). At noise_scale 0 the copies
+    of a scan point would never separate. Its fields are `RunConfig` keys.
     """
-    scale: float
-    seed: int
+    copies: int
+    noise_scale: float
 
     def __post_init__(self):
-        if not self.scale > 0:
+        check_integer(copies=self.copies)
+        object.__setattr__(self, "copies", int(self.copies))
+        object.__setattr__(self, "noise_scale", float(self.noise_scale))
+        if self.copies < 1:
+            raise ValueError("copies must be >= 1")
+        if not self.noise_scale > 0:
             raise ValueError("noise_scale must be > 0")
-        check_finite(scale=self.scale)
+        check_finite(noise_scale=self.noise_scale)
 
 
 @dataclass(frozen=True)
@@ -53,21 +57,23 @@ class FlowSample:
     x1: NeighborIndex
 
 
-def noisy_initial_cloud(scan, copies: int, noise: NoiseConfig) -> np.ndarray:
-    """Tile the scan `copies` times and add independent Gaussian offsets.
+def noisy_initial_cloud(scan, init: InitialDistribution, seed: int) -> np.ndarray:
+    """A draw of x0 from `init`: the scan tiled init.copies times plus
+    independent Gaussian offsets.
 
-    Deterministic given noise.seed; output has copies * len(scan) points,
+    Deterministic given seed; output has copies * len(scan) points,
     block by block: before the offsets, point i*n + j is scan point j.
 
     Raises:
-        ValueError: on an empty scan.
+        ValueError: on an empty scan or a seed that is not an integer.
     """
+    check_integer(seed=seed)
     pts = as_cloud(scan)
     if len(pts) == 0:
         raise ValueError("empty scan")
-    tiled = np.tile(pts, (copies, 1))
-    rng = np.random.default_rng(noise.seed)
-    return tiled + rng.normal(scale=noise.scale, size=tiled.shape)
+    tiled = np.tile(pts, (init.copies, 1))
+    rng = np.random.default_rng(seed)
+    return tiled + rng.normal(scale=init.noise_scale, size=tiled.shape)
 
 
 def straight_flow(x0, x1, t: float):

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import numbers
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import FlowSample, NoiseConfig
+from .coupling import FlowSample, InitialDistribution
 from .geometry import as_cloud, check_integer, nearest_neighbor_map
 from .objective import LossReport, LossWeights, total_loss_grad
 
@@ -351,27 +350,20 @@ def ema_update(state: ModelState, decay: float) -> ModelState:
     return dataclasses.replace(state, ema_weights=ema)
 
 
-def _header_bytes(config: FieldConfig, init, step_count: int) -> bytes:
-    """Canonical JSON of the network config, the initial distribution
-    `init` = (copies, noise_scale) the field was trained from, and the step
-    count.
+def _header_bytes(config: FieldConfig, init: InitialDistribution,
+                  step_count: int) -> bytes:
+    """Canonical JSON of the network config, the initial distribution the
+    field was trained from, and the step count.
 
     `save_checkpoint` writes these bytes and `load_checkpoint` accepts no
     others, so any change here bumps CHECKPOINT_VERSION. Raises ValueError
-    on copies that are not an integer >= 1, a noise scale that
-    `coupling.NoiseConfig` rejects, or a negative step count.
+    on a negative step count.
     """
-    copies, noise_scale = init
-    # the integer rule of geometry.check_integer: numpy integers pass
-    if (isinstance(copies, bool) or not isinstance(copies, numbers.Integral)
-            or copies < 1):
-        raise ValueError(f"copies must be an integer >= 1, got {copies!r}")
-    copies, noise_scale, step_count = int(copies), float(noise_scale), int(step_count)
-    NoiseConfig(scale=noise_scale, seed=0)  # the scale's rule is NoiseConfig's
+    step_count = int(step_count)
     if step_count < 0:
         raise ValueError(f"step count must be >= 0, got {step_count}")
-    header = {"config": dataclasses.asdict(config), "copies": copies,
-              "noise_scale": noise_scale, "step_count": step_count}
+    header = {"config": dataclasses.asdict(config),
+              **dataclasses.asdict(init), "step_count": step_count}
     return json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
 
 
@@ -383,11 +375,11 @@ def _check_finite(arrays) -> None:
             raise ValueError(f"array {name!r} holds a value that is not finite")
 
 
-def save_checkpoint(path, state: ModelState, init) -> None:
+def save_checkpoint(path, state: ModelState, init: InitialDistribution) -> None:
     """Write a deterministic binary checkpoint (same inputs, same bytes).
 
-    `init` is the (copies, noise_scale) pair of the initial clouds the
-    field was trained from, which a completion must draw its own from.
+    `init` is the initial distribution the field was trained from, which a
+    completion must draw its own x0 from.
     Layout: magic, `<IQ` version and header length, the `_header_bytes`
     JSON header, then the little-endian float64 arrays `_CHECKPOINT_ARRAYS`
     in order, each of `parameter_count(config)` values. Out-of-range
@@ -406,7 +398,7 @@ def save_checkpoint(path, state: ModelState, init) -> None:
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (ModelState, (copies, noise_scale)).
+    """Read a checkpoint; returns (ModelState, InitialDistribution).
 
     Weight arrays round-trip bit-exactly, and a loaded checkpoint re-saves
     to the same bytes.
@@ -441,7 +433,7 @@ def load_checkpoint(path):
     try:
         header = json.loads(blob)
         config = FieldConfig(**header["config"])
-        init = (header["copies"], header["noise_scale"])
+        init = InitialDistribution(header["copies"], header["noise_scale"])
         step_count = header["step_count"]
         canonical = _header_bytes(config, init, step_count)
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:

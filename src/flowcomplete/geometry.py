@@ -311,8 +311,10 @@ def farthest_point_sample(cloud, count: int, seed: int) -> np.ndarray:
     fixed seed; the output rows are a subset of the input rows.
 
     Raises:
-        ValueError: if the cloud is empty or count exceeds its size.
+        ValueError: if count or seed is not an integer, the cloud is empty,
+            or count exceeds its size.
     """
+    check_integer(count=count, seed=seed)
     pts = as_cloud(cloud)
     if len(pts) == 0:
         raise ValueError("cannot sample from an empty cloud")

@@ -221,6 +221,7 @@ class SceneSpec:
     primitives: tuple = ()
 
     def __post_init__(self):
+        check_integer(seed=self.seed)
         check_finite(ground_half_extent=self.ground_half_extent,
                      density=self.density)
         if self.ground_half_extent <= 0:
@@ -251,15 +252,14 @@ class ScanSpec:
     elevation_count: int
     max_range: float
     dropout: float
-    budget: int | None  # farthest-point subsample target; None keeps all
+    budget: int  # farthest-point subsample target
     seed: int
     elevation_range: tuple = (-0.5, 0.15)  # radians
 
     def __post_init__(self):
         check_integer(azimuth_count=self.azimuth_count,
-                      elevation_count=self.elevation_count, seed=self.seed)
-        if self.budget is not None:
-            check_integer(budget=self.budget)
+                      elevation_count=self.elevation_count, seed=self.seed,
+                      budget=self.budget)
         check_finite(origin=self.origin, max_range=self.max_range,
                      elevation_range=self.elevation_range)
         if self.max_range <= 0:
@@ -272,7 +272,7 @@ class ScanSpec:
                              f"exceeds MAX_SCAN_RAYS = {MAX_SCAN_RAYS}")
         if not 0.0 <= self.dropout <= 1.0:
             raise ValueError("dropout must be in [0, 1]")
-        if self.budget is not None and self.budget < 1:
+        if self.budget < 1:
             raise ValueError("scan budget must be >= 1")
 
 
@@ -361,7 +361,7 @@ def simulate_scan(spec: SceneSpec, scan: ScanSpec) -> np.ndarray:
     rng = np.random.default_rng(scan.seed)
     if scan.dropout > 0.0 and len(cloud):
         cloud = cloud[rng.uniform(size=len(cloud)) >= scan.dropout]
-    if scan.budget is not None and len(cloud) > scan.budget:
+    if len(cloud) > scan.budget:
         cloud = farthest_point_sample(cloud, scan.budget,
                                       seed=int(rng.integers(2 ** 32)))
     return cloud

@@ -46,6 +46,7 @@ def fit(cases, cfg: RunConfig, on_step=None):
     state = field.init_model(cfg.field_config())
     opt = field.init_optimizer(state, learning_rate=cfg.learning_rate)
     weights = cfg.loss_weights()
+    init = cfg.initial_distribution()
     rng = np.random.default_rng([cfg.seed, _TRAIN_STREAM])
     # One set of layer arrays for every step, grown to the largest sample:
     # scans, and so x0, can differ in size between cases.
@@ -56,8 +57,8 @@ def fit(cases, cfg: RunConfig, on_step=None):
             samples = []
             for case_index in order[start:start + cfg.batch_size]:
                 scene, scan = cases[case_index]
-                noise = cfg.noise_config(seed=int(rng.integers(2 ** 32)))
-                x0 = coupling.noisy_initial_cloud(scan, cfg.copies, noise)
+                x0 = coupling.noisy_initial_cloud(
+                    scan, init, seed=int(rng.integers(2 ** 32)))
                 t = coupling.sample_time(rng)
                 condition = coupling.draw_condition(scan, cfg.p_null, rng)
                 samples.append(coupling.nearest_neighbor_flow(

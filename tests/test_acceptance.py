@@ -132,7 +132,7 @@ def toy_world():
     train_cases = [_toy_case(seed) for seed in range(100, 124)]
     held_out = [_toy_case(seed) for seed in range(200, 216)]
     inits = [coupling.noisy_initial_cloud(
-        case.scan, COPIES, coupling.NoiseConfig(NOISE_SCALE, seed=1000 + i))
+        case.scan, coupling.InitialDistribution(COPIES, NOISE_SCALE), seed=1000 + i)
         for i, case in enumerate(held_out)]
     base_cd = float(np.mean([metrics.eval_chamfer(x0, case.scene)
                              for x0, case in zip(inits, held_out)]))

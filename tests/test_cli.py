@@ -101,7 +101,8 @@ class TestTrain:
         want = field.init_model(state.config)
         assert state.step_count == 0
         assert np.array_equal(state.weights, want.weights)
-        assert init == (2, 0.25)  # FAST's copies and noise scale
+        # FAST's copies and noise scale
+        assert init == coupling.InitialDistribution(2, 0.25)
 
     def test_short_run_logs_and_reruns_identically(self, dataset, tmp_path,
                                                    monkeypatch, capsys):
@@ -139,7 +140,7 @@ class TestTrain:
         assert len([l for l in out.splitlines() if l.startswith("step=")]) == 1
         state, init = field.load_checkpoint(ckpt)
         assert state.step_count == 1
-        assert init == (3, 0.1)  # the run's pair
+        assert init == coupling.InitialDistribution(3, 0.1)  # the run's pair
         for array in (state.weights, state.ema_weights):
             assert np.all(np.isfinite(array))
         # a plain `complete` draws x0 from that pair; weights near 1e200
@@ -200,7 +201,8 @@ class TestComplete:
                                 activation="tanh", seed=0)
         state = field.init_model(cfg)
         path = tmp_path / "zero.ckpt"
-        field.save_checkpoint(path, state, (2, 0.25))  # FAST's pair
+        # FAST's copies and noise scale
+        field.save_checkpoint(path, state, coupling.InitialDistribution(2, 0.25))
         return path
 
     def test_untrained_checkpoint_outputs_noisy_initial(self, dataset,
@@ -219,8 +221,7 @@ class TestComplete:
         got = cloud_io.read_cloud(out)
         scan = cloud_io.read_cloud(scan_path)
         want = coupling.noisy_initial_cloud(
-            scan, 2, coupling.NoiseConfig(scale=0.25, seed=11)
-        )
+            scan, coupling.InitialDistribution(2, 0.25), seed=11)
         assert np.array_equal(got, want.astype("<f4").astype(np.float64))
         assert len(got) == 2 * len(scan)
 
@@ -360,8 +361,8 @@ class TestComplete:
 
 
 class TestInitialDistribution:
-    """`complete` runs the checkpoint's model on x0 drawn from the (copies,
-    noise_scale) that trained it; a file line or flag may only repeat the
+    """`complete` runs the checkpoint's model on x0 drawn from the initial
+    distribution that trained it; a file line or flag may only repeat the
     values its header records, the seed aside."""
 
     @pytest.fixture(scope="class")
@@ -390,7 +391,7 @@ class TestInitialDistribution:
         scan = cloud_io.read_cloud(scan_path)
         assert x0.shape == (3 * len(scan), 3)
         want = coupling.noisy_initial_cloud(
-            scan, 3, coupling.NoiseConfig(scale=0.1, seed=seed))
+            scan, coupling.InitialDistribution(3, 0.1), seed=seed)
         assert np.array_equal(x0, want.astype("<f4").astype(np.float64))
         # each copy sits about the scan at the 0.1 spread, not RunConfig's 0.25
         spread = (x0 - np.tile(scan, (3, 1))).std()
@@ -454,6 +455,14 @@ class TestInitialDistribution:
             )
             assert code == 0, err
         assert len({out.read_bytes() for out in outs}) == 1
+
+    def test_checked_fields_are_run_config_keys(self):
+        # complete compares each given key against the checkpoint's fields
+        # of the same name, so a field under another name would go unchecked
+        keys = {f.name for f in dataclasses.fields(RunConfig)}
+        names = {f.name for f in dataclasses.fields(coupling.InitialDistribution)}
+        names |= {f.name for f in dataclasses.fields(field.FieldConfig)}
+        assert names - keys == {"zero_init_output"}
 
 
 class TestEval:
@@ -733,8 +742,8 @@ def test_default_recipe_completes(tmp_path, monkeypatch, capsys):
     cfg = RunConfig()
     scan = cloud_io.read_cloud("data/scans/case-000.ply")
     scene = cloud_io.read_cloud("data/scenes/case-000.ply")
-    x0 = coupling.noisy_initial_cloud(scan, cfg.copies,
-                                      cfg.noise_config(seed=cfg.seed))
+    x0 = coupling.noisy_initial_cloud(scan, cfg.initial_distribution(),
+                                      seed=cfg.seed)
     completed = cloud_io.read_cloud("out/completed.ply")
     assert np.linalg.norm(completed - x0, axis=1).mean() > 0.005
     assert metrics.eval_chamfer(completed, scene) < metrics.eval_chamfer(x0, scene)

@@ -19,7 +19,8 @@ INT_KEY_OWNER = {"scan_azimuths": "azimuth_count",
 # Values that RunConfig (or a caller's own seed) supplies: the classes and
 # functions that take them keep no default of their own.
 REQUIRED_FIELDS = [
-    (coupling.NoiseConfig, "scale"), (coupling.NoiseConfig, "seed"),
+    (coupling.InitialDistribution, "copies"),
+    (coupling.InitialDistribution, "noise_scale"),
     (field.FieldConfig, "hidden_widths"), (field.FieldConfig, "time_embed_dim"),
     (field.FieldConfig, "activation"), (field.FieldConfig, "seed"),
     (field.OptimizerState, "learning_rate"), (field.OptimizerState, "m"),
@@ -40,7 +41,7 @@ REQUIRED_PARAMETERS = [
     (sampler.guided_field, "use_ema"),
     (metrics.eval_bev_jsd, "resolution"), (metrics.eval_bev_jsd, "extent"),
     (metrics.evaluate, "bev_resolution"), (metrics.evaluate, "bev_extent"),
-    (config.RunConfig.noise_config, "seed"),
+    (coupling.noisy_initial_cloud, "seed"),
     (geometry.farthest_point_sample, "seed"),
     (scenes.random_scene_spec, "ground_half_extent"),
     (scenes.random_scene_spec, "density"),
@@ -298,7 +299,8 @@ class TestOneCopyOfEachDefault:
             density=12.0, sensor_height=1.25, scan_azimuths=33,
             scan_elevations=7, scan_max_range=4.5, scan_dropout=0.2,
             scan_budget=99).validate()
-        assert cfg.noise_config(seed=5) == coupling.NoiseConfig(scale=0.3, seed=5)
+        assert cfg.initial_distribution() == coupling.InitialDistribution(
+            copies=10, noise_scale=0.3)
         assert cfg.field_config() == field.FieldConfig(
             hidden_widths=(7, 5), time_embed_dim=4, activation="relu", seed=9)
         assert cfg.loss_weights() == objective.LossWeights(chamfer=0.7)

@@ -16,22 +16,27 @@ def seeded_tiling(scan, copies, scale, seed):
     return np.tile(scan, (copies, 1)) + offsets
 
 
+def draw(scan, copies, noise_scale, seed):
+    return coupling.noisy_initial_cloud(
+        scan, coupling.InitialDistribution(copies, noise_scale), seed=seed)
+
+
 class TestNoisyInitialCloud:
     def test_equals_seeded_tiling(self):
         rng = np.random.default_rng(0)
         scan = random_cloud(rng, 20)
-        out = coupling.noisy_initial_cloud(scan, 3, coupling.NoiseConfig(0.25, seed=1))
+        out = draw(scan, 3, 0.25, seed=1)
         assert out.tobytes() == seeded_tiling(scan, 3, 0.25, 1).tobytes()
 
     def test_single_copy_is_one_seeded_offset(self):
         cloud = np.array([[1.0, 2.0, 3.0]])
-        out = coupling.noisy_initial_cloud(cloud, 1, coupling.NoiseConfig(0.1, seed=2))
+        out = draw(cloud, 1, 0.1, seed=2)
         assert out.tobytes() == seeded_tiling(cloud, 1, 0.1, 2).tobytes()
 
     def test_block_pattern(self):
         # before the offsets, point i*n + j is scan point j
         cloud = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-        out = coupling.noisy_initial_cloud(cloud, 3, coupling.NoiseConfig(0.5, seed=3))
+        out = draw(cloud, 3, 0.5, seed=3)
         assert out.shape == (6, 3)
         offsets = np.random.default_rng(3).normal(scale=0.5, size=(6, 3))
         for i in range(3):
@@ -42,21 +47,20 @@ class TestNoisyInitialCloud:
         # N scans tiled K times give M = K*N points (reduced-size check).
         rng = np.random.default_rng(37)
         scan = random_cloud(rng, 180)
-        out = coupling.noisy_initial_cloud(scan, 10, coupling.NoiseConfig(0.25, seed=4))
+        out = draw(scan, 10, 0.25, seed=4)
         assert out.shape == (1800, 3)
         assert out.tobytes() == seeded_tiling(scan, 10, 0.25, 4).tobytes()
 
     def test_size_is_copies_times_scan(self):
         rng = np.random.default_rng(1)
         scan = random_cloud(rng, 17)
-        out = coupling.noisy_initial_cloud(scan, 10, coupling.NoiseConfig(0.5, seed=4))
+        out = draw(scan, 10, 0.5, seed=4)
         assert out.shape == (170, 3)
 
     def test_seeded_and_deterministic(self):
         scan = np.array([[1.0, 2.0, 3.0]])
-        cfg = coupling.NoiseConfig(scale=0.3, seed=99)
-        a = coupling.noisy_initial_cloud(scan, 2, cfg)
-        b = coupling.noisy_initial_cloud(scan, 2, cfg)
+        a = draw(scan, 2, 0.3, seed=99)
+        b = draw(scan, 2, 0.3, seed=99)
         assert np.array_equal(a, b)
         # both copies stay within ~4 sigma of the source point
         assert np.all(np.abs(a - scan) < 4 * 0.3)
@@ -66,28 +70,53 @@ class TestNoisyInitialCloud:
         # original coordinate, per axis.
         scan = np.array([[1.0, 2.0, 3.0]])
         n = 10 ** 5
-        out = coupling.noisy_initial_cloud(
-            scan, n, coupling.NoiseConfig(scale=1.0, seed=7)
-        )
+        out = draw(scan, n, 1.0, seed=7)
         tol = 3.0 / np.sqrt(n)
         assert np.all(np.abs(out.mean(axis=0) - scan[0]) < tol)
 
     def test_empty_scan_error(self):
         with pytest.raises(ValueError, match="empty scan"):
-            coupling.noisy_initial_cloud(np.empty((0, 3)), 2,
-                                         coupling.NoiseConfig(1.0, seed=0))
+            draw(np.empty((0, 3)), 2, 1.0, seed=0)
 
     def test_negative_scale_rejected(self):
         # zero too: the copies of a scan point would start at one place
         for scale in (-0.1, 0.0, -0.0):
             with pytest.raises(ValueError, match="noise_scale must be > 0"):
-                coupling.NoiseConfig(scale=scale, seed=0)
+                coupling.InitialDistribution(copies=1, noise_scale=scale)
 
     @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
     def test_non_finite_scale_rejected(self, scale):
         # an infinite scale would give x0 rows of +-inf
         with pytest.raises(ValueError, match="scale"):
-            coupling.NoiseConfig(scale=scale, seed=0)
+            coupling.InitialDistribution(copies=1, noise_scale=scale)
+
+    @pytest.mark.parametrize("seed", [2.5, True])
+    def test_seed_that_is_not_an_integer_rejected(self, seed):
+        # int() would truncate 2.5 to another draw, and True is a bool
+        with pytest.raises(ValueError, match=f"seed: {seed!r} is not an integer"):
+            draw(np.zeros((2, 3)), 2, 0.25, seed=seed)
+
+
+class TestInitialDistribution:
+    @pytest.mark.parametrize("copies, noise_scale, message", [
+        (0, 0.25, "copies must be >= 1"),
+        (-1, 0.25, "copies must be >= 1"),
+        (True, 0.25, "copies: True is not an integer"),
+        (2.5, 0.25, "copies: 2.5 is not an integer"),
+        (10, 0.0, "noise_scale must be > 0"),
+        (10, -0.25, "noise_scale must be > 0"),
+        (10, np.nan, "noise_scale must be > 0"),
+        (10, np.inf, "noise_scale must be finite, got inf"),
+    ])
+    def test_out_of_range_value_rejected(self, copies, noise_scale, message):
+        with pytest.raises(ValueError) as err:
+            coupling.InitialDistribution(copies, noise_scale)
+        assert str(err.value) == message
+
+    def test_numpy_values_normalise(self):
+        init = coupling.InitialDistribution(np.int64(10), np.float64(0.25))
+        assert init == coupling.InitialDistribution(10, 0.25)
+        assert (type(init.copies), type(init.noise_scale)) == (int, float)
 
 
 class TestStraightFlow:

@@ -532,8 +532,8 @@ class TestEma:
         assert np.allclose(out.ema_weights, 0.1, atol=1e-15)
 
 
-# The (copies, noise_scale) pair that checkpoints carry in these tests.
-INIT = (10, 0.25)
+# The initial distribution that checkpoints carry in these tests.
+INIT = coupling.InitialDistribution(copies=10, noise_scale=0.25)
 
 
 class TestCheckpoint:
@@ -550,15 +550,15 @@ class TestCheckpoint:
         state = field.ema_update(state, 0.99)
 
         path = tmp_path / "model.ckpt"
-        field.save_checkpoint(path, state, (4, 0.1))
+        field.save_checkpoint(path, state, coupling.InitialDistribution(4, 0.1))
         loaded, init = field.load_checkpoint(path)
 
         assert loaded.config == cfg
         assert loaded.step_count == state.step_count
         assert np.array_equal(loaded.weights, state.weights)
         assert np.array_equal(loaded.ema_weights, state.ema_weights)
-        assert init == (4, 0.1)
-        assert (type(init[0]), type(init[1])) == (int, float)
+        assert init == coupling.InitialDistribution(4, 0.1)
+        assert (type(init.copies), type(init.noise_scale)) == (int, float)
         resaved = tmp_path / "resaved.ckpt"
         field.save_checkpoint(resaved, loaded, init)
         assert resaved.read_bytes() == path.read_bytes()
@@ -592,11 +592,12 @@ class TestCheckpoint:
         state = field.init_model(cfg)
         state = field.ModelState(cfg, state.weights, state.ema_weights, step_count)
         path = tmp_path_factory.mktemp("saved") / "model.ckpt"
-        field.save_checkpoint(path, state, (copies, noise_scale))
-        loaded, init = field.load_checkpoint(path)
-        assert (loaded.config, loaded.step_count, init) == (
-            cfg, step_count, (copies, noise_scale))
-        field.save_checkpoint(path.with_name("again.ckpt"), loaded, init)
+        init = coupling.InitialDistribution(copies, noise_scale)
+        field.save_checkpoint(path, state, init)
+        loaded, loaded_init = field.load_checkpoint(path)
+        assert (loaded.config, loaded.step_count, loaded_init) == (
+            cfg, step_count, init)
+        field.save_checkpoint(path.with_name("again.ckpt"), loaded, loaded_init)
         assert path.with_name("again.ckpt").read_bytes() == path.read_bytes()
 
     def test_rewrite_is_byte_identical(self, tmp_path):
@@ -656,10 +657,15 @@ class TestCheckpoint:
     def test_header_bytes_golden(self):
         # Any change to these bytes must come with a CHECKPOINT_VERSION bump.
         assert field.CHECKPOINT_VERSION == 3
-        blob = field._header_bytes(SMALL, (10, 0.25), 7)
+        blob = field._header_bytes(SMALL, coupling.InitialDistribution(10, 0.25), 7)
         assert blob == (b'{"config":{"activation":"tanh","hidden_widths":[8],'
                         b'"seed":3,"time_embed_dim":4,"zero_init_output":true},'
                         b'"copies":10,"noise_scale":0.25,"step_count":7}')
+
+    def test_numpy_values_write_the_same_header(self):
+        init = coupling.InitialDistribution(np.int64(10), np.float64(0.25))
+        assert field._header_bytes(SMALL, init, 7) == field._header_bytes(
+            SMALL, coupling.InitialDistribution(10, 0.25), 7)
 
     @pytest.mark.parametrize("key, value", [
         ("version", 2),
@@ -746,21 +752,26 @@ class TestCheckpoint:
                                  state.ema_weights, step_count)
         path = tmp_path / "model.ckpt"
         with pytest.raises(ValueError):
-            field.save_checkpoint(path, state, (10, noise_scale))
+            field.save_checkpoint(path, state,
+                                  coupling.InitialDistribution(10, noise_scale))
         assert not path.exists()
 
     @pytest.mark.parametrize("copies", [0, -3, True, 2.0, "2"])
     def test_save_rejects_copies_that_are_not_a_count(self, tmp_path, copies):
         path = tmp_path / "model.ckpt"
-        with pytest.raises(ValueError, match="copies must be an integer >= 1"):
-            field.save_checkpoint(path, field.init_model(SMALL), (copies, 0.25))
+        with pytest.raises(ValueError,
+                           match="copies( must be >= 1|: .* is not an integer)"):
+            field.save_checkpoint(path, field.init_model(SMALL),
+                                  coupling.InitialDistribution(copies, 0.25))
         assert not path.exists()
 
     def test_save_takes_numpy_integer_copies(self, tmp_path):
         # RunConfig.validate passes a numpy integer, so saving must too
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        field.save_checkpoint(a, field.init_model(SMALL), (10, 0.25))
-        field.save_checkpoint(b, field.init_model(SMALL), (np.int64(10), 0.25))
+        field.save_checkpoint(a, field.init_model(SMALL),
+                              coupling.InitialDistribution(10, 0.25))
+        field.save_checkpoint(b, field.init_model(SMALL),
+                              coupling.InitialDistribution(np.int64(10), 0.25))
         assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize("name", field._CHECKPOINT_ARRAYS)
@@ -871,7 +882,7 @@ class TestCheckpointFuzz:
         state, opt = field.apply_gradient(state, opt, grad)
         state = field.ema_update(state, 0.9)
         path = tmp_path_factory.mktemp("fuzz") / "small.ckpt"
-        field.save_checkpoint(path, state, (3, 0.1))
+        field.save_checkpoint(path, state, coupling.InitialDistribution(3, 0.1))
         return path.read_bytes()
 
     def test_every_truncation_raises_value_error(self, raw, tmp_path):

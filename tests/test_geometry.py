@@ -172,6 +172,15 @@ class TestFarthestPointSample:
         with pytest.raises(ValueError, match="sample size exceeds cloud"):
             geometry.farthest_point_sample(np.zeros((2, 3)), 3, seed=0)
 
+    @pytest.mark.parametrize("count, seed, message", [
+        (2.5, 0, "count: 2.5 is not an integer"),
+        (3, 2.5, "seed: 2.5 is not an integer"),
+    ])
+    def test_count_and_seed_must_be_integers(self, count, seed, message):
+        # numpy's own errors for these are bare TypeErrors
+        with pytest.raises(ValueError, match=message):
+            geometry.farthest_point_sample(np.zeros((4, 3)), count, seed=seed)
+
     def test_deterministic_and_subset(self):
         rng = np.random.default_rng(29)
         cloud = random_cloud(rng, 50)

@@ -262,12 +262,12 @@ class TestCompleteScene:
     def test_zero_field_returns_noisy_initial(self, monkeypatch):
         rng = np.random.default_rng(13)
         scan = random_cloud(rng, 16)
-        noise = coupling.NoiseConfig(scale=0.25, seed=77)
+        init = coupling.InitialDistribution(copies=10, noise_scale=0.25)
         state = random_model(14, zero_output=True)
-        x0 = coupling.noisy_initial_cloud(scan, 10, noise)
+        x0 = coupling.noisy_initial_cloud(scan, init, seed=77)
         tree_rows = tree_rows_per_query(monkeypatch)
         out = sampler.euler_integrate(state, x0, scan, TEN_STEPS)
-        want = coupling.noisy_initial_cloud(scan, 10, noise)
+        want = coupling.noisy_initial_cloud(scan, init, seed=77)
         assert np.array_equal(out, want)
         # no point moves, so after the first step every point keeps its row
         assert tree_rows == [160] + [0] * 9
@@ -277,7 +277,7 @@ class TestCompleteScene:
         scan = random_cloud(rng, 21)
         state = random_model(15)
         x0 = coupling.noisy_initial_cloud(
-            scan, 10, coupling.NoiseConfig(scale=0.1, seed=5))
+            scan, coupling.InitialDistribution(10, 0.1), seed=5)
         cfg = sampler.SamplerConfig(steps=2, guidance_weight=6.0, use_ema=True)
         out = sampler.euler_integrate(state, x0, scan, cfg)
         assert out.shape == (210, 3)
@@ -289,11 +289,11 @@ class TestCompleteScene:
         # against a fresh index over the scan array at every step.
         rng = np.random.default_rng(15)
         scan = random_cloud(rng, 40)
-        noise = coupling.NoiseConfig(scale=0.1, seed=6)
+        init = coupling.InitialDistribution(copies=4, noise_scale=0.1)
         state = random_model(16)
         cfg = sampler.SamplerConfig(steps=10, guidance_weight=2.5,
                                     use_ema=True)
-        x = coupling.noisy_initial_cloud(scan, 4, noise)
+        x = coupling.noisy_initial_cloud(scan, init, seed=6)
         tree_rows = tree_rows_per_query(monkeypatch)
         out = sampler.euler_integrate(state, x, scan, cfg)
         for k in range(cfg.steps):

@@ -14,7 +14,8 @@ from oracles import first_hit_per_ray
 # run value from its caller (RunConfig holds the defaults of a CLI run).
 _WORLD = dict(ground_half_extent=4.0, density=60.0)
 _SENSOR = dict(origin=(0.0, 0.0, 0.6), azimuth_count=180, elevation_count=12,
-               max_range=10.0, dropout=0.0, budget=None, seed=0)
+               max_range=10.0, dropout=0.0, budget=scenes.MAX_SCAN_RAYS,
+               seed=0)
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
@@ -190,6 +191,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=message):
             scene_spec(**changes)
 
+    @pytest.mark.parametrize("seed", [2.5, True])
+    def test_scene_spec_rejects_a_seed_that_is_not_an_integer(self, seed):
+        # generate_scene would fail in numpy's seeding with a bare TypeError
+        with pytest.raises(ValueError, match=f"seed: {seed!r} is not an integer"):
+            scene_spec(seed=seed)
+
     def test_sizes_at_the_caps_are_accepted(self):
         # 1000 x 1000 rays, and exactly MAX_GROUND_POINTS expected points
         scan_spec(azimuth_count=1000, elevation_count=1000)
@@ -289,7 +296,8 @@ class TestScanMatchesPerRayOracle:
         spec = random_spec(300 + seed)
         scan = scan_spec(azimuth_count=120, elevation_count=9,
                          dropout=0.1 * (seed % 3),
-                         budget=(None, 200)[seed % 2], seed=seed)
+                         budget=(scenes.MAX_SCAN_RAYS, 200)[seed % 2],
+                         seed=seed)
         assert_same_bytes(scenes.simulate_scan(spec, scan),
                           first_hit_per_ray(spec, scan))
 
@@ -371,6 +379,15 @@ class TestRandomSceneSpecExtent:
         monkeypatch.setattr(np.random, "default_rng", no_draws)
         with pytest.raises(ValueError, match=message):
             random_spec(0, ground_half_extent=extent, density=density)
+
+    def test_seed_that_is_not_an_integer_rejected_before_any_draw(self,
+                                                                  monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("rng built before the seed check")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(ValueError, match="seed: 2.5 is not an integer"):
+            scenes.random_scene_spec(2.5, 4.0, 10.0)
 
     def test_smallest_extent_places_every_seed(self):
         # In a child process, so that a placement loop that never ends
